@@ -10,13 +10,11 @@ all equal bipartitions of small graphs.
 """
 
 from .analytic import (
-    QPolynomialSequence,
     analytic_entropy,
     gamma_half_strata,
     gamma_identity_cut,
     gamma_parity_cut,
     q_polynomial,
-    q_polynomial_sequence,
 )
 from .census import (
     CensusReport,
@@ -85,7 +83,6 @@ __all__ = [
     "ModeSpectrum",
     "OscnetError",
     "PotentialMatrix",
-    "QPolynomialSequence",
     "SchemeError",
     "SchmidtSpectrum",
     "SingularityError",
@@ -111,7 +108,6 @@ __all__ = [
     "nu_from_gamma",
     "potential_matrix",
     "q_polynomial",
-    "q_polynomial_sequence",
     "schmidt_spectrum",
     "schur_eliminate",
     "spin_x_block",

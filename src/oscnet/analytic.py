@@ -24,49 +24,19 @@ tests enforce 1e-9.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SchemeError, SingularityError
-from .gaussian import GAMMA_ZERO, Mode, ModeSpectrum, _norm_log_base, nu_from_gamma
+from .gaussian import ModeSpectrum, _mode, _norm_log_base
+from .graph import cut_name
 from .stratify import block_table, spin_x_block
-
-SCHEMES = ("identity_cut", "parity_cut", "half_strata")
-
-
-@dataclass(frozen=True)
-class QPolynomialSequence:
-    """Exact integer coefficients of the elimination polynomials Q_0..Q_n.
-
-    coefficients[k] lists the coefficients of Q_k in ascending powers of x.
-    The recursion weights are omega_i = i (d_block - i + 1).
-    """
-
-    d_block: int
-    coefficients: tuple
-
-    @property
-    def omegas(self) -> tuple:
-        # the recursion up to Q_n consumes omega_1 .. omega_{n-1}
-        return tuple(
-            i * (self.d_block - i + 1) for i in range(1, len(self.coefficients) - 1)
-        )
-
-    def evaluate(self, n: int, x: float) -> float:
-        if not 0 <= n < len(self.coefficients):
-            raise ValueError("polynomial index %d out of range" % n)
-        return float(sum(c * x ** p for p, c in enumerate(self.coefficients[n])))
-
-
-def _check_block_dim(d_block: int):
-    if not isinstance(d_block, int) or d_block < 1:
-        raise ValueError("d_block must be a positive integer")
 
 
 def q_polynomial(n: int, x: float, d_block: int) -> float:
     """Evaluate Q_n(x) for the block of dimension d_block + 1 by recursion."""
-    _check_block_dim(d_block)
+    if not isinstance(d_block, int) or d_block < 1:
+        raise ValueError("d_block must be a positive integer")
     if not isinstance(n, int) or n < 0:
         raise ValueError("polynomial index must be a non-negative integer")
     x = float(x)
@@ -79,28 +49,6 @@ def q_polynomial(n: int, x: float, d_block: int) -> float:
     return cur
 
 
-def q_polynomial_sequence(n: int, d_block: int) -> QPolynomialSequence:
-    """Integer coefficient table of Q_0..Q_n for the given block."""
-    _check_block_dim(d_block)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a non-negative integer")
-    rows = [(1,)]
-    if n >= 1:
-        rows.append((0, 1))
-    for j in range(2, n + 1):
-        omega = (j - 1) * (d_block - (j - 1) + 1)
-        shifted = (0,) + rows[j - 1]
-        scaled = tuple(omega * c for c in rows[j - 2])
-        width = max(len(shifted), len(scaled))
-        row = tuple(
-            (shifted[p] if p < len(shifted) else 0)
-            - (scaled[p] if p < len(scaled) else 0)
-            for p in range(width)
-        )
-        rows.append(row)
-    return QPolynomialSequence(d_block, tuple(rows))
-
-
 def _check_dg(d: int, g: float):
     if not isinstance(d, int) or d < 1:
         raise DomainError("dimension must be a positive integer")
@@ -108,13 +56,6 @@ def _check_dg(d: int, g: float):
     if g < 0.0:
         raise DomainError("analytic spectra require g >= 0")
     return g
-
-
-def _mode(gamma: float, degeneracy: int) -> Mode:
-    gamma = float(gamma)
-    if gamma < GAMMA_ZERO:
-        return Mode(gamma=gamma, nu=1.0, degeneracy=degeneracy)
-    return Mode(gamma=gamma, nu=nu_from_gamma(gamma), degeneracy=degeneracy)
 
 
 def _finish(modes, log_base) -> ModeSpectrum:
@@ -163,7 +104,7 @@ def gamma_parity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
         for s in np.linalg.svd(coupling, compute_uv=False):
             modes.append(_mode(pref * float(s), deg))
     if zero_modes:
-        modes.append(Mode(gamma=0.0, nu=1.0, degeneracy=zero_modes))
+        modes.append(_mode(0.0, zero_modes))
     return _finish(modes, log_base)
 
 
@@ -197,16 +138,15 @@ def gamma_half_strata(d: int, g: float, log_base=2) -> ModeSpectrum:
     return _finish(modes, log_base)
 
 
+# Closed-form spectrum of each named cut, keyed by graph.cut_name.
+CLOSED_FORMS = {
+    "identity_cut": gamma_identity_cut,
+    "parity_cut": gamma_parity_cut,
+    "half_strata": gamma_half_strata,
+}
+
+
 def analytic_entropy(scheme: str, d: int, g: float, log_base=2) -> float:
-    """Total closed-form entropy for one of the named schemes."""
-    if scheme == "identity_cut":
-        spectrum = gamma_identity_cut(d, g, log_base)
-    elif scheme == "parity_cut":
-        spectrum = gamma_parity_cut(d, g, log_base)
-    elif scheme == "half_strata":
-        spectrum = gamma_half_strata(d, g, log_base)
-    else:
-        raise SchemeError(
-            "unknown scheme %r (choose from %s)" % (scheme, ", ".join(SCHEMES))
-        )
-    return spectrum.total_entropy()
+    """Total closed-form entropy of a named cut, in any spelling cut_name
+    accepts."""
+    return CLOSED_FORMS[cut_name(scheme)](d, g, log_base).total_entropy()

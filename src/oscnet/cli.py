@@ -25,6 +25,7 @@ from . import analytic, census, gaussian, stratify
 from .errors import OscnetError
 from .graph import (
     Bipartition,
+    cut_name,
     graph_from_uri,
     hypercube_graph,
     named_bipartition,
@@ -32,37 +33,64 @@ from .graph import (
 )
 
 _FMT = "%.12g"
-
-# CLI scheme names use hyphens; "parity" is short for the parity cut.
-_SCHEME_MAP = {
-    "identity-cut": "identity_cut",
-    "parity": "parity_cut",
-    "half-strata": "half_strata",
-}
-_CUT_MAP = {
-    "identity_cut": "coordinate",
-    "parity_cut": "parity",
-    "half_strata": "half_strata",
-}
+# Spellings of the named cuts that --scheme accepts; graph.cut_name resolves
+# them like every other spelling.
+_CUT_CHOICES = ("half-strata", "identity-cut", "parity")
 
 
 def _fmt(x: float) -> str:
     return _FMT % x
 
 
-def _emit(text: str, output: str | None):
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(args, config, text, doc=None, csv=None):
+    """Write one report to --output or to stdout, in the requested --format.
+
+    config lists the (key, value) pairs echoed in the text header and under
+    "config" in JSON.  text, doc and csv are zero-argument callables building
+    the text body lines, the JSON fields after "config" and the CSV document;
+    only the requested one is called.
+    """
+    fmt = getattr(args, "format", "text")
+    if fmt == "json":
+        out = json.dumps({"config": dict(config), **doc()}, indent=2) + "\n"
+    elif fmt == "csv":
+        out = csv()
     else:
-        sys.stdout.write(text)
+        lines = ["# oscnet %s" % args.command]
+        lines += ["# %s = %s" % pair for pair in config]
+        out = "\n".join(lines + text()) + "\n"
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(out)
+    else:
+        sys.stdout.write(out)
 
 
-def _config_lines(command: str, pairs) -> str:
-    lines = ["# oscnet %s" % command]
-    for key, value in pairs:
-        lines.append("# %s = %s" % (key, value))
-    return "\n".join(lines) + "\n"
+def _emit_modes(args, config, spectrum, totals):
+    """Report a mode table "gamma nu degeneracy entropy" and named totals.
+
+    totals lists (text label, JSON key, value) triples.
+    """
+    base = spectrum.log_base
+    rows = [
+        (m.gamma, m.nu, m.degeneracy, gaussian.entropy_from_nu(m.nu, base))
+        for m in spectrum.modes
+    ]
+
+    def text():
+        lines = ["gamma nu degeneracy entropy"]
+        for g, nu, deg, s in rows:
+            lines.append("%s %s %d %s" % (_fmt(g), _fmt(nu), deg, _fmt(s)))
+        return lines + ["%s = %s" % (label, _fmt(value)) for label, _, value in totals]
+
+    def doc():
+        modes = [
+            {"gamma": g, "nu": nu, "degeneracy": deg, "entropy": s}
+            for g, nu, deg, s in rows
+        ]
+        return {"modes": modes, **{key: value for _, key, value in totals}}
+
+    _emit(args, config, text, doc)
 
 
 def _parse_subset(raw: str):
@@ -114,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analytic", parents=[common], help="closed-form spectrum of a named scheme"
     )
-    p.add_argument("--scheme", choices=sorted(_SCHEME_MAP), required=True)
+    p.add_argument("--scheme", choices=_CUT_CHOICES, required=True)
     p.add_argument("--d", type=int, required=True, help="hypercube dimension")
     p.add_argument("--g", type=float, default=0.5, help="coupling strength (default 0.5)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -124,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="closed form against the symplectic oracle; exit 1 on mismatch",
     )
-    p.add_argument("--scheme", choices=sorted(_SCHEME_MAP), required=True)
+    p.add_argument("--scheme", choices=_CUT_CHOICES, required=True)
     p.add_argument("--d", type=int, required=True, help="hypercube dimension")
     p.add_argument("--g", type=float, default=0.5, help="coupling strength (default 0.5)")
     p.add_argument("--tolerance", type=float, default=1e-9)
@@ -138,14 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-def _mode_rows(spectrum):
-    rows = []
-    for m in spectrum.modes:
-        s = gaussian.entropy_from_nu(m.nu, spectrum.log_base)
-        rows.append((m.gamma, m.nu, m.degeneracy, s))
-    return rows
 
 
 def _cmd_entropy(args) -> int:
@@ -165,28 +185,32 @@ def _cmd_entropy(args) -> int:
         ("subset", ",".join(str(i) for i in cut.side_a)),
         ("log-base", args.log_base),
     ]
-    if args.format == "json":
-        doc = {
-            "config": dict(config),
-            "modes": [
-                {"gamma": g_, "nu": nu, "degeneracy": deg, "entropy": s}
-                for g_, nu, deg, s in _mode_rows(spectrum)
-            ],
-            "engineEntropy": engine,
-            "oracleEntropy": oracle,
-            "difference": engine - oracle,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return 0
-    lines = [_config_lines("entropy", config).rstrip("\n")]
-    lines.append("gamma nu degeneracy entropy")
-    for g_, nu, deg, s in _mode_rows(spectrum):
-        lines.append("%s %s %d %s" % (_fmt(g_), _fmt(nu), deg, _fmt(s)))
-    lines.append("engine entropy = %s" % _fmt(engine))
-    lines.append("oracle entropy = %s" % _fmt(oracle))
-    lines.append("difference = %s" % _fmt(engine - oracle))
-    _emit("\n".join(lines) + "\n", args.output)
+    totals = [
+        ("engine entropy", "engineEntropy", engine),
+        ("oracle entropy", "oracleEntropy", oracle),
+        ("difference", "difference", engine - oracle),
+    ]
+    _emit_modes(args, config, spectrum, totals)
     return 0
+
+
+def _census_lines(report) -> list:
+    lines = [
+        "%d classes / %d partitions" % (len(report.classes), report.total_partitions),
+        "class entropy multiplicity representatives",
+    ]
+    for i, c in enumerate(report.classes):
+        reps = "|".join(",".join(str(v) for v in r) for r in c.representatives)
+        if c.capped:
+            reps += "|..."
+        lines.append("%d %s %d %s" % (i, _fmt(c.entropy), c.multiplicity, reps))
+    for label, index in (("min", report.min_class), ("max", report.max_class)):
+        c = report.classes[index]
+        lines.append(
+            "%s class = %d (entropy %s, multiplicity %d)"
+            % (label, index, _fmt(c.entropy), c.multiplicity)
+        )
+    return lines + ["warning: %s" % w for w in report.warnings]
 
 
 def _cmd_census(args) -> int:
@@ -210,39 +234,7 @@ def _cmd_census(args) -> int:
         ("sample", args.sample if args.sample is not None else "full"),
         ("seed", args.seed),
     ]
-    if args.format == "json":
-        doc = {"config": dict(config)}
-        doc.update(report.to_dict())
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-    elif args.format == "csv":
-        _emit(report.to_csv(), args.output)
-    else:
-        lines = [_config_lines("census", config).rstrip("\n")]
-        lines.append(
-            "%d classes / %d partitions"
-            % (len(report.classes), report.total_partitions)
-        )
-        lines.append("class entropy multiplicity representatives")
-        for i, c in enumerate(report.classes):
-            reps = "|".join(
-                ",".join(str(v) for v in r) for r in c.representatives
-            )
-            if c.capped:
-                reps += "|..."
-            lines.append("%d %s %d %s" % (i, _fmt(c.entropy), c.multiplicity, reps))
-        lo = report.classes[report.min_class]
-        hi = report.classes[report.max_class]
-        lines.append(
-            "min class = %d (entropy %s, multiplicity %d)"
-            % (report.min_class, _fmt(lo.entropy), lo.multiplicity)
-        )
-        lines.append(
-            "max class = %d (entropy %s, multiplicity %d)"
-            % (report.max_class, _fmt(hi.entropy), hi.multiplicity)
-        )
-        for w in report.warnings:
-            lines.append("warning: %s" % w)
-        _emit("\n".join(lines) + "\n", args.output)
+    _emit(args, config, lambda: _census_lines(report), report.to_dict, report.to_csv)
     if args.output:
         print(
             "%d classes / %d partitions (min %s, max %s) -> %s"
@@ -258,45 +250,23 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    scheme = _SCHEME_MAP[args.scheme]
-    if scheme == "identity_cut":
-        spectrum = analytic.gamma_identity_cut(args.d, args.g, args.log_base)
-    elif scheme == "parity_cut":
-        spectrum = analytic.gamma_parity_cut(args.d, args.g, args.log_base)
-    else:
-        spectrum = analytic.gamma_half_strata(args.d, args.g, args.log_base)
-    total = spectrum.total_entropy()
+    closed_form = analytic.CLOSED_FORMS[cut_name(args.scheme)]
+    spectrum = closed_form(args.d, args.g, args.log_base)
     config = [
         ("scheme", args.scheme),
         ("d", args.d),
         ("g", _fmt(args.g)),
         ("log-base", args.log_base),
     ]
-    if args.format == "json":
-        doc = {
-            "config": dict(config),
-            "modes": [
-                {"gamma": g_, "nu": nu, "degeneracy": deg, "entropy": s}
-                for g_, nu, deg, s in _mode_rows(spectrum)
-            ],
-            "totalEntropy": total,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return 0
-    lines = [_config_lines("analytic", config).rstrip("\n")]
-    lines.append("gamma nu degeneracy entropy")
-    for g_, nu, deg, s in _mode_rows(spectrum):
-        lines.append("%s %s %d %s" % (_fmt(g_), _fmt(nu), deg, _fmt(s)))
-    lines.append("total entropy = %s" % _fmt(total))
-    _emit("\n".join(lines) + "\n", args.output)
+    totals = [("total entropy", "totalEntropy", spectrum.total_entropy())]
+    _emit_modes(args, config, spectrum, totals)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    scheme = _SCHEME_MAP[args.scheme]
-    closed = analytic.analytic_entropy(scheme, args.d, args.g, args.log_base)
+    closed = analytic.analytic_entropy(args.scheme, args.d, args.g, args.log_base)
     graph = hypercube_graph(args.d)
-    cut = named_bipartition(args.d, _CUT_MAP[scheme])
+    cut = named_bipartition(args.d, args.scheme)
     v = potential_matrix(graph, args.g)
     oracle = gaussian.entropy_oracle_symplectic(v, cut.side_a, args.log_base)
     diff = abs(closed - oracle)
@@ -308,12 +278,13 @@ def _cmd_verify(args) -> int:
         ("log-base", args.log_base),
         ("tolerance", _fmt(args.tolerance)),
     ]
-    lines = [_config_lines("verify", config).rstrip("\n")]
-    lines.append("closed form = %s" % _fmt(closed))
-    lines.append("oracle      = %s" % _fmt(oracle))
-    lines.append("difference  = %s" % _fmt(diff))
-    lines.append("VERIFY %s" % ("OK" if ok else "FAIL"))
-    _emit("\n".join(lines) + "\n", args.output)
+    lines = [
+        "closed form = %s" % _fmt(closed),
+        "oracle      = %s" % _fmt(oracle),
+        "difference  = %s" % _fmt(diff),
+        "VERIFY %s" % ("OK" if ok else "FAIL"),
+    ]
+    _emit(args, config, lambda: lines)
     return 0 if ok else 1
 
 
@@ -326,29 +297,28 @@ def _cmd_spectrum(args) -> int:
         dense = np.linalg.eigvalsh(hypercube_graph(d).adjacency_matrix())
         strat = np.linalg.eigvalsh(stratify.stratified_adjacency(d))
         check = float(np.abs(np.sort(dense) - np.sort(strat)).max())
-    config = [("d", d)]
-    if args.format == "json":
-        doc = {
-            "config": dict(config),
+
+    def text():
+        lines = ["block dimension degeneracy"]
+        lines += ["%d %d %d" % (i, dim, deg) for i, (dim, deg) in enumerate(table)]
+        lines.append("eigenvalue multiplicity")
+        lines += ["%d %d" % pair for pair in spec]
+        if check is not None:
+            lines.append("basis check: max |delta| = %s" % _fmt(check))
+        return lines
+
+    def doc():
+        out = {
             "blocks": [{"dimension": dim, "degeneracy": deg} for dim, deg in table],
             "spectrum": [
                 {"eigenvalue": val, "multiplicity": mult} for val, mult in spec
             ],
         }
         if check is not None:
-            doc["basisCheckMaxDelta"] = check
-        _emit(json.dumps(doc, indent=2) + "\n", args.output)
-        return 0
-    lines = [_config_lines("spectrum", config).rstrip("\n")]
-    lines.append("block dimension degeneracy")
-    for i, (dim, deg) in enumerate(table):
-        lines.append("%d %d %d" % (i, dim, deg))
-    lines.append("eigenvalue multiplicity")
-    for val, mult in spec:
-        lines.append("%d %d" % (val, mult))
-    if check is not None:
-        lines.append("basis check: max |delta| = %s" % _fmt(check))
-    _emit("\n".join(lines) + "\n", args.output)
+            out["basisCheckMaxDelta"] = check
+        return out
+
+    _emit(args, [("d", d)], text, doc)
     return 0
 
 

@@ -136,6 +136,14 @@ class Mode:
             raise ValueError("nu must be at least 1")
 
 
+def _mode(gamma: float, degeneracy: int = 1) -> Mode:
+    """The mode of one coupling ratio; ratios below GAMMA_ZERO are exact zero
+    modes with nu = 1."""
+    gamma = float(gamma)
+    nu = 1.0 if gamma < GAMMA_ZERO else nu_from_gamma(gamma)
+    return Mode(gamma=gamma, nu=nu, degeneracy=degeneracy)
+
+
 @dataclass(frozen=True)
 class ModeSpectrum:
     """A multiset of entanglement modes with a fixed entropy log base."""
@@ -269,14 +277,7 @@ def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
             "whitened coupling has singular value %.17g >= 1; "
             "the matrix is not positive definite" % sigma[0]
         )
-    modes = []
-    for s in sigma:
-        gamma = float(s)
-        if gamma < GAMMA_ZERO:
-            modes.append(Mode(gamma=gamma, nu=1.0))
-        else:
-            modes.append(Mode(gamma=gamma, nu=nu_from_gamma(gamma)))
-    return ModeSpectrum(tuple(modes), log_base=base)
+    return ModeSpectrum(tuple(_mode(s) for s in sigma), log_base=base)
 
 
 def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:

@@ -19,13 +19,22 @@ from .errors import (
     SchemeError,
 )
 
-# Largest graph we will represent at all, and the largest one for which we
-# agree to materialize dense n x n matrices.
-MAX_VERTICES = 1 << 20
-MAX_DENSE_VERTICES = 4096
-MAX_HYPERCUBE_DIM = 20
+# Every consumer of a graph builds dense n x n matrices, so this one limit
+# bounds every graph; the largest hypercube within it is H(12,2).
+MAX_VERTICES = 4096
+MAX_HYPERCUBE_DIM = MAX_VERTICES.bit_length() - 1
 
-_SCHEMES = ("parity", "coordinate", "half_strata")
+# Every accepted spelling of a named hypercube cut, mapped to its canonical
+# name.  The canonical names key analytic.CLOSED_FORMS.
+CUT_NAMES = {
+    "identity_cut": "identity_cut",
+    "identity-cut": "identity_cut",
+    "coordinate": "identity_cut",
+    "parity_cut": "parity_cut",
+    "parity": "parity_cut",
+    "half_strata": "half_strata",
+    "half-strata": "half_strata",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +85,7 @@ class Graph:
         return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (only for n <= MAX_DENSE_VERTICES)."""
-        self._check_dense()
+        """Dense 0/1 adjacency matrix."""
         a = np.zeros((self.n, self.n))
         if self.num_edges:
             i, j = self.edges[:, 0], self.edges[:, 1]
@@ -87,7 +95,6 @@ class Graph:
 
     def laplacian(self) -> np.ndarray:
         """Dense combinatorial Laplacian D - A."""
-        self._check_dense()
         lap = -self.adjacency_matrix()
         lap[np.diag_indices(self.n)] = self.degrees()
         return lap
@@ -104,13 +111,6 @@ class Graph:
     def to_edge_list(self) -> str:
         """Plain-text edge list, one "i j" pair per line."""
         return "\n".join("%d %d" % (i, j) for i, j in self.edges) + "\n"
-
-    def _check_dense(self):
-        if self.n > MAX_DENSE_VERTICES:
-            raise GraphSizeError(
-                "dense matrices limited to %d vertices (graph has %d)"
-                % (MAX_DENSE_VERTICES, self.n)
-            )
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,17 @@ class PotentialMatrix:
         return self.matrix.shape[0]
 
 
-def hypercube_graph(d: int) -> Graph:
-    """The binary hypercube H(d,2): 2^d vertices, edges between labels at
-    Hamming distance 1."""
+def _check_hypercube_dim(d):
     if not isinstance(d, int) or not 1 <= d <= MAX_HYPERCUBE_DIM:
         raise GraphSizeError(
             "hypercube dimension must be an integer in 1..%d" % MAX_HYPERCUBE_DIM
         )
+
+
+def hypercube_graph(d: int) -> Graph:
+    """The binary hypercube H(d,2): 2^d vertices, edges between labels at
+    Hamming distance 1."""
+    _check_hypercube_dim(d)
     n = 1 << d
     idx = np.arange(n, dtype=np.int64)
     blocks = []
@@ -266,10 +270,7 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
 
 def hamming_weights(d: int) -> np.ndarray:
     """Hamming weight of every d-bit label 0..2^d-1."""
-    if not isinstance(d, int) or not 1 <= d <= MAX_HYPERCUBE_DIM:
-        raise GraphSizeError(
-            "hypercube dimension must be an integer in 1..%d" % MAX_HYPERCUBE_DIM
-        )
+    _check_hypercube_dim(d)
     idx = np.arange(1 << d, dtype=np.int64)
     w = np.zeros(1 << d, dtype=np.int64)
     for a in range(d):
@@ -287,23 +288,32 @@ def strata_partition(d: int) -> list:
     return [np.flatnonzero(w == k).tolist() for k in range(d + 1)]
 
 
+def cut_name(name: str) -> str:
+    """Canonical name of a named hypercube cut, from any accepted spelling."""
+    try:
+        return CUT_NAMES[name]
+    except (KeyError, TypeError):
+        raise SchemeError(
+            "unknown scheme %r (choose from %s)" % (name, ", ".join(CUT_NAMES))
+        ) from None
+
+
 def named_bipartition(d: int, scheme: str, axis: int | None = None) -> Bipartition:
     """One of the structured equal bipartitions of H(d,2).
 
-    parity      side A = even Hamming weight labels.
-    coordinate  side A = labels with bit `axis` clear (axis defaults to 0);
-                this is the cut between two opposite facets.
-    half_strata side A = strata 0..(d-1)/2, defined only for odd d.
+    scheme is any spelling in CUT_NAMES:
+
+    parity_cut   side A = even Hamming weight labels.
+    identity_cut side A = labels with bit `axis` clear (axis defaults to 0);
+                 this is the cut between two opposite facets.
+    half_strata  side A = strata 0..(d-1)/2, defined only for odd d.
     """
-    if scheme not in _SCHEMES:
-        raise SchemeError(
-            "unknown scheme %r (choose from %s)" % (scheme, ", ".join(_SCHEMES))
-        )
+    scheme = cut_name(scheme)
     w = hamming_weights(d)
     n = 1 << d
-    if scheme == "parity":
+    if scheme == "parity_cut":
         side_a = np.flatnonzero(w % 2 == 0)
-    elif scheme == "coordinate":
+    elif scheme == "identity_cut":
         if axis is None:
             axis = 0
         if not 0 <= axis < d:

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import GraphSizeError
+from .graph import _check_hypercube_dim
 
 
 def spin_x_block(block_dim: int) -> np.ndarray:
@@ -59,8 +60,7 @@ def stratified_adjacency(d: int) -> np.ndarray:
     orthogonally similar to the vertex-basis adjacency of H(d,2), so both
     have identical spectra.
     """
-    if not isinstance(d, int) or not 1 <= d <= 12:
-        raise GraphSizeError("stratified adjacency supported for d in 1..12")
+    _check_hypercube_dim(d)
     n = 1 << d
     out = np.zeros((n, n))
     pos = 0

@@ -20,7 +20,6 @@ from oscnet import (
     nu_from_gamma,
     potential_matrix,
     q_polynomial,
-    q_polynomial_sequence,
     spin_x_block,
 )
 
@@ -51,32 +50,27 @@ def test_q_polynomial_low_orders():
     assert q_polynomial(3, 4.0, 5) == 4.0 ** 3 - 13.0 * 4.0
 
 
-def test_q_polynomial_sequence_coefficients():
-    seq = q_polynomial_sequence(3, 5)
-    assert seq.coefficients == ((1,), (0, 1), (-5, 0, 1), (0, -13, 0, 1))
-    assert seq.omegas == (5, 8)
-    for k in range(4):
-        for x in (0.5, 1.0, 3.0, 7.0):
-            assert abs(seq.evaluate(k, x) - q_polynomial(k, x, 5)) < 1e-9
+def _q_coefficients(n, d_block):
+    """Integer coefficients of Q_0..Q_n, ascending powers of x."""
+    rows = [(1,), (0, 1)]
+    for j in range(2, n + 1):
+        omega = (j - 1) * (d_block - (j - 1) + 1)
+        rows.append(
+            _poly_sub(_poly_mul_x(rows[j - 1]), tuple(omega * c for c in rows[j - 2]))
+        )
+    return rows[: n + 1]
 
 
-def test_q_polynomial_sequence_against_symbolic_recursion():
-    # independent integer polynomial arithmetic, same recursion
+def test_q_polynomial_exact_on_integer_coefficients():
+    # omega_1, omega_2 = 5, 8 for d_block = 5
+    assert _q_coefficients(3, 5) == [(1,), (0, 1), (-5, 0, 1), (0, -13, 0, 1)]
+    # independent integer polynomial arithmetic, same recursion; at small
+    # integer x every value is an exactly representable integer
     for d_block in range(1, 10):
-        rows = [(1,), (0, 1)]
-        for j in range(2, 7):
-            omega = (j - 1) * (d_block - (j - 1) + 1)
-            rows.append(
-                _poly_sub(
-                    _poly_mul_x(rows[j - 1]),
-                    tuple(omega * c for c in rows[j - 2]),
-                )
-            )
-        seq = q_polynomial_sequence(6, d_block)
-        for k in range(7):
-            got = tuple(seq.coefficients[k])
-            want = rows[k][: len(got)]
-            assert got == want
+        for k, coeffs in enumerate(_q_coefficients(6, d_block)):
+            for x in range(-3, 8):
+                exact = sum(c * x ** p for p, c in enumerate(coeffs))
+                assert q_polynomial(k, float(x), d_block) == exact
 
 
 def test_q_polynomial_matches_continued_fraction():
@@ -100,8 +94,6 @@ def test_q_polynomial_validation():
         q_polynomial(-1, 1.0, 3)
     with pytest.raises(ValueError):
         q_polynomial(2, 1.0, 0)
-    with pytest.raises(ValueError):
-        q_polynomial_sequence(2, 0)
 
 
 def test_identity_cut_small_cases():
@@ -224,6 +216,31 @@ def test_zero_coupling_spectra_are_trivial():
     spec = gamma_half_strata(5, 0.0)
     assert spec.total_entropy() == 0.0
     assert np.all(spec.expanded_gammas() == 0.0)
+
+
+# Every accepted spelling of each named cut.
+CUT_SPELLINGS = (
+    ("identity_cut", "identity-cut", "coordinate"),
+    ("parity_cut", "parity"),
+    ("half_strata", "half-strata"),
+)
+
+
+def test_every_spelling_of_a_cut_names_the_same_cut():
+    for spellings in CUT_SPELLINGS:
+        for d in (3, 5):
+            sides = {named_bipartition(d, name).side_a for name in spellings}
+            values = {analytic_entropy(name, d, 0.5) for name in spellings}
+            assert len(sides) == 1
+            assert len(values) == 1
+
+
+def test_unknown_cut_name_rejected_everywhere():
+    for name in ("parity-cut", "Parity", "half strata", ""):
+        with pytest.raises(SchemeError):
+            named_bipartition(3, name)
+        with pytest.raises(SchemeError):
+            analytic_entropy(name, 3, 0.5)
 
 
 def test_analytic_domain_checks():

@@ -1,9 +1,13 @@
 """Command-line behaviors: formats, exit codes, config echo, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import oscnet
 from oscnet import analytic_entropy, entropy_census, hypercube_graph
 from oscnet.cli import main
 
@@ -191,3 +195,24 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_scheme_choices_in_help(capsys):
+    for command in ("analytic", "verify"):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert "--scheme {half-strata,identity-cut,parity}" in capsys.readouterr().out
+
+
+def test_module_entry_point_exit_code():
+    src = os.path.dirname(os.path.dirname(oscnet.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = ["verify", "--scheme", "parity", "--d", "3"]
+    done = subprocess.run(
+        [sys.executable, "-m", "oscnet.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("VERIFY OK\n")

@@ -18,6 +18,7 @@ from oscnet import (
     named_bipartition,
     potential_matrix,
     strata_partition,
+    stratified_adjacency,
 )
 
 
@@ -49,9 +50,23 @@ def test_hypercube_edge_count_and_regularity():
 
 
 def test_hypercube_dimension_bounds():
-    for bad in (0, -1, 21):
+    # 2^12 = 4096 vertices is the largest graph
+    assert hypercube_graph(12).n == 4096
+    for bad in (0, -1, 13, 21):
         with pytest.raises(GraphSizeError):
             hypercube_graph(bad)
+        with pytest.raises(GraphSizeError):
+            hamming_weights(bad)
+        with pytest.raises(GraphSizeError):
+            stratified_adjacency(bad)
+    with pytest.raises(GraphSizeError):
+        named_bipartition(13, "parity")
+
+
+def test_vertex_count_limit():
+    assert graph_from_edge_list("0 4095\n").n == 4096
+    with pytest.raises(GraphSizeError):
+        graph_from_edge_list("0 4096\n")
 
 
 def test_hypercube_automorphism_invariance():
