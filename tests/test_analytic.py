@@ -61,9 +61,17 @@ def _q_coefficients(n, d_block):
     return rows[: n + 1]
 
 
-def test_q_polynomial_exact_on_integer_coefficients():
-    # omega_1, omega_2 = 5, 8 for d_block = 5
-    assert _q_coefficients(3, 5) == [(1,), (0, 1), (-5, 0, 1), (0, -13, 0, 1)]
+def test_q_polynomial_sequence_coefficients():
+    # Q_0..Q_3 for d_block = 5, where omega_1, omega_2 = 5, 8
+    coefficients = ((1,), (0, 1), (-5, 0, 1), (0, -13, 0, 1))
+    assert tuple(_q_coefficients(3, 5)) == coefficients
+    for k, coeffs in enumerate(coefficients):
+        for x in (0.5, 1.0, 3.0, 7.0):
+            want = sum(c * x ** p for p, c in enumerate(coeffs))
+            assert abs(q_polynomial(k, x, 5) - want) < 1e-9
+
+
+def test_q_polynomial_sequence_against_symbolic_recursion():
     # independent integer polynomial arithmetic, same recursion; at small
     # integer x every value is an exactly representable integer
     for d_block in range(1, 10):
