@@ -15,8 +15,9 @@ thread count never changes a single output byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
+import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -74,9 +75,6 @@ class CensusReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
-
     def to_csv(self) -> str:
         lines = ["class,entropy,multiplicity,capped,representatives"]
         for i, c in enumerate(self.classes):
@@ -105,23 +103,6 @@ def equal_bipartitions(n: int):
         raise ValueError("equal bipartitions require an even n >= 2")
     for side_a in _side_a_subsets(n):
         yield Bipartition.from_side_a(n, side_a)
-
-
-def _chunk_entropies(x_cov, p_cov, subsets, base):
-    """Entropy of each subset; module-level so worker processes can run it."""
-    return [_entropy_from_cov(x_cov, p_cov, list(s), base) for s in subsets]
-
-
-def _contiguous_chunks(items, k):
-    chunks = []
-    base_size, extra = divmod(len(items), k)
-    start = 0
-    for i in range(k):
-        size = base_size + (1 if i < extra else 0)
-        if size:
-            chunks.append(items[start : start + size])
-        start += size
-    return chunks
 
 
 def entropy_census(
@@ -174,18 +155,13 @@ def entropy_census(
     x_cov = _position_covariance(v.matrix)
     p_cov = v.matrix / 2.0
 
+    kernel = functools.partial(_entropy_from_cov, x_cov, p_cov, base=base)
     if threads == 1 or len(subsets) < 2 * threads:
-        entropies = _chunk_entropies(x_cov, p_cov, subsets, base)
+        entropies = list(map(kernel, subsets))
     else:
-        chunks = _contiguous_chunks(subsets, threads)
+        chunksize = math.ceil(len(subsets) / threads)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_chunk_entropies, x_cov, p_cov, chunk, base)
-                for chunk in chunks
-            ]
-            entropies = []
-            for fut in futures:
-                entropies.extend(fut.result())
+            entropies = list(pool.map(kernel, subsets, chunksize=chunksize))
 
     order = sorted(range(len(subsets)), key=lambda i: (-entropies[i], subsets[i]))
     groups = []

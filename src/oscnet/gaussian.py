@@ -229,15 +229,8 @@ def schur_eliminate(v, block) -> np.ndarray:
     eliminated block decouple and carry no entanglement.
     """
     m = _as_matrix(v).copy()
-    n = m.shape[0]
-    e = sorted(set(int(i) for i in block))
-    if not e:
-        raise ValueError("elimination block must be non-empty")
-    if e[0] < 0 or e[-1] >= n:
-        raise ValueError("elimination block index out of range")
-    if len(e) >= n:
-        raise ValueError("elimination block must be a proper subset")
-    r = [i for i in range(n) if i not in set(e)]
+    cut = Bipartition.from_side_a(m.shape[0], block)
+    e, r = cut.side_a, cut.side_b
     vee = m[np.ix_(e, e)]
     w = np.linalg.eigvalsh(vee)
     if np.abs(w).min() <= EIG_FLOOR * max(1.0, np.abs(w).max()):
@@ -332,13 +325,6 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     """
     base = _norm_log_base(log_base)
     m = _as_matrix(v)
-    n = m.shape[0]
-    idx = sorted(set(int(i) for i in subset))
-    if not idx:
-        raise ValueError("subset must be non-empty")
-    if idx[0] < 0 or idx[-1] >= n:
-        raise ValueError("subset index out of range")
-    if len(idx) >= n:
-        raise ValueError("subset must be a proper subset of the indices")
+    cut = Bipartition.from_side_a(m.shape[0], subset)
     x_cov = _position_covariance(m)
-    return _entropy_from_cov(x_cov, m / 2.0, idx, base)
+    return _entropy_from_cov(x_cov, m / 2.0, cut.side_a, base)

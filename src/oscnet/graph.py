@@ -93,12 +93,6 @@ class Graph:
             a[j, i] = 1.0
         return a
 
-    def laplacian(self) -> np.ndarray:
-        """Dense combinatorial Laplacian D - A."""
-        lap = -self.adjacency_matrix()
-        lap[np.diag_indices(self.n)] = self.degrees()
-        return lap
-
     def cut_size(self, cut: "Bipartition") -> int:
         """Number of edges with exactly one endpoint on side A of the cut."""
         if cut.n != self.n:
@@ -139,11 +133,11 @@ class Bipartition:
     @classmethod
     def from_side_a(cls, n: int, side_a) -> "Bipartition":
         """Build a bipartition of 0..n-1 from one side."""
-        chosen = set(int(v) for v in side_a)
-        if any(v < 0 or v >= n for v in chosen):
+        side_a = [int(v) for v in side_a]
+        if any(v < 0 or v >= n for v in side_a):
             raise ValueError("side A vertex out of range")
-        rest = tuple(v for v in range(n) if v not in chosen)
-        return cls(tuple(sorted(chosen)), rest)
+        chosen = set(side_a)
+        return cls(side_a, [v for v in range(n) if v not in chosen])
 
     @property
     def n(self) -> int:
@@ -262,9 +256,12 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     g >= 0 always yields a positive definite V; mildly negative g is accepted
     as long as definiteness survives (construction verifies it).
     """
-    lap = graph.laplacian()
-    v = 2.0 * float(g) * lap
-    v[np.diag_indices(graph.n)] += 1.0
+    c = 2.0 * float(g)
+    # Off the diagonal V = c * -A, so a non-edge holds the signed zero c * -0.0.
+    v = np.full((graph.n, graph.n), c * -0.0)
+    i, j = graph.edges[:, 0], graph.edges[:, 1]
+    v[i, j] = v[j, i] = -c
+    v[np.diag_indices(graph.n)] = c * graph.degrees() + 1.0
     return PotentialMatrix(v, float(g))
 
 

@@ -52,6 +52,7 @@ def test_entropy_bad_inputs_exit_2(capsys):
     assert main(["entropy", "--graph", "hypercube:2", "--g", "0.5", "--subset", "0,x"]) == 2
     assert main(["entropy", "--graph", "hypercube:1", "--g", "0.5", "--subset", "0,1"]) == 2
     assert main(["entropy", "--graph", "hypercube:2", "--g", "0.5", "--subset", "9"]) == 2
+    assert main(["entropy", "--graph", "hypercube:2", "--g", "0.5", "--subset", "0,0,3"]) == 2
     assert main(["entropy", "--graph", "mesh:2", "--g", "0.5", "--subset", "0"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err

@@ -216,6 +216,8 @@ def test_schur_eliminate_errors():
         schur_eliminate(v, [3])
     with pytest.raises(ValueError):
         schur_eliminate(v, [0, 1, 2])
+    with pytest.raises(ValueError):
+        schur_eliminate(v, [0, 0])
 
 
 def test_gamma_spectrum_block_diagonal_is_product_state():
@@ -347,6 +349,8 @@ def test_oracle_subset_validation():
         entropy_oracle_symplectic(v, [0, 1, 2, 3])
     with pytest.raises(ValueError):
         entropy_oracle_symplectic(v, [4])
+    with pytest.raises(ValueError):
+        entropy_oracle_symplectic(v, [0, 0, 3])
 
 
 def test_symplectic_nus_consistency_guard():

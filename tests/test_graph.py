@@ -143,6 +143,13 @@ def test_potential_matrix_values():
     expect = np.eye(8) + 2 * 0.5 * (np.diag(a.sum(axis=1)) - a)
     assert np.allclose(potential_matrix(g, 0.5).matrix, expect)
 
+    # irregular degrees: a star on 0..3 joined to the path 3-4-5-6
+    star_path = graph_from_edge_list("0 1\n0 2\n0 3\n3 4\n4 5\n5 6\n")
+    a = star_path.adjacency_matrix()
+    for coupling in (0.0, 0.1, 1.0 / 3.0, 0.5, 1e8, -0.01):
+        expect = np.eye(7) + 2 * coupling * (np.diag(a.sum(axis=1)) - a)
+        assert np.array_equal(potential_matrix(star_path, coupling).matrix, expect)
+
 
 def test_potential_matrix_definiteness():
     g = hypercube_graph(2)
@@ -215,6 +222,8 @@ def test_bipartition_validation():
         Bipartition((0, 2), (3, 4))
     with pytest.raises(ValueError):
         Bipartition.from_side_a(4, [0, 7])
+    with pytest.raises(ValueError):
+        Bipartition.from_side_a(4, [0, 0, 2])
     cut = Bipartition.from_side_a(4, [2, 0])
     assert cut.side_a == (0, 2)
     assert cut.side_b == (1, 3)
