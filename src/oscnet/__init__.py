@@ -20,7 +20,6 @@ from .census import (
     CensusReport,
     EntropyClass,
     entropy_census,
-    equal_bipartitions,
     extremal_partitions,
 )
 from .errors import (
@@ -92,7 +91,6 @@ __all__ = [
     "entropy_from_nu",
     "entropy_of_bipartition",
     "entropy_oracle_symplectic",
-    "equal_bipartitions",
     "extremal_partitions",
     "gamma_half_strata",
     "gamma_identity_cut",

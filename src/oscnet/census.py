@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import _entropy_from_cov, _norm_log_base, _position_covariance
-from .graph import Bipartition, Graph, potential_matrix
+from .graph import Graph, potential_matrix
 
 REPRESENTATIVE_CAP = 16
 
@@ -91,18 +91,6 @@ def _side_a_subsets(n: int):
     half = n // 2
     for rest in itertools.combinations(range(1, n), half - 1):
         yield (0,) + rest
-
-
-def equal_bipartitions(n: int):
-    """Iterate every equal bipartition of 0..n-1 exactly once.
-
-    Lexicographic in side A, which always contains vertex 0.  There are
-    binomial(n-1, n/2-1) of them.
-    """
-    if not isinstance(n, int) or n < 2 or n % 2:
-        raise ValueError("equal bipartitions require an even n >= 2")
-    for side_a in _side_a_subsets(n):
-        yield Bipartition.from_side_a(n, side_a)
 
 
 def entropy_census(

@@ -6,8 +6,9 @@ bipartition leaves a mixed Gaussian state whose entropy this module computes
 two independent ways:
 
 * gamma_spectrum / entropy_of_bipartition: whiten the two diagonal blocks of
-  V and take singular values gamma_i of the rescaled cross-coupling; each
-  gamma maps to a thermal mode parameter nu = 1/sqrt(1 - gamma^2).
+  V with their Cholesky factors and take singular values gamma_i of the
+  rescaled cross-coupling; each gamma maps to a thermal mode parameter
+  nu = 1/sqrt(1 - gamma^2).
 
 * entropy_oracle_symplectic: reduce the ground-state covariance matrices
   (positions V^{-1}/2, momenta V/2) to one side and read off the symplectic
@@ -31,11 +32,8 @@ from .errors import (
     EliminationError,
     SingularityError,
 )
-from .graph import Bipartition, PotentialMatrix
+from .graph import EIG_FLOOR, Bipartition, PotentialMatrix
 
-# Eigenvalues at or below this count as zero when a positive definite matrix
-# is required (inversions, matrix square roots).
-EIG_FLOOR = 1e-12
 # Coupling ratios below this are exact zero modes (nu = 1, no entropy).
 GAMMA_ZERO = 1e-12
 # Coupling ratios within this of 1 describe a non-normalizable mode.
@@ -59,15 +57,11 @@ def _log(base: str, value: float) -> float:
 
 
 def _as_matrix(v) -> np.ndarray:
-    """Accept a PotentialMatrix or a symmetric 2-d array."""
+    """The matrix of a PotentialMatrix, or a raw array put through the same
+    certification gate."""
     if isinstance(v, PotentialMatrix):
         return v.matrix
-    m = np.asarray(v, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-10):
-        raise ValueError("matrix must be symmetric")
-    return m
+    return PotentialMatrix.certify(v)
 
 
 def _eigh_pd(m: np.ndarray, what: str):
@@ -79,11 +73,6 @@ def _eigh_pd(m: np.ndarray, what: str):
             % (what, w.min(), EIG_FLOOR)
         )
     return w, u
-
-
-def _inv_sqrt(m: np.ndarray, what: str) -> np.ndarray:
-    w, u = _eigh_pd(m, what)
-    return (u / np.sqrt(w)) @ u.T
 
 
 def nu_from_gamma(gamma: float) -> float:
@@ -228,7 +217,10 @@ def schur_eliminate(v, block) -> np.ndarray:
     a ground-state potential this is exact marginalization: modes of the
     eliminated block decouple and carry no entanglement.
     """
-    m = _as_matrix(v).copy()
+    if isinstance(v, PotentialMatrix):
+        m = v.matrix
+    else:
+        m = PotentialMatrix.symmetric(v)
     cut = Bipartition.from_side_a(m.shape[0], block)
     e, r = cut.side_a, cut.side_b
     vee = m[np.ix_(e, e)]
@@ -250,10 +242,12 @@ def schur_eliminate(v, block) -> np.ndarray:
 def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
     """Coupling-ratio spectrum of a bipartition of the ground state.
 
-    Whitens both diagonal blocks of V and takes the singular values of
-    W_A V_AB W_B with W = block^{-1/2}; each singular value gamma < 1 is one
-    entanglement mode.  min(|A|, |B|) modes are returned, sorted by
-    descending gamma; ratios below 1e-12 count as exact zero modes.
+    Whitens both diagonal blocks of V by their Cholesky factors
+    V_AA = L_A L_A^T, V_BB = L_B L_B^T and takes the singular values of
+    L_A^{-1} V_AB L_B^{-T}, which are those of V_AA^{-1/2} V_AB V_BB^{-1/2};
+    each singular value gamma < 1 is one entanglement mode.  min(|A|, |B|)
+    modes are returned, sorted by descending gamma; ratios below 1e-12 count
+    as exact zero modes.
     """
     base = _norm_log_base(log_base)
     m = _as_matrix(v)
@@ -261,9 +255,10 @@ def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
         raise ValueError("bipartition size does not match matrix")
     a = list(cut.side_a)
     b = list(cut.side_b)
-    wa = _inv_sqrt(m[np.ix_(a, a)], "side A block")
-    wb = _inv_sqrt(m[np.ix_(b, b)], "side B block")
-    coupling = wa @ m[np.ix_(a, b)] @ wb
+    # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
+    la = np.linalg.cholesky(m[np.ix_(a, a)])
+    lb = np.linalg.cholesky(m[np.ix_(b, b)])
+    coupling = np.linalg.solve(lb, np.linalg.solve(la, m[np.ix_(a, b)]).T).T
     sigma = np.linalg.svd(coupling, compute_uv=False)
     if sigma.size and sigma[0] >= 1.0:
         raise DefinitenessError(
@@ -279,9 +274,12 @@ def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
 
 
 def _position_covariance(m: np.ndarray) -> np.ndarray:
-    """Ground-state position covariance V^{-1}/2 of psi ~ exp(-x^T V x / 2)."""
-    w, u = _eigh_pd(m, "potential matrix")
-    return (u / w) @ u.T / 2.0
+    """Ground-state position covariance V^{-1}/2 of psi ~ exp(-x^T V x / 2).
+
+    m must be certified positive definite (PotentialMatrix.certify); the
+    inverse is by LU factorization.
+    """
+    return np.linalg.inv(m) / 2.0
 
 
 def _symplectic_nus(x_cov: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:

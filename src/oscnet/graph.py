@@ -24,6 +24,14 @@ from .errors import (
 MAX_VERTICES = 4096
 MAX_HYPERCUBE_DIM = MAX_VERTICES.bit_length() - 1
 
+# Largest |V[i,j] - V[j,i]| a matrix may have and still count as symmetric.
+SYMMETRY_TOL = 1e-12
+# A positive definite matrix must have every eigenvalue above this floor.
+EIG_FLOOR = 1e-12
+# Side of the square tiles the symmetry check compares; a tile pair fits in
+# a core's L2 cache.
+_SYMMETRY_TILE = 128
+
 # Every accepted spelling of a named hypercube cut, mapped to its canonical
 # name.  The canonical names key analytic.CLOSED_FORMS.
 CUT_NAMES = {
@@ -157,20 +165,60 @@ class PotentialMatrix:
     g: float
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = self.certify(self.matrix)
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "g", float(self.g))
+
+    # The gate is two static methods rather than module functions so that
+    # perfbench/tracer.py, which wraps module functions only, counts their
+    # time in the caller's layer.
+
+    @staticmethod
+    def symmetric(v) -> np.ndarray:
+        """v as a square float array, refused unless symmetric within
+        SYMMETRY_TOL.
+
+        One pass over pairs of square tiles, each compared with the
+        transpose of its mirror.  NaN and infinite entries never pass: their
+        differences are NaN or infinite.
+        """
+        m = np.asarray(v, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("potential matrix must be square")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
-            raise ValueError("potential matrix must be symmetric")
+            raise ValueError("expected a square matrix")
+        n = m.shape[0]
+        t = _SYMMETRY_TILE
+        # inf - inf is NaN by design here; it fails the comparison below.
+        with np.errstate(invalid="ignore"):
+            for i in range(0, n, t):
+                for j in range(i, n, t):
+                    tile = m[i : i + t, j : j + t] - m[j : j + t, i : i + t].T
+                    if not np.abs(tile).max() <= SYMMETRY_TOL:
+                        raise ValueError(
+                            "matrix must be finite and symmetric within %g"
+                            % SYMMETRY_TOL
+                        )
+        return m
+
+    @staticmethod
+    def certify(v) -> np.ndarray:
+        """v as a square float array, certified symmetric and positive
+        definite with every eigenvalue above EIG_FLOOR.
+
+        Definiteness is one Cholesky factorization of v - EIG_FLOOR I; by
+        Cauchy interlacing every principal block of v then clears the floor
+        too.
+        """
+        m = PotentialMatrix.symmetric(v)
+        shifted = m.copy()
+        shifted[np.diag_indices_from(shifted)] -= EIG_FLOOR
         try:
-            np.linalg.cholesky(m)
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise DefinitenessError(
                 "potential matrix is not positive definite (g too negative?)"
             ) from None
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "g", float(self.g))
+        return m
 
     @property
     def n(self) -> int:

@@ -11,12 +11,13 @@ from oscnet import (
     analytic_entropy,
     entropy_census,
     entropy_oracle_symplectic,
-    equal_bipartitions,
     extremal_partitions,
+    graph_from_edge_list,
     hypercube_graph,
     named_bipartition,
     potential_matrix,
 )
+from oscnet.census import _side_a_subsets
 
 # The six known entropy classes of the cube at g = 0.5, written as side-A
 # vertex sets with 0-based coordinate labels (vertex b2 b1 b0 has index
@@ -40,14 +41,13 @@ CUBE_CLASSES = [
 
 
 def test_equal_bipartition_counts():
-    assert len(list(equal_bipartitions(2))) == 1
-    assert len(list(equal_bipartitions(8))) == 35
-    assert len(list(equal_bipartitions(16))) == math.comb(15, 7) == 6435
+    assert len(list(_side_a_subsets(2))) == 1
+    assert len(list(_side_a_subsets(8))) == 35
+    assert len(list(_side_a_subsets(16))) == math.comb(15, 7) == 6435
 
 
 def test_equal_bipartitions_are_canonical_and_ordered():
-    cuts = list(equal_bipartitions(8))
-    sides = [c.side_a for c in cuts]
+    sides = list(_side_a_subsets(8))
     assert all(s[0] == 0 for s in sides)
     assert sides == sorted(sides)
     assert len(set(sides)) == len(sides)
@@ -56,8 +56,10 @@ def test_equal_bipartitions_are_canonical_and_ordered():
 
 
 def test_equal_bipartitions_odd_n_rejected():
+    path = graph_from_edge_list("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n")
+    assert path.n == 7
     with pytest.raises(ValueError):
-        list(equal_bipartitions(7))
+        entropy_census(path, 0.5)
 
 
 def test_cube_census_class_structure():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import oscnet
-from oscnet import analytic_entropy, entropy_census, hypercube_graph
+from oscnet import analytic_entropy, entropy_census, hypercube_graph, named_bipartition
 from oscnet.cli import main
 
 
@@ -32,6 +32,22 @@ def test_entropy_parity_subset_matches_census_max(capsys):
     report = entropy_census(hypercube_graph(3), 0.5)
     top = report.classes[report.max_class].entropy
     assert ("engine entropy = %.12g" % top) in out
+
+
+def test_entropy_parity_cut_at_n_1024(capsys):
+    side_a = named_bipartition(10, "parity").side_a
+    rc = main(
+        [
+            "entropy", "--graph", "hypercube:10", "--g", "0.5",
+            "--subset", ",".join(str(v) for v in side_a), "--format", "json",
+        ]
+    )
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    closed = analytic_entropy("parity_cut", 10, 0.5)
+    assert abs(doc["engineEntropy"] - closed) < 1e-9
+    assert abs(doc["oracleEntropy"] - closed) < 1e-9
+    assert sum(m["degeneracy"] for m in doc["modes"]) == 512
 
 
 def test_entropy_json_format(capsys):

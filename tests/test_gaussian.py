@@ -14,6 +14,7 @@ from oscnet import (
     Graph,
     Mode,
     ModeSpectrum,
+    PotentialMatrix,
     SingularityError,
     entropy_from_nu,
     entropy_of_bipartition,
@@ -263,6 +264,54 @@ def test_gamma_spectrum_rejects_indefinite_matrix():
     v = np.array([[1.0, 1.2], [1.2, 1.0]])
     with pytest.raises(DefinitenessError):
         gamma_spectrum(v, Bipartition.from_side_a(2, [0]))
+
+
+def test_definiteness_floor_holds_on_every_route():
+    # lambda_min = delta = 5e-13 is positive but below EIG_FLOOR = 1e-12
+    delta = 5e-13
+    v = np.array([[1.0, 1.0 - delta], [1.0 - delta, 1.0]])
+    assert 0 < np.linalg.eigvalsh(v).min() < 1e-12
+    with pytest.raises(DefinitenessError):
+        PotentialMatrix(v, 0.0)
+    with pytest.raises(DefinitenessError):
+        entropy_oracle_symplectic(v, [0])
+    with pytest.raises(DefinitenessError):
+        gamma_spectrum(v, Bipartition.from_side_a(2, [0]))
+    with pytest.raises(DefinitenessError):
+        entropy_of_bipartition(v, Bipartition.from_side_a(2, [0]))
+
+
+def test_one_symmetry_tolerance_on_every_route():
+    asymmetric = np.array([[2.0, -1.0], [-1.0 + 5e-11, 2.0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        PotentialMatrix(asymmetric, 0.5)
+    with pytest.raises(ValueError, match="symmetric"):
+        entropy_oracle_symplectic(asymmetric, [0])
+    with pytest.raises(ValueError, match="symmetric"):
+        gamma_spectrum(asymmetric, Bipartition.from_side_a(2, [0]))
+    with pytest.raises(ValueError, match="symmetric"):
+        schur_eliminate(asymmetric, [0])
+    # within the tolerance every route accepts it
+    nearly = np.array([[2.0, -1.0], [-1.0 + 5e-13, 2.0]])
+    assert abs(entropy_oracle_symplectic(nearly, [0]) - S_TWO_NODE_BITS) < 1e-11
+    assert abs(
+        entropy_of_bipartition(nearly, Bipartition.from_side_a(2, [0]))
+        - S_TWO_NODE_BITS
+    ) < 1e-11
+    assert PotentialMatrix(nearly, 0.5).n == 2
+    assert schur_eliminate(nearly, [0]).shape == (2, 2)
+
+
+def test_strong_coupling_matches_high_precision_reference():
+    # Entropy in bits of side A = {0, 3, 5, 6} of H(4,2) at g = 1e8, computed
+    # in mpmath with 60 significant digits by the oracle's route: the exact
+    # inverse of V = I + 2gL, then the eigenvalues of sqrt(X_A) 4 P_A sqrt(X_A).
+    reference = 14.9650809764214
+    v = potential_matrix(hypercube_graph(4), 1e8)
+    side_a = [0, 3, 5, 6]
+    engine = entropy_of_bipartition(v, Bipartition.from_side_a(16, side_a))
+    assert abs(engine - reference) < 1e-8
+    assert abs(entropy_oracle_symplectic(v, side_a) - reference) < 2e-7
 
 
 def test_entropy_zero_coupling():

@@ -10,6 +10,7 @@ from oscnet import (
     DefinitenessError,
     EdgeListError,
     GraphSizeError,
+    PotentialMatrix,
     SchemeError,
     graph_from_edge_list,
     graph_from_uri,
@@ -158,6 +159,31 @@ def test_potential_matrix_definiteness():
     assert np.linalg.eigvalsh(v.matrix).min() > 0
     with pytest.raises(DefinitenessError):
         potential_matrix(g, -0.2)
+
+
+def test_symmetry_check_covers_every_tile():
+    # n = 1024 spans several tiles of the blocked check; each perturbed entry
+    # lies in a different tile pair, one of them on the diagonal.
+    v = potential_matrix(hypercube_graph(10), 0.5).matrix
+    assert PotentialMatrix(v.copy(), 0.5).n == 1024
+    for i, j in ((700, 3), (3, 700), (1023, 512), (5, 6)):
+        bad = v.copy()
+        bad[i, j] += 1e-9
+        with pytest.raises(ValueError, match="symmetric"):
+            PotentialMatrix(bad, 0.5)
+
+
+def test_non_finite_matrices_rejected():
+    base = potential_matrix(hypercube_graph(2), 0.5).matrix
+    for bad_value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (1, 2)):
+            for both in (False, True):
+                bad = base.copy()
+                bad[i, j] = bad_value
+                if both:
+                    bad[j, i] = bad_value
+                with pytest.raises(ValueError):
+                    PotentialMatrix(bad, 0.5)
 
 
 def test_strata_partition():
