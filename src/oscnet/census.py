@@ -19,7 +19,6 @@ import functools
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +146,9 @@ def entropy_census(
     if threads == 1 or len(subsets) < 2 * threads:
         entropies = list(map(kernel, subsets))
     else:
+        # Imported here so that serial runs never pay for multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = math.ceil(len(subsets) / threads)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             entropies = list(pool.map(kernel, subsets, chunksize=chunksize))

@@ -52,10 +52,6 @@ def _norm_log_base(log_base) -> str:
     raise ValueError("log base must be 2 or 'e', got %r" % (log_base,))
 
 
-def _log(base: str, value: float) -> float:
-    return math.log2(value) if base == "2" else math.log(value)
-
-
 def _as_matrix(v) -> np.ndarray:
     """The matrix of a PotentialMatrix, or a raw array put through the same
     certification gate."""
@@ -97,7 +93,7 @@ def entropy_from_nu(nu: float, log_base=2) -> float:
     at nu = 1.  Values of nu below 1 by more than 1e-10 are rejected;
     smaller dips are treated as exactly 1.
     """
-    base = _norm_log_base(log_base)
+    log = math.log2 if _norm_log_base(log_base) == "2" else math.log
     nu = float(nu)
     if nu < 1.0 - NU_SLACK:
         raise DomainError("symplectic eigenvalue %.17g is below 1" % nu)
@@ -105,7 +101,7 @@ def entropy_from_nu(nu: float, log_base=2) -> float:
         return 0.0
     up = (nu + 1.0) / 2.0
     dn = (nu - 1.0) / 2.0
-    return up * _log(base, up) - dn * _log(base, dn)
+    return up * log(up) - dn * log(dn)
 
 
 @dataclass(frozen=True)
@@ -277,7 +273,8 @@ def _position_covariance(m: np.ndarray) -> np.ndarray:
     """Ground-state position covariance V^{-1}/2 of psi ~ exp(-x^T V x / 2).
 
     m must be certified positive definite (PotentialMatrix.certify); the
-    inverse is by LU factorization.
+    inverse is by LU factorization.  The census reads all of it; the
+    single-cut oracle solves only for its side's columns instead.
     """
     return np.linalg.inv(m) / 2.0
 
@@ -290,9 +287,9 @@ def _symplectic_nus(x_cov: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
     manifestly symmetric.  Values below 1 by more than NU_SLACK raise;
     smaller dips clamp to 1.
     """
-    idx = np.ix_(subset, subset)
-    xa = x_cov[idx]
-    pa = p_cov[idx]
+    rows = np.asarray(subset)
+    xa = x_cov[rows[:, None], rows]
+    pa = p_cov[rows[:, None], rows]
     w, u = _eigh_pd(xa, "reduced position covariance")
     root = (u * np.sqrt(w)) @ u.T
     nus_sq = np.linalg.eigvalsh(root @ (4.0 * pa) @ root)
@@ -309,20 +306,26 @@ def _entropy_from_cov(
     x_cov: np.ndarray, p_cov: np.ndarray, subset, base: str
 ) -> float:
     nus = _symplectic_nus(x_cov, p_cov, subset)
-    return float(sum(entropy_from_nu(nu, base) for nu in nus))
+    return float(sum(entropy_from_nu(nu, base) for nu in nus.tolist()))
 
 
 def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     """Reference entropy of the ground state reduced to an index subset.
 
-    Builds the full position covariance V^{-1}/2 and momentum covariance
-    V/2, restricts both to the subset, and sums S(nu) over the symplectic
-    eigenvalues nu = sqrt(eig(4 X_A P_A)).  Slower than the whitened engine
-    but assumption-free: it never touches the complement's block structure,
+    Takes the subset's block of the position covariance V^{-1}/2 from an LU
+    solve of V against the subset's unit columns, and its block of the
+    momentum covariance V/2, then sums S(nu) over the symplectic eigenvalues
+    nu = sqrt(eig(4 X_A P_A)).  Slower than the whitened engine but
+    assumption-free: it never touches the complement's block structure,
     which makes it the independent check.
     """
     base = _norm_log_base(log_base)
     m = _as_matrix(v)
-    cut = Bipartition.from_side_a(m.shape[0], subset)
-    x_cov = _position_covariance(m)
-    return _entropy_from_cov(x_cov, m / 2.0, cut.side_a, base)
+    n = m.shape[0]
+    rows = np.asarray(Bipartition.from_side_a(n, subset).side_a)
+    cols = np.arange(rows.size)
+    unit = np.zeros((n, rows.size))
+    unit[rows, cols] = 1.0
+    x_aa = np.linalg.solve(m, unit)[rows] / 2.0
+    p_aa = m[rows[:, None], rows] / 2.0
+    return _entropy_from_cov(x_aa, p_aa, cols, base)

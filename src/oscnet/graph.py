@@ -8,6 +8,7 @@ into distance shells around it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,6 +116,15 @@ class Graph:
         return "\n".join("%d %d" % (i, j) for i, j in self.edges) + "\n"
 
 
+def _vertex_labels(side) -> list:
+    """The labels of one side as ints; non-integer labels are refused rather
+    than truncated."""
+    try:
+        return [operator.index(v) for v in side]
+    except TypeError:
+        raise ValueError("vertex labels must be integers") from None
+
+
 @dataclass(frozen=True)
 class Bipartition:
     """A two-sided split of vertices 0..n-1 into non-empty sides A and B."""
@@ -123,8 +133,8 @@ class Bipartition:
     side_b: tuple
 
     def __post_init__(self):
-        a = tuple(sorted(int(v) for v in self.side_a))
-        b = tuple(sorted(int(v) for v in self.side_b))
+        a = tuple(sorted(_vertex_labels(self.side_a)))
+        b = tuple(sorted(_vertex_labels(self.side_b)))
         object.__setattr__(self, "side_a", a)
         object.__setattr__(self, "side_b", b)
         if not a or not b:
@@ -141,7 +151,7 @@ class Bipartition:
     @classmethod
     def from_side_a(cls, n: int, side_a) -> "Bipartition":
         """Build a bipartition of 0..n-1 from one side."""
-        side_a = [int(v) for v in side_a]
+        side_a = _vertex_labels(side_a)
         if any(v < 0 or v >= n for v in side_a):
             raise ValueError("side A vertex out of range")
         chosen = set(side_a)

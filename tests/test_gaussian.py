@@ -28,7 +28,11 @@ from oscnet import (
     schur_eliminate,
     spin_x_block,
 )
-from oscnet.gaussian import _symplectic_nus
+from oscnet.gaussian import (
+    _entropy_from_cov,
+    _position_covariance,
+    _symplectic_nus,
+)
 
 # Two coupled oscillators (V = [[2,-1],[-1,2]], g = 0.5) in high precision.
 NU_TWO_NODE = 1.1547005383792515  # 2/sqrt(3)
@@ -400,6 +404,28 @@ def test_oracle_subset_validation():
         entropy_oracle_symplectic(v, [4])
     with pytest.raises(ValueError):
         entropy_oracle_symplectic(v, [0, 0, 3])
+    # non-integer labels are refused, not truncated to {0, 3}
+    with pytest.raises(ValueError):
+        entropy_oracle_symplectic(v, [0.7, 3.9])
+    with pytest.raises(ValueError):
+        entropy_oracle_symplectic(v, ["0", 3])
+    assert entropy_oracle_symplectic(
+        v, np.array([0, 3], dtype=np.int32)
+    ) == entropy_oracle_symplectic(v, [0, 3])
+
+
+def test_oracle_column_solve_matches_full_inverse_route():
+    # The oracle solves V for side A's unit columns; the census slices the
+    # full inverse.  The two covariance routes must give the same entropy.
+    rng = np.random.default_rng(41)
+    for _ in range(8):
+        v, _ = _random_instance(rng)
+        m = v.matrix
+        x_cov = _position_covariance(m)
+        for k in range(1, v.n):
+            side_a = sorted(int(i) for i in rng.choice(v.n, size=k, replace=False))
+            full = _entropy_from_cov(x_cov, m / 2.0, side_a, "2")
+            assert abs(entropy_oracle_symplectic(v, side_a) - full) < 1e-12
 
 
 def test_symplectic_nus_consistency_guard():

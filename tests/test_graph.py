@@ -250,6 +250,16 @@ def test_bipartition_validation():
         Bipartition.from_side_a(4, [0, 7])
     with pytest.raises(ValueError):
         Bipartition.from_side_a(4, [0, 0, 2])
+    # labels must be integers; floats and strings are not truncated or parsed
+    with pytest.raises(ValueError):
+        Bipartition(("0", 3.2), (1, 2))
+    with pytest.raises(ValueError):
+        Bipartition((0, 3), (1.0, 2))
+    with pytest.raises(ValueError):
+        Bipartition.from_side_a(4, [0.7, 3.9])
+    with pytest.raises(ValueError):
+        Bipartition.from_side_a(4, np.array([0.0, 3.0]))
+    assert Bipartition.from_side_a(4, np.array([3, 0])).side_a == (0, 3)
     cut = Bipartition.from_side_a(4, [2, 0])
     assert cut.side_a == (0, 2)
     assert cut.side_b == (1, 3)
