@@ -20,14 +20,12 @@ from .census import (
     CensusReport,
     EntropyClass,
     entropy_census,
-    extremal_partitions,
 )
 from .errors import (
     ConsistencyError,
     DefinitenessError,
     DomainError,
     EdgeListError,
-    EliminationError,
     GraphSizeError,
     OscnetError,
     SchemeError,
@@ -43,7 +41,6 @@ from .gaussian import (
     gamma_spectrum,
     nu_from_gamma,
     schmidt_spectrum,
-    schur_eliminate,
 )
 from .graph import (
     Bipartition,
@@ -55,7 +52,6 @@ from .graph import (
     hypercube_graph,
     named_bipartition,
     potential_matrix,
-    strata_partition,
 )
 from .stratify import (
     block_table,
@@ -74,7 +70,6 @@ __all__ = [
     "DefinitenessError",
     "DomainError",
     "EdgeListError",
-    "EliminationError",
     "EntropyClass",
     "Graph",
     "GraphSizeError",
@@ -91,7 +86,6 @@ __all__ = [
     "entropy_from_nu",
     "entropy_of_bipartition",
     "entropy_oracle_symplectic",
-    "extremal_partitions",
     "gamma_half_strata",
     "gamma_identity_cut",
     "gamma_parity_cut",
@@ -107,9 +101,7 @@ __all__ = [
     "potential_matrix",
     "q_polynomial",
     "schmidt_spectrum",
-    "schur_eliminate",
     "spin_x_block",
-    "strata_partition",
     "stratified_adjacency",
     "__version__",
 ]

@@ -55,7 +55,10 @@ def _check_dg(d: int, g: float):
     g = float(g)
     if g < 0.0:
         raise DomainError("analytic spectra require g >= 0")
-    return g
+    if not math.isfinite(g):
+        raise DomainError("analytic spectra require a finite g")
+    # Adding 0.0 turns -0.0 into 0.0, so no mode reports a gamma of -0.
+    return g + 0.0
 
 
 def _finish(modes, log_base) -> ModeSpectrum:

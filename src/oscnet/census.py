@@ -120,8 +120,10 @@ def entropy_census(
     if n < 2 or n % 2:
         raise ValueError("census requires an even vertex count >= 2")
     tolerance = float(tolerance)
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
+    if not math.isfinite(tolerance):
+        raise ValueError("tolerance must be finite")
     if not isinstance(threads, int) or threads < 1:
         raise ValueError("threads must be a positive integer")
     base = _norm_log_base(log_base)
@@ -188,7 +190,8 @@ def entropy_census(
                 "10x of the tolerance" % (gi, gi + 1, gap)
             )
 
-    entropies_by_class = [c.entropy for c in classes]
+    # The sweep is descending: class 0 holds the largest entropy, the last
+    # class the smallest.
     return CensusReport(
         n=n,
         g=float(g),
@@ -196,19 +199,7 @@ def entropy_census(
         tolerance=tolerance,
         total_partitions=len(subsets),
         classes=tuple(classes),
-        min_class=int(np.argmin(entropies_by_class)),
-        max_class=int(np.argmax(entropies_by_class)),
+        min_class=len(classes) - 1,
+        max_class=0,
         warnings=tuple(warnings),
-    )
-
-
-def extremal_partitions(report: CensusReport):
-    """Representative subsets of the lowest and highest entropy classes.
-
-    Returns (min representatives, max representatives), each a tuple of
-    side-A vertex tuples.
-    """
-    return (
-        report.classes[report.min_class].representatives,
-        report.classes[report.max_class].representatives,
     )

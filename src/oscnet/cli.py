@@ -264,6 +264,8 @@ def _cmd_analytic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 < args.tolerance < np.inf:
+        raise ValueError("tolerance must be positive and finite")
     closed = analytic.analytic_entropy(args.scheme, args.d, args.g, args.log_base)
     graph = hypercube_graph(args.d)
     cut = named_bipartition(args.d, args.scheme)

@@ -36,10 +36,6 @@ class SingularityError(OscnetError, ValueError):
     beyond 1, or a vanishing recursion denominator)."""
 
 
-class EliminationError(OscnetError, ValueError):
-    """Block elimination attempted on a singular or near-singular sub-block."""
-
-
 class DomainError(OscnetError, ValueError):
     """Numeric argument lies outside the mathematical domain of an operation."""
 

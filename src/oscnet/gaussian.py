@@ -29,7 +29,6 @@ from .errors import (
     ConsistencyError,
     DefinitenessError,
     DomainError,
-    EliminationError,
     SingularityError,
 )
 from .graph import EIG_FLOOR, Bipartition, PotentialMatrix
@@ -201,38 +200,6 @@ def schmidt_spectrum(nu: float, n_max: int) -> SchmidtSpectrum:
     lambdas.setflags(write=False)
     probabilities.setflags(write=False)
     return SchmidtSpectrum(nu, n_max, lambdas, probabilities, float(tail))
-
-
-def schur_eliminate(v, block) -> np.ndarray:
-    """Eliminate an index block from a symmetric matrix by Schur complement.
-
-    The remaining indices keep their positions: their sub-matrix becomes
-    V[r,r] - V[r,e] V[e,e]^{-1} V[e,r], all couplings to the eliminated
-    block are zeroed, and the eliminated diagonal entries are kept (their
-    off-diagonal couplings dropped) so the matrix shape never changes.  For
-    a ground-state potential this is exact marginalization: modes of the
-    eliminated block decouple and carry no entanglement.
-    """
-    if isinstance(v, PotentialMatrix):
-        m = v.matrix
-    else:
-        m = PotentialMatrix.symmetric(v)
-    cut = Bipartition.from_side_a(m.shape[0], block)
-    e, r = cut.side_a, cut.side_b
-    vee = m[np.ix_(e, e)]
-    w = np.linalg.eigvalsh(vee)
-    if np.abs(w).min() <= EIG_FLOOR * max(1.0, np.abs(w).max()):
-        raise EliminationError(
-            "eliminated block is singular (|eigenvalue| min %.3e)" % np.abs(w).min()
-        )
-    ver = m[np.ix_(e, r)]
-    update = ver.T @ np.linalg.solve(vee, ver)
-    out = np.zeros_like(m)
-    rr = m[np.ix_(r, r)] - update
-    rr = (rr + rr.T) / 2.0
-    out[np.ix_(r, r)] = rr
-    out[e, e] = np.diag(vee)
-    return out
 
 
 def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:

@@ -102,19 +102,6 @@ class Graph:
             a[j, i] = 1.0
         return a
 
-    def cut_size(self, cut: "Bipartition") -> int:
-        """Number of edges with exactly one endpoint on side A of the cut."""
-        if cut.n != self.n:
-            raise ValueError("bipartition size does not match graph")
-        in_a = np.zeros(self.n, dtype=bool)
-        in_a[list(cut.side_a)] = True
-        crossings = in_a[self.edges[:, 0]] ^ in_a[self.edges[:, 1]]
-        return int(crossings.sum())
-
-    def to_edge_list(self) -> str:
-        """Plain-text edge list, one "i j" pair per line."""
-        return "\n".join("%d %d" % (i, j) for i, j in self.edges) + "\n"
-
 
 def _vertex_labels(side) -> list:
     """The labels of one side as ints; non-integer labels are refused rather
@@ -172,26 +159,25 @@ class PotentialMatrix:
     """
 
     matrix: np.ndarray
-    g: float
 
     def __post_init__(self):
         m = self.certify(self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "g", float(self.g))
 
-    # The gate is two static methods rather than module functions so that
-    # perfbench/tracer.py, which wraps module functions only, counts their
-    # time in the caller's layer.
+    # The gate is a static method rather than a module function so that
+    # perfbench/tracer.py, which wraps module functions only, counts its time
+    # in the caller's layer.
 
     @staticmethod
-    def symmetric(v) -> np.ndarray:
-        """v as a square float array, refused unless symmetric within
-        SYMMETRY_TOL.
+    def certify(v) -> np.ndarray:
+        """v as a square float array, certified symmetric within
+        SYMMETRY_TOL and positive definite above EIG_FLOOR.
 
-        One pass over pairs of square tiles, each compared with the
-        transpose of its mirror.  NaN and infinite entries never pass: their
-        differences are NaN or infinite.
+        Symmetry is one pass over pairs of square tiles, each compared with
+        the transpose of its mirror; NaN and inf never pass.  Definiteness
+        is one Cholesky factorization of v - EIG_FLOOR I; by Cauchy
+        interlacing every principal block of v then clears the floor too.
         """
         m = np.asarray(v, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -208,18 +194,6 @@ class PotentialMatrix:
                             "matrix must be finite and symmetric within %g"
                             % SYMMETRY_TOL
                         )
-        return m
-
-    @staticmethod
-    def certify(v) -> np.ndarray:
-        """v as a square float array, certified symmetric and positive
-        definite with every eigenvalue above EIG_FLOOR.
-
-        Definiteness is one Cholesky factorization of v - EIG_FLOOR I; by
-        Cauchy interlacing every principal block of v then clears the floor
-        too.
-        """
-        m = PotentialMatrix.symmetric(v)
         shifted = m.copy()
         shifted[np.diag_indices_from(shifted)] -= EIG_FLOOR
         try:
@@ -320,7 +294,7 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     v[i, j] = v[j, i] = -c
     v[np.diag_indices(graph.n)] = c * graph.degrees() + 1.0
-    return PotentialMatrix(v, float(g))
+    return PotentialMatrix(v)
 
 
 def hamming_weights(d: int) -> np.ndarray:
@@ -331,16 +305,6 @@ def hamming_weights(d: int) -> np.ndarray:
     for a in range(d):
         w += (idx >> a) & 1
     return w
-
-
-def strata_partition(d: int) -> list:
-    """Vertices of H(d,2) grouped by Hamming weight, weight 0 first.
-
-    Stratum k has binomial(d, k) vertices; the strata are the distance
-    shells around vertex 0.
-    """
-    w = hamming_weights(d)
-    return [np.flatnonzero(w == k).tolist() for k in range(d + 1)]
 
 
 def cut_name(name: str) -> str:

@@ -256,6 +256,14 @@ def test_analytic_domain_checks():
         gamma_identity_cut(3, -0.1)
     with pytest.raises(DomainError):
         gamma_identity_cut(0, 0.5)
+    for closed_form in (gamma_identity_cut, gamma_parity_cut, gamma_half_strata):
+        for g in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                closed_form(3, g)
+        # -0.0 is the coupling 0: every mode is an exact zero with gamma +0.0
+        spectrum = closed_form(3, -0.0)
+        assert all(math.copysign(1.0, m.gamma) == 1.0 for m in spectrum.modes)
+        assert spectrum.total_entropy() == 0.0
     with pytest.raises(SchemeError):
         analytic_entropy("diagonal", 3, 0.5)
 

@@ -11,7 +11,6 @@ from oscnet import (
     analytic_entropy,
     entropy_census,
     entropy_oracle_symplectic,
-    extremal_partitions,
     graph_from_edge_list,
     hypercube_graph,
     named_bipartition,
@@ -87,21 +86,21 @@ def test_cube_census_values_match_oracle():
 
 def test_census_extremes_are_parity_and_coordinate_cuts():
     report = entropy_census(hypercube_graph(3), 0.5)
-    bottom, top = extremal_partitions(report)
-    assert top == (named_bipartition(3, "parity").side_a,)
+    bottom = report.classes[report.min_class]
+    top = report.classes[report.max_class]
+    assert top.representatives == (named_bipartition(3, "parity").side_a,)
     coords = tuple(
         sorted(named_bipartition(3, "coordinate", axis=a).side_a for a in range(3))
     )
-    assert bottom == coords
-    top_entropy = report.classes[report.max_class].entropy
-    bottom_entropy = report.classes[report.min_class].entropy
-    assert abs(top_entropy - analytic_entropy("parity_cut", 3, 0.5)) < 1e-9
-    assert abs(bottom_entropy - analytic_entropy("identity_cut", 3, 0.5)) < 1e-9
+    assert bottom.representatives == coords
+    assert abs(top.entropy - analytic_entropy("parity_cut", 3, 0.5)) < 1e-9
+    assert abs(bottom.entropy - analytic_entropy("identity_cut", 3, 0.5)) < 1e-9
 
 
 def test_extremal_partitions_single_pair():
     report = entropy_census(hypercube_graph(1), 0.5)
-    bottom, top = extremal_partitions(report)
+    bottom = report.classes[report.min_class].representatives
+    top = report.classes[report.max_class].representatives
     assert bottom == top == ((0,),)
 
 
@@ -174,8 +173,9 @@ def test_census_sampling_is_seeded_and_bounded():
 
 
 def test_census_validation():
-    with pytest.raises(ValueError):
-        entropy_census(hypercube_graph(3), 0.5, tolerance=0.0)
+    for tolerance in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            entropy_census(hypercube_graph(3), 0.5, tolerance=tolerance)
     with pytest.raises(ValueError):
         entropy_census(hypercube_graph(3), 0.5, threads=0)
     with pytest.raises(ValueError):

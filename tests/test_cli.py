@@ -152,6 +152,11 @@ def test_analytic_command(capsys):
     assert abs(doc["totalEntropy"] - analytic_entropy("identity_cut", 4, 1.0)) < 1e-12
     assert sum(m["degeneracy"] for m in doc["modes"]) == 8
 
+    # a non-finite coupling is bad usage, not a nan or zero entropy
+    for g in ("nan", "inf"):
+        assert main(["analytic", "--scheme", "parity", "--d", "3", "--g", g]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 def test_verify_command_exit_codes(capsys):
     assert main(["verify", "--scheme", "parity", "--d", "3", "--g", "1.0"]) == 0
@@ -175,6 +180,15 @@ def test_verify_command_exit_codes(capsys):
 
     # half-strata needs odd d: usage error, not verification failure
     assert main(["verify", "--scheme", "half-strata", "--d", "4", "--g", "0.5"]) == 2
+
+    # a tolerance that is not positive and finite, or a non-finite coupling,
+    # is bad usage, not a verdict
+    for flag, value in (
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1"),
+        ("--tolerance", "0"), ("--g", "nan"), ("--g", "inf"),
+    ):
+        assert main(["verify", "--scheme", "parity", "--d", "3", flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 def test_spectrum_command(capsys):

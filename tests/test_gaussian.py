@@ -1,4 +1,4 @@
-"""Entropy engines: mode parameters, Schmidt spectra, elimination, oracles."""
+"""Entropy engines: mode parameters, Schmidt spectra, oracles."""
 
 import math
 
@@ -10,7 +10,6 @@ from oscnet import (
     ConsistencyError,
     DefinitenessError,
     DomainError,
-    EliminationError,
     Graph,
     Mode,
     ModeSpectrum,
@@ -25,8 +24,6 @@ from oscnet import (
     nu_from_gamma,
     potential_matrix,
     schmidt_spectrum,
-    schur_eliminate,
-    spin_x_block,
 )
 from oscnet.gaussian import (
     _entropy_from_cov,
@@ -131,100 +128,6 @@ def test_schmidt_spectrum_domain():
         schmidt_spectrum(1.5, 0)
 
 
-def test_schur_eliminate_scalar_complement():
-    a, c = 3.0, 1.0
-    v = np.array([[a, c, 0.0], [c, a, c], [0.0, c, a]])
-    out = schur_eliminate(v, [0])
-    assert abs(out[1, 1] - (a - c * c / a)) < 1e-14
-    assert out[1, 2] == c and out[2, 1] == c
-    assert out[2, 2] == a
-    assert out[0, 0] == a
-    assert out[0, 1] == 0.0 and out[1, 0] == 0.0 and out[0, 2] == 0.0
-
-
-def test_schur_eliminate_end_vertex():
-    # pruning a leaf only renormalizes the diagonal it was attached to
-    a, b, c = 3.0, 0.8, 1.1
-    v = np.array([[a, b, 0.0], [b, a, c], [0.0, c, a]])
-    out = schur_eliminate(v, [2])
-    assert abs(out[1, 1] - (a - c * c / a)) < 1e-14
-    assert out[0, 0] == a
-    assert out[0, 1] == b and out[1, 0] == b
-    assert out[1, 2] == 0.0 and out[2, 1] == 0.0
-
-
-def test_schur_eliminate_ladder_endpoint():
-    # end mode of the 4-site ladder chain that a 3-cube cut reduces to
-    g = 0.7
-    v = (1.0 + 6.0 * g) * np.eye(4) - 2.0 * g * spin_x_block(4)
-    out = schur_eliminate(v, [0])
-    expected = (1.0 + 6.0 * g) - 12.0 * g * g / (1.0 + 6.0 * g)
-    assert abs(out[1, 1] - expected) < 1e-12
-    assert out[0, 1] == 0.0 and out[1, 0] == 0.0
-
-
-def test_schur_eliminate_matches_direct_formula():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        v, _ = _random_instance(rng, n_max=9)
-        m = v.matrix
-        n = m.shape[0]
-        e = sorted(int(i) for i in rng.choice(n, size=2, replace=False))
-        r = [i for i in range(n) if i not in e]
-        out = schur_eliminate(m, e)
-        direct = m[np.ix_(r, r)] - m[np.ix_(r, e)] @ np.linalg.solve(
-            m[np.ix_(e, e)], m[np.ix_(e, r)]
-        )
-        assert np.abs(out[np.ix_(r, r)] - direct).max() < 1e-10
-        assert np.abs(out[np.ix_(e, r)]).max() == 0.0
-        assert np.allclose(np.diag(out)[e], np.diag(m)[e])
-
-
-def test_schur_eliminate_decoupled_block_is_inert():
-    v = np.zeros((4, 4))
-    v[:2, :2] = [[2.0, -1.0], [-1.0, 2.0]]
-    v[2:, 2:] = [[3.0, 0.5], [0.5, 3.0]]
-    out = schur_eliminate(v, [2, 3])
-    assert np.allclose(out[:2, :2], v[:2, :2])
-    assert np.allclose(np.diag(out)[2:], [3.0, 3.0])
-    assert np.abs(out[2:, :2]).max() == 0.0
-    assert out[2, 3] == 0.0
-
-
-def test_schur_eliminate_preserves_cut_entropy():
-    # eliminating a block with no direct coupling across the cut is a
-    # transformation local to one side, so the entropy cannot move
-    g = hypercube_graph(3)
-    v = potential_matrix(g, 0.7)
-    cut = named_bipartition(3, "half_strata")  # side A = strata 0 and 1
-    before = entropy_of_bipartition(v, cut)
-    reduced = schur_eliminate(v, [0])  # stratum 0 touches only stratum 1
-    after = entropy_of_bipartition(reduced, cut)
-    assert abs(before - after) < 1e-9
-
-    # same invariance on a chain, eliminating deep inside side A
-    chain = Graph(10, np.array([[i, i + 1] for i in range(9)], dtype=np.int64))
-    vc = potential_matrix(chain, 0.9)
-    cut = Bipartition.from_side_a(10, range(5))
-    before = entropy_of_bipartition(vc, cut)
-    after = entropy_of_bipartition(schur_eliminate(vc, [0, 1, 2]), cut)
-    assert abs(before - after) < 1e-9
-
-
-def test_schur_eliminate_errors():
-    with pytest.raises(EliminationError):
-        schur_eliminate(np.array([[0.0, 0.0], [0.0, 1.0]]), [0])
-    v = np.eye(3)
-    with pytest.raises(ValueError):
-        schur_eliminate(v, [])
-    with pytest.raises(ValueError):
-        schur_eliminate(v, [3])
-    with pytest.raises(ValueError):
-        schur_eliminate(v, [0, 1, 2])
-    with pytest.raises(ValueError):
-        schur_eliminate(v, [0, 0])
-
-
 def test_gamma_spectrum_block_diagonal_is_product_state():
     v = np.diag([1.0, 2.0, 3.0, 4.0])
     cut = Bipartition.from_side_a(4, [0, 2])
@@ -276,7 +179,7 @@ def test_definiteness_floor_holds_on_every_route():
     v = np.array([[1.0, 1.0 - delta], [1.0 - delta, 1.0]])
     assert 0 < np.linalg.eigvalsh(v).min() < 1e-12
     with pytest.raises(DefinitenessError):
-        PotentialMatrix(v, 0.0)
+        PotentialMatrix(v)
     with pytest.raises(DefinitenessError):
         entropy_oracle_symplectic(v, [0])
     with pytest.raises(DefinitenessError):
@@ -288,13 +191,11 @@ def test_definiteness_floor_holds_on_every_route():
 def test_one_symmetry_tolerance_on_every_route():
     asymmetric = np.array([[2.0, -1.0], [-1.0 + 5e-11, 2.0]])
     with pytest.raises(ValueError, match="symmetric"):
-        PotentialMatrix(asymmetric, 0.5)
+        PotentialMatrix(asymmetric)
     with pytest.raises(ValueError, match="symmetric"):
         entropy_oracle_symplectic(asymmetric, [0])
     with pytest.raises(ValueError, match="symmetric"):
         gamma_spectrum(asymmetric, Bipartition.from_side_a(2, [0]))
-    with pytest.raises(ValueError, match="symmetric"):
-        schur_eliminate(asymmetric, [0])
     # within the tolerance every route accepts it
     nearly = np.array([[2.0, -1.0], [-1.0 + 5e-13, 2.0]])
     assert abs(entropy_oracle_symplectic(nearly, [0]) - S_TWO_NODE_BITS) < 1e-11
@@ -302,8 +203,7 @@ def test_one_symmetry_tolerance_on_every_route():
         entropy_of_bipartition(nearly, Bipartition.from_side_a(2, [0]))
         - S_TWO_NODE_BITS
     ) < 1e-11
-    assert PotentialMatrix(nearly, 0.5).n == 2
-    assert schur_eliminate(nearly, [0]).shape == (2, 2)
+    assert PotentialMatrix(nearly).n == 2
 
 
 def test_strong_coupling_matches_high_precision_reference():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oscnet import (
     Bipartition,
     Graph,
+    entropy_census,
     entropy_of_bipartition,
     entropy_oracle_symplectic,
     potential_matrix,
@@ -16,20 +17,28 @@ PROPERTY = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def instances(draw, n_max=10):
-    """A random graph, a coupling g >= 0 (so V = I + 2gL is positive
-    definite) and a random proper subset of its vertices."""
-    n = draw(st.integers(2, n_max))
+def graphs(draw, sizes):
+    """A random graph on a vertex count drawn from sizes."""
+    n = draw(sizes)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = np.array(
         [p for p, keep in zip(pairs, chosen) if keep], dtype=np.int64
     ).reshape(-1, 2)
+    return Graph(n, edges)
+
+
+@st.composite
+def instances(draw, n_max=10):
+    """A random graph, a coupling g >= 0 (so V = I + 2gL is positive
+    definite) and a random proper subset of its vertices."""
+    graph = draw(graphs(st.integers(2, n_max)))
+    n = graph.n
     g = draw(st.floats(0.0, 3.0))
     side_a = draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)
     )
-    return Graph(n, edges), g, sorted(side_a)
+    return graph, g, sorted(side_a)
 
 
 @PROPERTY
@@ -74,3 +83,14 @@ def test_entropy_is_invariant_under_relabeling(instance, rnd):
     assert abs(
         entropy_of_bipartition(w, Bipartition.from_side_a(graph.n, moved)) - before
     ) < 1e-9
+
+
+@PROPERTY
+@given(graphs(st.sampled_from([2, 4, 6, 8])), st.floats(0.0, 3.0))
+def test_census_classes_descend_from_max_to_min(graph, g):
+    report = entropy_census(graph, g)
+    entropies = [c.entropy for c in report.classes]
+    assert all(a >= b for a, b in zip(entropies, entropies[1:]))
+    assert sum(c.multiplicity for c in report.classes) == report.total_partitions
+    assert report.max_class == 0
+    assert report.min_class == len(report.classes) - 1
