@@ -57,6 +57,11 @@ def _check_dg(d: int, g: float):
         raise DomainError("analytic spectra require g >= 0")
     if not math.isfinite(g):
         raise DomainError("analytic spectra require a finite g")
+    if not math.isfinite(1.0 + 2.0 * g * d):
+        raise DomainError(
+            "analytic spectra require 1 + 2g*d to be finite, got g = %r, d = %d"
+            % (g, d)
+        )
     # Adding 0.0 turns -0.0 into 0.0, so no mode reports a gamma of -0.
     return g + 0.0
 

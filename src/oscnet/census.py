@@ -141,7 +141,7 @@ def entropy_census(
         subsets = list(dict.fromkeys(drawn))
 
     v = potential_matrix(graph, g)
-    x_cov = _position_covariance(v.matrix)
+    x_cov = _position_covariance(v)
     p_cov = v.matrix / 2.0
 
     kernel = functools.partial(_entropy_from_cov, x_cov, p_cov, base=base)

@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .graph import EIG_FLOOR, Bipartition, PotentialMatrix
+from .graph import EIG_FLOOR, Bipartition, PotentialMatrix, hamming_weights
 
 # Coupling ratios below this are exact zero modes (nu = 1, no entropy).
 GAMMA_ZERO = 1e-12
@@ -51,12 +51,12 @@ def _norm_log_base(log_base) -> str:
     raise ValueError("log base must be 2 or 'e', got %r" % (log_base,))
 
 
-def _as_matrix(v) -> np.ndarray:
-    """The matrix of a PotentialMatrix, or a raw array put through the same
-    certification gate."""
+def _as_potential(v) -> PotentialMatrix:
+    """v itself, or a copy of a raw array put through the same certification
+    gate."""
     if isinstance(v, PotentialMatrix):
-        return v.matrix
-    return PotentialMatrix.certify(v)
+        return v
+    return PotentialMatrix(np.array(v, dtype=float))
 
 
 def _eigh_pd(m: np.ndarray, what: str):
@@ -213,7 +213,7 @@ def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
     as exact zero modes.
     """
     base = _norm_log_base(log_base)
-    m = _as_matrix(v)
+    m = _as_potential(v).matrix
     if cut.n != m.shape[0]:
         raise ValueError("bipartition size does not match matrix")
     a = list(cut.side_a)
@@ -236,14 +236,26 @@ def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
     return gamma_spectrum(v, cut, log_base=log_base).total_entropy()
 
 
-def _position_covariance(m: np.ndarray) -> np.ndarray:
-    """Ground-state position covariance V^{-1}/2 of psi ~ exp(-x^T V x / 2).
+def _position_covariance(
+    v: PotentialMatrix, rows=None, *, lu: bool = False
+) -> np.ndarray:
+    """Block X[rows, rows] of the ground-state position covariance V^{-1}/2
+    of psi ~ exp(-x^T V x / 2); all of X when rows is None.
 
-    m must be certified positive definite (PotentialMatrix.certify); the
-    inverse is by LU factorization.  The census reads all of it; the
-    single-cut oracle solves only for its side's columns instead.
+    On H(d,2), v carries X as an exact function of Hamming distance (its
+    profile), and the block is gathered from it.  Otherwise, or when lu is
+    set, V is solved by LU factorization: against the unit columns of rows,
+    or inverted whole.
     """
-    return np.linalg.inv(m) / 2.0
+    idx = np.arange(v.n) if rows is None else np.asarray(rows)
+    if v.profile is not None and not lu:
+        weights = hamming_weights(v.profile.size - 1)
+        return v.profile[weights[idx[:, None] ^ idx]]
+    if rows is None:
+        return np.linalg.inv(v.matrix) / 2.0
+    unit = np.zeros((v.n, idx.size))
+    unit[idx, np.arange(idx.size)] = 1.0
+    return np.linalg.solve(v.matrix, unit)[idx] / 2.0
 
 
 def _symplectic_nus(x_cov: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
@@ -276,23 +288,23 @@ def _entropy_from_cov(
     return float(sum(entropy_from_nu(nu, base) for nu in nus.tolist()))
 
 
-def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
+def entropy_oracle_symplectic(v, subset, log_base=2, *, lu: bool = False) -> float:
     """Reference entropy of the ground state reduced to an index subset.
 
-    Takes the subset's block of the position covariance V^{-1}/2 from an LU
-    solve of V against the subset's unit columns, and its block of the
-    momentum covariance V/2, then sums S(nu) over the symplectic eigenvalues
-    nu = sqrt(eig(4 X_A P_A)).  Slower than the whitened engine but
-    assumption-free: it never touches the complement's block structure,
-    which makes it the independent check.
+    Takes the subset's block of the position covariance V^{-1}/2 and of the
+    momentum covariance V/2, then sums S(nu) over the symplectic
+    eigenvalues nu = sqrt(eig(4 X_A P_A)).  Slower than the whitened engine
+    but assumption-free: it never touches the complement's block
+    structure, which makes it the independent check.
+
+    On H(d,2) the covariance block comes from the exact distance table that
+    potential_matrix attaches; elsewhere from an LU solve of V against the
+    subset's unit columns.  lu=True forces the LU solve, a route that knows
+    nothing of hypercube harmonic analysis.
     """
     base = _norm_log_base(log_base)
-    m = _as_matrix(v)
-    n = m.shape[0]
-    rows = np.asarray(Bipartition.from_side_a(n, subset).side_a)
-    cols = np.arange(rows.size)
-    unit = np.zeros((n, rows.size))
-    unit[rows, cols] = 1.0
-    x_aa = np.linalg.solve(m, unit)[rows] / 2.0
-    p_aa = m[rows[:, None], rows] / 2.0
-    return _entropy_from_cov(x_aa, p_aa, cols, base)
+    v = _as_potential(v)
+    rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
+    x_aa = _position_covariance(v, rows, lu=lu)
+    p_aa = v.matrix[rows[:, None], rows] / 2.0
+    return _entropy_from_cov(x_aa, p_aa, np.arange(rows.size), base)

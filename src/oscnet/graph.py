@@ -9,12 +9,14 @@ into distance shells around it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     DefinitenessError,
+    DomainError,
     EdgeListError,
     GraphSizeError,
     SchemeError,
@@ -156,9 +158,15 @@ class PotentialMatrix:
     The Gaussian ground state of the coupled-oscillator Hamiltonian has
     wavefunction proportional to exp(-x^T V x / 2); everything downstream
     (entropy engines, censuses) consumes this object or its .matrix.
+
+    profile is set only by potential_matrix on the hypercube H(d,2): the
+    position covariance V^{-1}/2 at Hamming distance k = 0..d, exact to
+    rounding.  The constructor does not take it, so it always belongs to
+    the matrix.
     """
 
     matrix: np.ndarray
+    profile: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = self.certify(self.matrix)
@@ -200,7 +208,7 @@ class PotentialMatrix:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise DefinitenessError(
-                "potential matrix is not positive definite (g too negative?)"
+                "potential matrix is not positive definite"
             ) from None
         return m
 
@@ -282,19 +290,66 @@ def graph_from_uri(uri: str) -> Graph:
     raise ValueError("unknown graph URI scheme %r" % kind)
 
 
+def _covariance_profile(d: int, g: float) -> np.ndarray:
+    """Position covariance V^{-1}/2 of H(d,2) at Hamming distance 0..d.
+
+    The Walsh characters of weight l span an eigenspace of V = I + 2gL with
+    eigenvalue 1 + 4gl, and its projector has entries 2^-d K_l(dist(i,j))
+    (Delsarte 1973), so V^{-1}/2 at distance k is
+    2^-(d+1) sum_l K_l(k) / (1 + 4gl).  The terms alternate and cancel to
+    O(g^k) at weak coupling, so the sum is taken over exact rationals (a
+    float g is one) and rounded to float once.
+    """
+    # stratify imports this module, so its names are imported on use.
+    from .stratify import krawtchouk
+
+    q = Fraction(g)
+    inverse = [1 / (1 + 4 * q * l) for l in range(d + 1)]
+    scale = Fraction(1, 2 ** (d + 1))
+    return np.array(
+        [
+            float(scale * sum(krawtchouk(l, k, d) * inverse[l] for l in range(d + 1)))
+            for k in range(d + 1)
+        ]
+    )
+
+
 def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     """V = I + 2 g L for the graph Laplacian L.
 
     g >= 0 always yields a positive definite V; mildly negative g is accepted
-    as long as definiteness survives (construction verifies it).
+    as long as definiteness survives (construction verifies it).  A g > 0 so
+    strong that 1 + 2g deg_max rounds to 2g deg_max in float64 is refused:
+    V would be the singular 2g L.  On H(d,2) the result carries the exact
+    covariance profile.
     """
-    c = 2.0 * float(g)
+    g = float(g)
+    c = 2.0 * g
+    degrees = graph.degrees()
+    deg_max = int(degrees.max())
+    top = c * deg_max
+    # NaN compares false, so an overflowing 2g is refused here too.
+    if 0.0 < g < np.inf and not 1.0 + top > top:
+        raise DomainError(
+            "coupling g = %r is too strong for float64: 1 + 2g*%d rounds "
+            "to 2g*%d, so V = I + 2gL is singular" % (g, deg_max, deg_max)
+        )
     # Off the diagonal V = c * -A, so a non-edge holds the signed zero c * -0.0.
     v = np.full((graph.n, graph.n), c * -0.0)
     i, j = graph.edges[:, 0], graph.edges[:, 1]
     v[i, j] = v[j, i] = -c
-    v[np.diag_indices(graph.n)] = c * graph.degrees() + 1.0
-    return PotentialMatrix(v)
+    v[np.diag_indices(graph.n)] = c * degrees + 1.0
+    try:
+        out = PotentialMatrix(v)
+    except DefinitenessError as exc:
+        # For g >= 0, V is positive definite in exact arithmetic; only
+        # rounding at strong coupling can fail the gate.
+        hint = "g too negative?" if g < 0 else "g = %r too strong for float64?" % g
+        raise DefinitenessError("%s (%s)" % (exc, hint)) from None
+    d = graph.n.bit_length() - 1
+    if graph.n == 1 << d and d >= 1 and graph == hypercube_graph(d):
+        object.__setattr__(out, "profile", _covariance_profile(d, g))
+    return out
 
 
 def hamming_weights(d: int) -> np.ndarray:

@@ -260,6 +260,10 @@ def test_analytic_domain_checks():
         for g in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 closed_form(3, g)
+        # finite, but 2g*d overflows
+        for d, g in ((3, 1e308), (9, 1e308), (3, 5e307)):
+            with pytest.raises(DomainError, match="1 \\+ 2g\\*d"):
+                closed_form(d, g)
         # -0.0 is the coupling 0: every mode is an exact zero with gamma +0.0
         spectrum = closed_form(3, -0.0)
         assert all(math.copysign(1.0, m.gamma) == 1.0 for m in spectrum.modes)

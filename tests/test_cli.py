@@ -74,6 +74,21 @@ def test_entropy_bad_inputs_exit_2(capsys):
     assert "error:" in err
 
 
+def test_too_strong_coupling_exits_2_naming_g(capsys):
+    # 1 + 2g*deg rounds to 2g*deg: V is singular, and the error says that g
+    # is too strong rather than too negative or a bare LAPACK message
+    for argv in (
+        ["census", "--graph", "hypercube:3", "--g", "1e16"],
+        ["census", "--graph", "hypercube:3", "--g", "1e200"],
+        ["census", "--graph", "hypercube:2", "--g", "1e200"],
+        ["entropy", "--graph", "hypercube:2", "--g", "1e308", "--subset", "0,3"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "g = %r is too strong" % float(argv[4]) in captured.err
+
+
 def test_census_text_summary(capsys):
     rc = main(["census", "--graph", "hypercube:3", "--g", "0.5"])
     out = capsys.readouterr().out
@@ -153,9 +168,10 @@ def test_analytic_command(capsys):
     assert sum(m["degeneracy"] for m in doc["modes"]) == 8
 
     # a non-finite coupling is bad usage, not a nan or zero entropy
-    for g in ("nan", "inf"):
-        assert main(["analytic", "--scheme", "parity", "--d", "3", "--g", g]) == 2
-        assert "finite" in capsys.readouterr().err
+    for g in ("nan", "inf", "1e308"):
+        for scheme in ("parity", "identity-cut", "half-strata"):
+            assert main(["analytic", "--scheme", scheme, "--d", "3", "--g", g]) == 2
+            assert "finite" in capsys.readouterr().err
 
 
 def test_verify_command_exit_codes(capsys):

@@ -321,7 +321,7 @@ def test_oracle_column_solve_matches_full_inverse_route():
     for _ in range(8):
         v, _ = _random_instance(rng)
         m = v.matrix
-        x_cov = _position_covariance(m)
+        x_cov = _position_covariance(v)
         for k in range(1, v.n):
             side_a = sorted(int(i) for i in rng.choice(v.n, size=k, replace=False))
             full = _entropy_from_cov(x_cov, m / 2.0, side_a, "2")
