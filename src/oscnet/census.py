@@ -141,10 +141,10 @@ def entropy_census(
         subsets = list(dict.fromkeys(drawn))
 
     v = potential_matrix(graph, g)
-    x_cov = _position_covariance(v)
+    root = _position_covariance(v)
     p_cov = v.matrix / 2.0
 
-    kernel = functools.partial(_entropy_from_cov, x_cov, p_cov, base=base)
+    kernel = functools.partial(_entropy_from_cov, root, p_cov, base=base)
     if threads == 1 or len(subsets) < 2 * threads:
         entropies = list(map(kernel, subsets))
     else:

@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .graph import EIG_FLOOR, Bipartition, PotentialMatrix, hamming_weights
+from .graph import Bipartition, PotentialMatrix, hamming_weights
 
 # Coupling ratios below this are exact zero modes (nu = 1, no entropy).
 GAMMA_ZERO = 1e-12
@@ -57,17 +57,6 @@ def _as_potential(v) -> PotentialMatrix:
     if isinstance(v, PotentialMatrix):
         return v
     return PotentialMatrix(np.array(v, dtype=float))
-
-
-def _eigh_pd(m: np.ndarray, what: str):
-    """Eigendecomposition of a matrix that must be positive definite."""
-    w, u = np.linalg.eigh(m)
-    if w.min() <= EIG_FLOOR:
-        raise DefinitenessError(
-            "%s has eigenvalue %.3e at or below the %g floor"
-            % (what, w.min(), EIG_FLOOR)
-        )
-    return w, u
 
 
 def nu_from_gamma(gamma: float) -> float:
@@ -239,39 +228,52 @@ def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
 def _position_covariance(
     v: PotentialMatrix, rows=None, *, lu: bool = False
 ) -> np.ndarray:
-    """Block X[rows, rows] of the ground-state position covariance V^{-1}/2
-    of psi ~ exp(-x^T V x / 2); all of X when rows is None.
+    """A square root F, with F^T F = X, of the block X[rows, rows] of the
+    ground-state position covariance X = V^{-1}/2 of psi ~ exp(-x^T V x / 2);
+    of all of X when rows is None.
 
-    On H(d,2), v carries X as an exact function of Hamming distance (its
-    profile), and the block is gathered from it.  Otherwise, or when lu is
-    set, V is solved by LU factorization: against the unit columns of rows,
-    or inverted whole.
+    On H(d,2), v carries the symmetric root X^{1/2} as a function of
+    Hamming distance (its profile), and F is its n x |rows| column block.
+    Otherwise, or when lu is set, V is solved by LU factorization, against
+    the unit columns of rows or inverted whole, and F is the symmetric root
+    of that block, from one eigendecomposition.
     """
-    idx = np.arange(v.n) if rows is None else np.asarray(rows)
+    idx = np.arange(v.n)
+    cols = idx if rows is None else np.asarray(rows)
     if v.profile is not None and not lu:
         weights = hamming_weights(v.profile.size - 1)
-        return v.profile[weights[idx[:, None] ^ idx]]
+        return v.profile[weights[idx[:, None] ^ cols]]
     if rows is None:
-        return np.linalg.inv(v.matrix) / 2.0
-    unit = np.zeros((v.n, idx.size))
-    unit[idx, np.arange(idx.size)] = 1.0
-    return np.linalg.solve(v.matrix, unit)[idx] / 2.0
+        x = np.linalg.inv(v.matrix) / 2.0
+    else:
+        unit = np.zeros((v.n, cols.size))
+        unit[cols, np.arange(cols.size)] = 1.0
+        x = np.linalg.solve(v.matrix, unit)[cols] / 2.0
+    w, u = np.linalg.eigh(x)
+    if not w.min() > 0.0:
+        raise DefinitenessError(
+            "position covariance has eigenvalue %.3e, not positive" % w.min()
+        )
+    return (u * np.sqrt(w)) @ u.T
 
 
-def _symplectic_nus(x_cov: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
+def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
     """Symplectic eigenvalues of the state restricted to subset.
 
-    Computes sqrt(eig(4 X_A P_A)) through the symmetrized product
-    sqrt(X_A) (4 P_A) sqrt(X_A), which is similar to 4 X_A P_A but
-    manifestly symmetric.  Values below 1 by more than NU_SLACK raise;
-    smaller dips clamp to 1.
+    root is a factor of the position covariance, root^T root = X.  Any
+    square R with R^T R = X_A gives nu^2 = eig(R 4 P_A R^T), which is
+    similar to 4 X_A P_A but manifestly symmetric.  One QR reduces a tall
+    block of root's subset columns to such a triangle; a square block, as
+    the LU route's symmetric root is, serves as R itself.  With subset
+    None, root's columns and p_cov already belong to the subset.  Values
+    below 1 by more than NU_SLACK raise; smaller dips clamp to 1.
     """
-    rows = np.asarray(subset)
-    xa = x_cov[rows[:, None], rows]
-    pa = p_cov[rows[:, None], rows]
-    w, u = _eigh_pd(xa, "reduced position covariance")
-    root = (u * np.sqrt(w)) @ u.T
-    nus_sq = np.linalg.eigvalsh(root @ (4.0 * pa) @ root)
+    if subset is not None:
+        rows = np.asarray(subset)
+        root = root[:, rows]
+        p_cov = p_cov[rows[:, None], rows]
+    r = np.linalg.qr(root, mode="r") if root.shape[0] > root.shape[1] else root
+    nus_sq = np.linalg.eigvalsh(r @ (4.0 * p_cov) @ r.T)
     nus = np.sqrt(np.maximum(nus_sq, 0.0))
     if nus.min() < 1.0 - NU_SLACK:
         raise ConsistencyError(
@@ -282,9 +284,9 @@ def _symplectic_nus(x_cov: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
 
 
 def _entropy_from_cov(
-    x_cov: np.ndarray, p_cov: np.ndarray, subset, base: str
+    root: np.ndarray, p_cov: np.ndarray, subset, base: str
 ) -> float:
-    nus = _symplectic_nus(x_cov, p_cov, subset)
+    nus = _symplectic_nus(root, p_cov, subset)
     return float(sum(entropy_from_nu(nu, base) for nu in nus.tolist()))
 
 
@@ -297,14 +299,15 @@ def entropy_oracle_symplectic(v, subset, log_base=2, *, lu: bool = False) -> flo
     but assumption-free: it never touches the complement's block
     structure, which makes it the independent check.
 
-    On H(d,2) the covariance block comes from the exact distance table that
-    potential_matrix attaches; elsewhere from an LU solve of V against the
-    subset's unit columns.  lu=True forces the LU solve, a route that knows
-    nothing of hypercube harmonic analysis.
+    On H(d,2) a root of the covariance block is gathered from the distance
+    table of X^{1/2} that potential_matrix attaches; elsewhere it is the
+    symmetric root of the block from an LU solve of V against the subset's
+    unit columns.  lu=True forces the LU solve, a route that knows nothing
+    of hypercube harmonic analysis.
     """
     base = _norm_log_base(log_base)
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
-    x_aa = _position_covariance(v, rows, lu=lu)
+    root = _position_covariance(v, rows, lu=lu)
     p_aa = v.matrix[rows[:, None], rows] / 2.0
-    return _entropy_from_cov(x_aa, p_aa, np.arange(rows.size), base)
+    return _entropy_from_cov(root, p_aa, None, base)

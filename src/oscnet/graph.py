@@ -8,6 +8,7 @@ into distance shells around it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,9 +161,9 @@ class PotentialMatrix:
     (entropy engines, censuses) consumes this object or its .matrix.
 
     profile is set only by potential_matrix on the hypercube H(d,2): the
-    position covariance V^{-1}/2 at Hamming distance k = 0..d, exact to
-    rounding.  The constructor does not take it, so it always belongs to
-    the matrix.
+    symmetric square root of the position covariance V^{-1}/2 at Hamming
+    distance k = 0..d, within eps times its largest entry.  The constructor
+    does not take it, so it always belongs to the matrix.
     """
 
     matrix: np.ndarray
@@ -290,25 +291,40 @@ def graph_from_uri(uri: str) -> Graph:
     raise ValueError("unknown graph URI scheme %r" % kind)
 
 
-def _covariance_profile(d: int, g: float) -> np.ndarray:
-    """Position covariance V^{-1}/2 of H(d,2) at Hamming distance 0..d.
+def _inv_sqrt(a: Fraction) -> Fraction:
+    """1/sqrt(a) for a rational a > 0, correctly rounded to float64 and
+    returned as the exact rational value of that float."""
+    # y = floor(sqrt(a^-1) 2^s) carries 64 or more bits; a sticky half unit
+    # marks an inexact root, so rounding it once gives the rounding of the
+    # true root.
+    num, den = a.denominator, a.numerator
+    s = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    y = math.isqrt((num << (2 * s)) // den)
+    twice = 2 * y + (y * y * den != num << (2 * s))
+    return Fraction(float(Fraction(twice, 1 << (s + 1))))
+
+
+def _root_profile(d: int, g: float) -> np.ndarray:
+    """Symmetric square root F = X^{1/2} of the position covariance
+    X = V^{-1}/2 of H(d,2), at Hamming distance 0..d.
 
     The Walsh characters of weight l span an eigenspace of V = I + 2gL with
     eigenvalue 1 + 4gl, and its projector has entries 2^-d K_l(dist(i,j))
-    (Delsarte 1973), so V^{-1}/2 at distance k is
-    2^-(d+1) sum_l K_l(k) / (1 + 4gl).  The terms alternate and cancel to
-    O(g^k) at weak coupling, so the sum is taken over exact rationals (a
-    float g is one) and rounded to float once.
+    (Delsarte 1973), so F at distance k is
+    2^-d sum_l K_l(k) / sqrt(2(1 + 4gl)).  Each term's 1/sqrt is rounded
+    once, and the terms, which alternate in sign, are summed over exact
+    rationals (a float g is one) and rounded to float once: every entry is
+    then within eps * F(0) of the exact root.
     """
     # stratify imports this module, so its names are imported on use.
     from .stratify import krawtchouk
 
     q = Fraction(g)
-    inverse = [1 / (1 + 4 * q * l) for l in range(d + 1)]
-    scale = Fraction(1, 2 ** (d + 1))
+    roots = [_inv_sqrt(2 * (1 + 4 * q * l)) for l in range(d + 1)]
+    scale = Fraction(1, 2**d)
     return np.array(
         [
-            float(scale * sum(krawtchouk(l, k, d) * inverse[l] for l in range(d + 1)))
+            float(scale * sum(krawtchouk(l, k, d) * roots[l] for l in range(d + 1)))
             for k in range(d + 1)
         ]
     )
@@ -318,18 +334,20 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     """V = I + 2 g L for the graph Laplacian L.
 
     g >= 0 always yields a positive definite V; mildly negative g is accepted
-    as long as definiteness survives (construction verifies it).  A g > 0 so
-    strong that 1 + 2g deg_max rounds to 2g deg_max in float64 is refused:
-    V would be the singular 2g L.  On H(d,2) the result carries the exact
-    covariance profile.
+    as long as definiteness survives (construction verifies it).  NaN and
+    infinite g are refused, and so is a g > 0 so strong that 1 + 2g deg_max
+    rounds to 2g deg_max in float64: V would be the singular 2g L.  On H(d,2)
+    the result carries the profile of the covariance root.
     """
     g = float(g)
+    if not math.isfinite(g):
+        raise DomainError("coupling g = %r must be finite" % g)
     c = 2.0 * g
     degrees = graph.degrees()
     deg_max = int(degrees.max())
     top = c * deg_max
     # NaN compares false, so an overflowing 2g is refused here too.
-    if 0.0 < g < np.inf and not 1.0 + top > top:
+    if g > 0.0 and not 1.0 + top > top:
         raise DomainError(
             "coupling g = %r is too strong for float64: 1 + 2g*%d rounds "
             "to 2g*%d, so V = I + 2gL is singular" % (g, deg_max, deg_max)
@@ -348,7 +366,7 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
         raise DefinitenessError("%s (%s)" % (exc, hint)) from None
     d = graph.n.bit_length() - 1
     if graph.n == 1 << d and d >= 1 and graph == hypercube_graph(d):
-        object.__setattr__(out, "profile", _covariance_profile(d, g))
+        object.__setattr__(out, "profile", _root_profile(d, g))
     return out
 
 

@@ -89,6 +89,39 @@ def test_too_strong_coupling_exits_2_naming_g(capsys):
         assert "g = %r is too strong" % float(argv[4]) in captured.err
 
 
+@pytest.mark.parametrize("g", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "--graph", "hypercube:2", "--subset", "0,3"],
+        ["census", "--graph", "hypercube:2"],
+    ],
+)
+def test_non_finite_coupling_exits_2_naming_g(capsys, argv, g):
+    assert main(argv + ["--g=" + g]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coupling g = %r must be finite\n" % float(g)
+
+
+def test_census_at_strong_coupling(capsys):
+    # X_A's eigenvalues reach down to 1/(2(1 + 4gd)) ~ 4e-13 here, and no
+    # absolute floor refuses them.  The entropies, ~20 bits, carry up to
+    # 8e-10 of rounding noise (measured against mpmath), which the default
+    # 1e-9 tolerance does not always absorb; the six classes lie 0.04 apart.
+    argv = ["census", "--graph", "hypercube:3", "--g", "1e11"]
+    assert main(argv) == 0
+    assert " / 35 partitions" in capsys.readouterr().out
+    assert main(argv + ["--tolerance", "1e-8"]) == 0
+    assert "6 classes / 35 partitions" in capsys.readouterr().out
+    # Every class has an mpmath spread of 0; the kernel's rounding noise
+    # must stay under the tolerance / 10 that triggers a spread warning.
+    assert main(["census", "--graph", "hypercube:4", "--g", "1e4"]) == 0
+    out = capsys.readouterr().out
+    assert "55 classes / 6435 partitions" in out
+    assert "warning:" not in out
+
+
 def test_census_text_summary(capsys):
     rc = main(["census", "--graph", "hypercube:3", "--g", "0.5"])
     out = capsys.readouterr().out

@@ -1,8 +1,9 @@
-"""The exact hypercube covariance table against LU and exact rationals."""
+"""The hypercube table of the covariance root against mpmath and LU."""
 
+import math
 import re
-from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,68 +32,63 @@ def _couplings(d):
     return (0.0, 1e-8, 1e-4, 0.5, 1e4, 1e8, -(1.0 - 1e-3) / (4 * d))
 
 
-def _exact_inverse(d, g):
-    """V^{-1} of H(d,2) in rationals, by Gauss-Jordan elimination."""
-    n = 1 << d
-    q = Fraction(g)
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * (2 * n)
-        row[i] = 1 + 2 * q * d
-        for a in range(d):
-            row[i ^ (1 << a)] = -2 * q
-        row[n + i] = Fraction(1)
-        rows.append(row)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        p = rows[col][col]
-        rows[col] = [x / p for x in rows[col]]
-        for r in range(n):
-            f = rows[r][col]
-            if r != col and f != 0:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
+def _mp_root_profile(d, g):
+    """X^{1/2} of H(d,2) at Hamming distance 0..d, to 50 digits, with the
+    Krawtchouk values summed from binomials here rather than taken from
+    the library."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(g)
+        roots = [1 / mpmath.sqrt(2 * (1 + 4 * q * l)) for l in range(d + 1)]
+        return [
+            sum(
+                (-1) ** j * math.comb(k, j) * math.comb(d - k, l - j) * roots[l]
+                for l in range(d + 1)
+                for j in range(min(k, l) + 1)
+            )
+            / 2**d
+            for k in range(d + 1)
+        ]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_root_table_against_mpmath(d):
+    # Each 1/sqrt is rounded once and the sum, over exact rationals, once
+    # more, so every entry is within eps * F(0) of the exact root: the terms
+    # of F(k) add up in magnitude to at most F(0).  Entries of order g^k at
+    # weak coupling are therefore not correctly rounded, only that close.
+    for g in _couplings(d):
+        table = potential_matrix(hypercube_graph(d), g).profile
+        assert table.shape == (d + 1,)
+        exact = _mp_root_profile(d, g)
+        bound = EPS * float(exact[0])
+        for k in range(d + 1):
+            assert abs(mpmath.mpf(float(table[k])) - exact[k]) <= bound, (d, g, k)
 
 
 def test_table_matches_lu_inverse():
-    # The table is exact to rounding, so the difference is LU's own error,
-    # bounded by cond(V) eps max|X|; the worst measured factor was 4
+    # The root's Gram matrix F^T F is X; its difference from the LU inverse
+    # is bounded by cond(V) eps max|X|, up to a factor measured at most 4
     # (d = 6, g = 1e-4).
     cases = [(d, g) for d in range(1, 9) for g in _couplings(d)] + [(10, 0.5)]
     for d, g in cases:
         v = potential_matrix(hypercube_graph(d), g)
-        assert v.profile is not None and v.profile.shape == (d + 1,)
-        table = _position_covariance(v)
+        root = _position_covariance(v)
         lu = np.linalg.inv(v.matrix) / 2.0
         lam = [1.0 + 4.0 * g * l for l in range(d + 1)]
         cond = max(lam) / min(lam)
         bound = 8.0 * cond * EPS * np.abs(lu).max()
-        assert np.abs(table - lu).max() <= bound, (d, g)
-        # one side's block, as the oracle reads it
+        assert np.array_equal(root, root.T)
+        assert np.abs(root.T @ root - lu).max() <= bound, (d, g)
+        # one side's columns, as the oracle reads them
         rows = np.asarray(named_bipartition(d, "identity_cut").side_a)
-        block = _position_covariance(v, rows)
-        assert np.array_equal(block, table[np.ix_(rows, rows)])
+        assert np.array_equal(_position_covariance(v, rows), root[:, rows])
+        # the LU route's symmetric root of the block, which adds the
+        # eigendecomposition's O(m eps max|X|) error; the worst measured
+        # factor on that term was 0.7 (d = 6, g = 1e-4)
         solved = _position_covariance(v, rows, lu=True)
-        assert np.abs(solved - lu[np.ix_(rows, rows)]).max() <= bound
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_table_is_exact_at_weak_coupling(d):
-    # Entries at distance k are O(g^k), down to ~1e-32 at d = 4, while the
-    # terms of the Krawtchouk sum are O(2^-d); a float sum would leave only
-    # its rounding error there.
-    g = 1e-8
-    exact = _exact_inverse(d, g)
-    table = _position_covariance(potential_matrix(hypercube_graph(d), g))
-    n = 1 << d
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            want = exact[i][j] / 2
-            assert want != 0
-            worst = max(worst, abs(Fraction(float(table[i, j])) - want) / abs(want))
-    assert worst <= 1e-15
+        assert solved.shape == (rows.size, rows.size)
+        lu_bound = bound + rows.size * EPS * np.abs(lu).max()
+        assert np.abs(solved.T @ solved - lu[np.ix_(rows, rows)]).max() <= lu_bound
 
 
 def test_profile_only_on_the_hypercube_potential():
@@ -119,6 +115,13 @@ def test_oracle_lu_route_ignores_the_table():
     v = potential_matrix(hypercube_graph(d), g)
     side_a = named_bipartition(d, "half_strata").side_a
     plain = PotentialMatrix(v.matrix)
+    rows = np.asarray(side_a)
+    assert np.array_equal(
+        _position_covariance(v, rows, lu=True), _position_covariance(plain, rows)
+    )
+    assert np.array_equal(
+        _position_covariance(v, lu=True), _position_covariance(plain)
+    )
     lu = entropy_oracle_symplectic(v, side_a, lu=True)
     assert lu == entropy_oracle_symplectic(plain, side_a)
     assert abs(entropy_oracle_symplectic(v, side_a) - lu) < 1e-12
@@ -160,3 +163,27 @@ def test_too_strong_coupling_is_refused_by_name():
     assert "too negative" not in str(err.value) and repr(g) in str(err.value)
     with pytest.raises(DefinitenessError, match="too negative"):
         potential_matrix(hypercube_graph(3), -(1.0 - EIG_FLOOR) / 12 - 1e-3)
+
+
+def test_non_finite_coupling_is_refused_by_name():
+    for g in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match=re.escape("g = %r must be finite" % g)):
+            potential_matrix(hypercube_graph(2), g)
+
+
+def test_lu_route_refuses_a_covariance_that_is_not_positive():
+    # V is certified (lambda_min = 0.187), but X = V^{-1}/2 has eigenvalues
+    # down to 1.2e-16, below LU's rounding error, and one comes out negative;
+    # the symmetric root does not exist.
+    v = PotentialMatrix(
+        np.array(
+            [
+                [1221726586359933, -1164189776275330, -1471138068299106],
+                [-1164189776275330, 1348506024401682, 990364337416602],
+                [-1471138068299106, 990364337416602, 2479513356570985],
+            ],
+            dtype=float,
+        )
+    )
+    with pytest.raises(DefinitenessError, match="position covariance"):
+        _position_covariance(v)

@@ -315,25 +315,44 @@ def test_oracle_subset_validation():
 
 
 def test_oracle_column_solve_matches_full_inverse_route():
-    # The oracle solves V for side A's unit columns; the census slices the
-    # full inverse.  The two covariance routes must give the same entropy.
+    # The oracle solves V for side A's unit columns; the census takes the
+    # root of the full inverse.  The two covariance routes must give the
+    # same entropy.
     rng = np.random.default_rng(41)
     for _ in range(8):
         v, _ = _random_instance(rng)
         m = v.matrix
-        x_cov = _position_covariance(v)
+        root = _position_covariance(v)
         for k in range(1, v.n):
             side_a = sorted(int(i) for i in rng.choice(v.n, size=k, replace=False))
-            full = _entropy_from_cov(x_cov, m / 2.0, side_a, "2")
+            full = _entropy_from_cov(root, m / 2.0, side_a, "2")
             assert abs(entropy_oracle_symplectic(v, side_a) - full) < 1e-12
 
 
+def test_symplectic_nus_take_any_root():
+    # Only root^T root = X matters: an orthogonal factor on the left, or
+    # extra rows, leave the symplectic eigenvalues unchanged.
+    rng = np.random.default_rng(5)
+    v = potential_matrix(hypercube_graph(3), 0.7)
+    root = _position_covariance(v)
+    p = v.matrix / 2.0
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    tall = np.vstack([q @ root, np.zeros((3, 8))])
+    side_a = [0, 3, 5, 6]
+    want = _symplectic_nus(root, p, side_a)
+    assert np.abs(_symplectic_nus(tall, p, side_a) - want).max() < 1e-14
+    rows = np.asarray(side_a)
+    block = _symplectic_nus(root[:, rows], p[np.ix_(rows, rows)], None)
+    assert np.array_equal(block, want)
+
+
 def test_symplectic_nus_consistency_guard():
-    # covariances that don't belong to one pure state violate nu >= 1
-    x = np.eye(2) * 0.25
+    # covariances that don't belong to one pure state violate nu >= 1;
+    # the kernel takes a root of X = I/4
+    root = np.eye(2) * 0.5
     p = np.eye(2) * 0.25
     with pytest.raises(ConsistencyError):
-        _symplectic_nus(x, p, [0, 1])
+        _symplectic_nus(root, p, [0, 1])
 
 
 def test_mode_and_spectrum_validation():

@@ -1,0 +1,100 @@
+"""Census classes and oracle entropies against 50-digit mpmath values.
+
+The absolute 1e-9 agreement checks elsewhere say nothing about small or
+large entropies; these bound the relative error on H(3,2), H(4,2) and
+H(5,2) cuts over the coupling range.  Each bound is about twice the worst
+case measured on x86-64 with OpenBLAS.
+"""
+
+import math
+
+import mpmath
+import pytest
+
+from oscnet import (
+    entropy_census,
+    entropy_oracle_symplectic,
+    hypercube_graph,
+    named_bipartition,
+    potential_matrix,
+)
+
+# Worst measured relative errors at g = 0.5, 1e4, 1e8: census classes
+# 5.1e-15, 2.1e-14, 1.4e-12; the oracle on the root table 1.2e-14,
+# 6.2e-14, 1.4e-12; the oracle's LU route 2.5e-14, 8.8e-12.  At g = 1e8
+# the LU route raises ConsistencyError on some of these cuts, so it is not
+# bounded there.
+CENSUS_BOUND = {0.5: 1e-14, 1e4: 5e-14, 1e8: 3e-12}
+ORACLE_BOUND = {0.5: 3e-14, 1e4: 1.5e-13, 1e8: 3e-12}
+LU_ORACLE_BOUND = {0.5: 5e-14, 1e4: 2e-11}
+
+
+def _mp_covariances(d, g):
+    """X = V^{-1}/2 and P = V/2 of H(d,2) as 50-digit matrices."""
+    n = 1 << d
+    with mpmath.workdps(50):
+        q = mpmath.mpf(g)
+        v = mpmath.matrix(n, n)
+        for i in range(n):
+            v[i, i] = 1 + 2 * q * d
+            for a in range(d):
+                v[i, i ^ (1 << a)] = -2 * q
+        return v**-1 / 2, v / 2
+
+
+def _mp_entropy(cov, side_a):
+    """Entropy in bits of side A: nu^2 = eig(L^T 4 P_A L) with X_A = L L^T."""
+    x, p = cov
+    side_a = list(side_a)
+    m = len(side_a)
+    with mpmath.workdps(50):
+        xa = mpmath.matrix(m, m)
+        pa = mpmath.matrix(m, m)
+        for i, a in enumerate(side_a):
+            for j, b in enumerate(side_a):
+                xa[i, j] = x[a, b]
+                pa[i, j] = p[a, b]
+        low = mpmath.cholesky(xa)
+        total = mpmath.mpf(0)
+        for nu_sq in mpmath.eigsy(low.T * 4 * pa * low, eigvals_only=True):
+            nu = mpmath.sqrt(nu_sq)
+            up, dn = (nu + 1) / 2, (nu - 1) / 2
+            total += up * mpmath.log(up, 2)
+            if dn > 0:
+                total -= dn * mpmath.log(dn, 2)
+        return total
+
+
+def _relative(value, exact):
+    return float(abs(mpmath.mpf(value) - exact) / exact)
+
+
+@pytest.mark.parametrize("g", sorted(CENSUS_BOUND))
+@pytest.mark.parametrize("d", [3, 4])
+def test_census_classes_against_mpmath(d, g):
+    report = entropy_census(hypercube_graph(d), g)
+    assert len(report.classes) == {3: 6, 4: 55}[d]
+    total = math.comb(2**d - 1, 2 ** (d - 1) - 1)
+    assert sum(c.multiplicity for c in report.classes) == total
+    cov = _mp_covariances(d, g)
+    worst = max(
+        _relative(c.entropy, _mp_entropy(cov, c.representatives[0]))
+        for c in report.classes
+    )
+    assert worst <= CENSUS_BOUND[g], worst
+
+
+@pytest.mark.parametrize("g", sorted(ORACLE_BOUND))
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_oracle_on_named_cuts_against_mpmath(d, g):
+    v = potential_matrix(hypercube_graph(d), g)
+    cov = _mp_covariances(d, g)
+    schemes = ["parity", "identity-cut"] + (["half-strata"] if d % 2 else [])
+    for scheme in schemes:
+        side_a = named_bipartition(d, scheme).side_a
+        exact = _mp_entropy(cov, side_a)
+        table = entropy_oracle_symplectic(v, side_a)
+        assert _relative(table, exact) <= ORACLE_BOUND[g], (scheme, table)
+        if g in LU_ORACLE_BOUND:
+            lu = entropy_oracle_symplectic(v, side_a, lu=True)
+            assert _relative(lu, exact) <= LU_ORACLE_BOUND[g], (scheme, lu)
