@@ -27,6 +27,9 @@ from .gaussian import _entropy_from_cov, _norm_log_base, _position_covariance
 from .graph import Graph, potential_matrix
 
 REPRESENTATIVE_CAP = 16
+# Most partitions one census enumerates or samples: n = 26 (5,200,300) fits
+# a few GB, n = 28 (20,058,300) does not.
+MAX_CENSUS_PARTITIONS = 10**7
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,8 @@ def entropy_census(
     sample draws that many side-A subsets at random (deduplicated, seeded)
     instead of enumerating; use it to probe graphs too large for the full
     census.  The report is then an estimate of the class structure, not a
-    census.
+    census.  Either way at most MAX_CENSUS_PARTITIONS partitions are taken;
+    a larger census or sample is refused before any work is done.
     """
     if not isinstance(graph, Graph):
         raise TypeError("expected a Graph")
@@ -127,12 +131,18 @@ def entropy_census(
     if not isinstance(threads, int) or threads < 1:
         raise ValueError("threads must be a positive integer")
     base = _norm_log_base(log_base)
+    if sample is not None and (not isinstance(sample, int) or sample < 1):
+        raise ValueError("sample must be a positive integer")
+    count = math.comb(n - 1, n // 2 - 1) if sample is None else sample
+    if count > MAX_CENSUS_PARTITIONS:
+        raise ValueError(
+            "%d partitions exceed the census limit of %d; take a smaller "
+            "random sample with --sample" % (count, MAX_CENSUS_PARTITIONS)
+        )
 
     if sample is None:
         subsets = list(_side_a_subsets(n))
     else:
-        if not isinstance(sample, int) or sample < 1:
-            raise ValueError("sample must be a positive integer")
         rng = random.Random(seed)
         drawn = (
             tuple(sorted([0] + rng.sample(range(1, n), n // 2 - 1)))

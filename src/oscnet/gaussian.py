@@ -12,7 +12,9 @@ two independent ways:
 
 * entropy_oracle_symplectic: reduce the ground-state covariance matrices
   (positions V^{-1}/2, momenta V/2) to one side and read off the symplectic
-  eigenvalues of the reduced state.
+  eigenvalues of the reduced state.  The position covariance enters through
+  a factor: gathered from an exact table on H(d,2), or solved from the
+  Cholesky factor of all of V, never from the cut's blocks.
 
 Both must agree to near machine precision on any positive definite V; the
 oracle is the slower, assumption-free reference path.
@@ -226,35 +228,28 @@ def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
 
 
 def _position_covariance(
-    v: PotentialMatrix, rows=None, *, lu: bool = False
+    v: PotentialMatrix, rows=None, *, table: bool = True
 ) -> np.ndarray:
-    """A square root F, with F^T F = X, of the block X[rows, rows] of the
+    """A tall factor F, n x |rows|, with F^T F = X[rows, rows], of the
     ground-state position covariance X = V^{-1}/2 of psi ~ exp(-x^T V x / 2);
-    of all of X when rows is None.
+    all of X's columns when rows is None.
 
     On H(d,2), v carries the symmetric root X^{1/2} as a function of
-    Hamming distance (its profile), and F is its n x |rows| column block.
-    Otherwise, or when lu is set, V is solved by LU factorization, against
-    the unit columns of rows or inverted whole, and F is the symmetric root
-    of that block, from one eigendecomposition.
+    Hamming distance (its profile), and F is its column block.  Otherwise,
+    or when table is off, V = C C^T is factored by Cholesky and
+    F = C^{-1} E_rows / sqrt(2), E_rows the unit columns of rows.  X itself
+    is never formed: V^{-1} would resolve its small eigenvalues only to
+    eps max|X|.
     """
     idx = np.arange(v.n)
     cols = idx if rows is None else np.asarray(rows)
-    if v.profile is not None and not lu:
+    if v.profile is not None and table:
         weights = hamming_weights(v.profile.size - 1)
         return v.profile[weights[idx[:, None] ^ cols]]
-    if rows is None:
-        x = np.linalg.inv(v.matrix) / 2.0
-    else:
-        unit = np.zeros((v.n, cols.size))
-        unit[cols, np.arange(cols.size)] = 1.0
-        x = np.linalg.solve(v.matrix, unit)[cols] / 2.0
-    w, u = np.linalg.eigh(x)
-    if not w.min() > 0.0:
-        raise DefinitenessError(
-            "position covariance has eigenvalue %.3e, not positive" % w.min()
-        )
-    return (u * np.sqrt(w)) @ u.T
+    # certify has already factored V, so the Cholesky exists.
+    unit = np.zeros((v.n, cols.size))
+    unit[cols, np.arange(cols.size)] = 1.0
+    return np.linalg.solve(np.linalg.cholesky(v.matrix), unit) / math.sqrt(2.0)
 
 
 def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
@@ -262,17 +257,16 @@ def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
 
     root is a factor of the position covariance, root^T root = X.  Any
     square R with R^T R = X_A gives nu^2 = eig(R 4 P_A R^T), which is
-    similar to 4 X_A P_A but manifestly symmetric.  One QR reduces a tall
-    block of root's subset columns to such a triangle; a square block, as
-    the LU route's symmetric root is, serves as R itself.  With subset
-    None, root's columns and p_cov already belong to the subset.  Values
-    below 1 by more than NU_SLACK raise; smaller dips clamp to 1.
+    similar to 4 X_A P_A but manifestly symmetric.  One QR reduces the tall
+    block of root's subset columns to such a triangle.  With subset None,
+    root's columns and p_cov already belong to the subset.  Values below 1
+    by more than NU_SLACK raise; smaller dips clamp to 1.
     """
     if subset is not None:
         rows = np.asarray(subset)
         root = root[:, rows]
         p_cov = p_cov[rows[:, None], rows]
-    r = np.linalg.qr(root, mode="r") if root.shape[0] > root.shape[1] else root
+    r = np.linalg.qr(root, mode="r")
     nus_sq = np.linalg.eigvalsh(r @ (4.0 * p_cov) @ r.T)
     nus = np.sqrt(np.maximum(nus_sq, 0.0))
     if nus.min() < 1.0 - NU_SLACK:
@@ -290,7 +284,7 @@ def _entropy_from_cov(
     return float(sum(entropy_from_nu(nu, base) for nu in nus.tolist()))
 
 
-def entropy_oracle_symplectic(v, subset, log_base=2, *, lu: bool = False) -> float:
+def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> float:
     """Reference entropy of the ground state reduced to an index subset.
 
     Takes the subset's block of the position covariance V^{-1}/2 and of the
@@ -299,15 +293,15 @@ def entropy_oracle_symplectic(v, subset, log_base=2, *, lu: bool = False) -> flo
     but assumption-free: it never touches the complement's block
     structure, which makes it the independent check.
 
-    On H(d,2) a root of the covariance block is gathered from the distance
-    table of X^{1/2} that potential_matrix attaches; elsewhere it is the
-    symmetric root of the block from an LU solve of V against the subset's
-    unit columns.  lu=True forces the LU solve, a route that knows nothing
-    of hypercube harmonic analysis.
+    On H(d,2) a factor of the covariance block is gathered from the
+    distance table of X^{1/2} that potential_matrix attaches; elsewhere it
+    is solved from the Cholesky factor of V against the subset's unit
+    columns.  table=False takes the Cholesky route on H(d,2) too, a route
+    that knows nothing of hypercube harmonic analysis.
     """
     base = _norm_log_base(log_base)
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
-    root = _position_covariance(v, rows, lu=lu)
+    root = _position_covariance(v, rows, table=table)
     p_aa = v.matrix[rows[:, None], rows] / 2.0
     return _entropy_from_cov(root, p_aa, None, base)

@@ -16,6 +16,7 @@ from oscnet import (
     named_bipartition,
     potential_matrix,
 )
+from oscnet import census
 from oscnet.census import _side_a_subsets
 
 # The six known entropy classes of the cube at g = 0.5, written as side-A
@@ -182,6 +183,19 @@ def test_census_validation():
         entropy_census(hypercube_graph(3), 0.5, sample=0)
     with pytest.raises(TypeError):
         entropy_census("hypercube:3", 0.5)
+
+
+def test_census_refuses_too_many_partitions(monkeypatch):
+    # The cube's 35 partitions, or a sample of them, against a cap on either
+    # side of 35.
+    monkeypatch.setattr(census, "MAX_CENSUS_PARTITIONS", 34)
+    with pytest.raises(ValueError, match="35 partitions exceed the census limit of 34"):
+        entropy_census(hypercube_graph(3), 0.5)
+    with pytest.raises(ValueError, match="--sample"):
+        entropy_census(hypercube_graph(3), 0.5, sample=35)
+    assert entropy_census(hypercube_graph(3), 0.5, sample=34).total_partitions <= 34
+    monkeypatch.setattr(census, "MAX_CENSUS_PARTITIONS", 35)
+    assert entropy_census(hypercube_graph(3), 0.5).total_partitions == 35
 
 
 def test_census_json_schema_and_csv_shape():

@@ -9,6 +9,7 @@ import pytest
 
 import oscnet
 from oscnet import analytic_entropy, entropy_census, hypercube_graph, named_bipartition
+from oscnet import census
 from oscnet.cli import main
 
 
@@ -122,6 +123,22 @@ def test_census_at_strong_coupling(capsys):
     assert "warning:" not in out
 
 
+def test_census_too_large_exits_2(capsys, monkeypatch):
+    # H(5,2) has 300,540,195 equal bipartitions, far beyond memory: the count
+    # alone must refuse it, before one subset is built.
+    def never(n):
+        raise AssertionError("enumerated %d vertices" % n)
+
+    monkeypatch.setattr(census, "_side_a_subsets", never)
+    assert main(["census", "--graph", "hypercube:5"]) == 2
+    err = capsys.readouterr().err
+    assert "300540195 partitions exceed the census limit of 10000000" in err
+    assert "--sample" in err
+    argv = ["census", "--graph", "hypercube:5", "--sample", "10000001"]
+    assert main(argv) == 2
+    assert "10000001 partitions exceed" in capsys.readouterr().err
+
+
 def test_census_text_summary(capsys):
     rc = main(["census", "--graph", "hypercube:3", "--g", "0.5"])
     out = capsys.readouterr().out
@@ -214,6 +231,11 @@ def test_verify_command_exit_codes(capsys):
 
     assert main(["verify", "--scheme", "half-strata", "--d", "5", "--g", "0.1"]) == 0
     capsys.readouterr()
+
+    # strong coupling, where X's eigenvalues of order 1/g must be resolved
+    for g in ("1e4", "1e5"):
+        assert main(["verify", "--scheme", "half-strata", "--d", "9", "--g", g]) == 0
+        assert "VERIFY OK" in capsys.readouterr().out
 
     # an absurd tolerance turns roundoff into a reported failure
     assert (

@@ -21,12 +21,10 @@ from oscnet import (
 
 # Worst measured relative errors at g = 0.5, 1e4, 1e8: census classes
 # 5.1e-15, 2.1e-14, 1.4e-12; the oracle on the root table 1.2e-14,
-# 6.2e-14, 1.4e-12; the oracle's LU route 2.5e-14, 8.8e-12.  At g = 1e8
-# the LU route raises ConsistencyError on some of these cuts, so it is not
-# bounded there.
+# 6.2e-14, 1.4e-12; the oracle's Cholesky route 1.1e-14, 8.5e-13, 3.7e-10.
 CENSUS_BOUND = {0.5: 1e-14, 1e4: 5e-14, 1e8: 3e-12}
 ORACLE_BOUND = {0.5: 3e-14, 1e4: 1.5e-13, 1e8: 3e-12}
-LU_ORACLE_BOUND = {0.5: 5e-14, 1e4: 2e-11}
+CHOLESKY_ORACLE_BOUND = {0.5: 3e-14, 1e4: 2e-12, 1e8: 1e-9}
 
 
 def _mp_covariances(d, g):
@@ -95,6 +93,5 @@ def test_oracle_on_named_cuts_against_mpmath(d, g):
         exact = _mp_entropy(cov, side_a)
         table = entropy_oracle_symplectic(v, side_a)
         assert _relative(table, exact) <= ORACLE_BOUND[g], (scheme, table)
-        if g in LU_ORACLE_BOUND:
-            lu = entropy_oracle_symplectic(v, side_a, lu=True)
-            assert _relative(lu, exact) <= LU_ORACLE_BOUND[g], (scheme, lu)
+        solved = entropy_oracle_symplectic(v, side_a, table=False)
+        assert _relative(solved, exact) <= CHOLESKY_ORACLE_BOUND[g], (scheme, solved)
