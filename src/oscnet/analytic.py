@@ -49,9 +49,20 @@ def q_polynomial(n: int, x: float, d_block: int) -> float:
     return cur
 
 
+# Largest dimension whose mode degeneracies fit a float.  Every closed form's
+# degeneracies are binomials of row d or d - 1 of Pascal's triangle, so
+# C(d, d // 2) bounds them, and it passes the float range at d = 1030.
+MAX_DIMENSION = 1029
+
+
 def _check_dg(d: int, g: float):
     if not isinstance(d, int) or d < 1:
         raise DomainError("dimension must be a positive integer")
+    if d > MAX_DIMENSION:
+        raise DomainError(
+            "analytic spectra require d <= %d, whose mode degeneracies fit a "
+            "float, got d = %d" % (MAX_DIMENSION, d)
+        )
     g = float(g)
     if g < 0.0:
         raise DomainError("analytic spectra require g >= 0")
@@ -137,6 +148,11 @@ def gamma_half_strata(d: int, g: float, log_base=2) -> ModeSpectrum:
         n_j = dim // 2
         x = d + 1.0 / (2.0 * g)
         q_n = q_polynomial(n_j, x, d_j)
+        if not math.isfinite(q_n):
+            raise DomainError(
+                "elimination denominator Q_%d overflows a float at x=%.17g; "
+                "d = %d is too large for this coupling" % (n_j, x, d)
+            )
         if abs(q_n) <= 1e-300:
             raise SingularityError(
                 "elimination denominator Q_%d vanished at x=%.17g" % (n_j, x)

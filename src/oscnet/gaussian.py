@@ -17,7 +17,9 @@ two independent ways:
   Cholesky factor of all of V, never from the cut's blocks.
 
 Both must agree to near machine precision on any positive definite V; the
-oracle is the slower, assumption-free reference path.
+oracle is the assumption-free reference path.  The engine and the oracle's
+Cholesky route share one primitive, the triangular solve _solve_lower, and
+nothing else.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ GAMMA_CEILING = 1.0 - 1e-12
 # Symplectic eigenvalues may dip below 1 by at most this before we call the
 # computation inconsistent; smaller dips are clamped to exactly 1.
 NU_SLACK = 1e-10
+# Triangles of at most this order are solved by one LAPACK call; larger ones
+# are halved, so nearly all the flops of a triangular solve go to matmul.
+SOLVE_LEAF = 64
 
 
 def _norm_log_base(log_base) -> str:
@@ -66,9 +71,12 @@ def nu_from_gamma(gamma: float) -> float:
 
     gamma enters squared, so its sign is irrelevant.  |gamma| within 1e-12
     of 1 (or beyond) is rejected: the corresponding mode has divergent
-    entropy and no normalizable reduced state.
+    entropy and no normalizable reduced state.  A NaN or infinite gamma is a
+    DomainError.
     """
     g = abs(float(gamma))
+    if not math.isfinite(g):
+        raise DomainError("coupling ratio %r is not finite" % g)
     if g >= GAMMA_CEILING:
         raise SingularityError(
             "coupling ratio %.17g is at or beyond the normalizable range" % g
@@ -103,6 +111,13 @@ class Mode:
     degeneracy: int = 1
 
     def __post_init__(self):
+        # Every comparison with NaN is false, so the checks below cannot
+        # refuse it.
+        if not (math.isfinite(self.gamma) and math.isfinite(self.nu)):
+            raise DomainError(
+                "mode parameters must be finite, got gamma = %r, nu = %r"
+                % (self.gamma, self.nu)
+            )
         if not isinstance(self.degeneracy, int) or self.degeneracy < 1:
             raise ValueError("degeneracy must be a positive integer")
         if self.gamma < 0.0:
@@ -193,6 +208,32 @@ def schmidt_spectrum(nu: float, n_max: int) -> SchmidtSpectrum:
     return SchmidtSpectrum(nu, n_max, lambdas, probabilities, float(tail))
 
 
+def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L with a nonzero diagonal.
+
+    numpy has no triangular solve, and np.linalg.solve would LU-factor L as
+    if it were full.  Recursive halving costs one matmul per level instead:
+    X_1 = L_11^{-1} B_1, then X_2 = L_22^{-1} (B_2 - L_21 X_1), down to
+    blocks of order SOLVE_LEAF.  Like substitution it is backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 8).
+    """
+    x = np.array(b, dtype=float, order="C")
+    _substitute(l, x)
+    return x
+
+
+def _substitute(l: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the rows x with L^{-1} x, the recursion of _solve_lower."""
+    n = l.shape[0]
+    if n <= SOLVE_LEAF:
+        x[...] = np.linalg.solve(l, x)
+        return
+    h = n // 2
+    _substitute(l[:h, :h], x[:h])
+    x[h:] -= l[h:, :h] @ x[:h]
+    _substitute(l[h:, h:], x[h:])
+
+
 def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
     """Coupling-ratio spectrum of a bipartition of the ground state.
 
@@ -212,7 +253,7 @@ def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
     # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
     la = np.linalg.cholesky(m[np.ix_(a, a)])
     lb = np.linalg.cholesky(m[np.ix_(b, b)])
-    coupling = np.linalg.solve(lb, np.linalg.solve(la, m[np.ix_(a, b)]).T).T
+    coupling = _solve_lower(lb, _solve_lower(la, m[np.ix_(a, b)]).T).T
     sigma = np.linalg.svd(coupling, compute_uv=False)
     if sigma.size and sigma[0] >= 1.0:
         raise DefinitenessError(
@@ -249,7 +290,7 @@ def _position_covariance(
     # certify has already factored V, so the Cholesky exists.
     unit = np.zeros((v.n, cols.size))
     unit[cols, np.arange(cols.size)] = 1.0
-    return np.linalg.solve(np.linalg.cholesky(v.matrix), unit) / math.sqrt(2.0)
+    return _solve_lower(np.linalg.cholesky(v.matrix), unit) / math.sqrt(2.0)
 
 
 def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
@@ -289,9 +330,9 @@ def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> f
 
     Takes the subset's block of the position covariance V^{-1}/2 and of the
     momentum covariance V/2, then sums S(nu) over the symplectic
-    eigenvalues nu = sqrt(eig(4 X_A P_A)).  Slower than the whitened engine
-    but assumption-free: it never touches the complement's block
-    structure, which makes it the independent check.
+    eigenvalues nu = sqrt(eig(4 X_A P_A)).  It is assumption-free: it never
+    touches the complement's block structure, which makes it the
+    independent check.
 
     On H(d,2) a factor of the covariance block is gathered from the
     distance table of X^{1/2} that potential_matrix attaches; elsewhere it

@@ -1,6 +1,7 @@
 """Closed-form spectra against the numerical engines and exact values."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oscnet import (
     q_polynomial,
     spin_x_block,
 )
+from oscnet.analytic import CLOSED_FORMS, MAX_DIMENSION
 
 
 def _poly_mul_x(coeffs):
@@ -216,6 +218,23 @@ def test_half_strata_modes_match_engine():
             assert np.abs(engine - closed).max() < 1e-10
 
 
+def test_engine_matches_closed_forms_on_dense_blocks():
+    # Unlike the parity cut's, these cuts' blocks V_AA and V_BB are not
+    # diagonal, and at 128 and 256 vertices a side the blocked triangular
+    # solve of the engine recurses through its off-diagonal updates.
+    for scheme, d in (("half_strata", 9), ("identity_cut", 8)):
+        cut = named_bipartition(d, scheme)
+        for g in (1e-4, 0.5, 1e4):
+            v = potential_matrix(hypercube_graph(d), g)
+            spectrum = gamma_spectrum(v, cut)
+            closed = CLOSED_FORMS[scheme](d, g)
+            assert abs(spectrum.total_entropy() - closed.total_entropy()) < 1e-9
+            engine = spectrum.expanded_gammas()
+            want = closed.expanded_gammas()
+            assert np.abs(engine[: want.size] - want).max() < 1e-13
+            assert np.all(engine[want.size :] < 1e-12)
+
+
 def test_zero_coupling_spectra_are_trivial():
     for builder in (gamma_identity_cut, gamma_parity_cut):
         spec = builder(4, 0.0)
@@ -270,6 +289,26 @@ def test_analytic_domain_checks():
         assert spectrum.total_entropy() == 0.0
     with pytest.raises(SchemeError):
         analytic_entropy("diagonal", 3, 0.5)
+
+
+def test_dimension_cap_keeps_degeneracies_in_float_range():
+    # C(d, d // 2) bounds every closed form's degeneracies
+    assert math.comb(MAX_DIMENSION, MAX_DIMENSION // 2) <= sys.float_info.max
+    assert math.comb(MAX_DIMENSION + 1, (MAX_DIMENSION + 1) // 2) > sys.float_info.max
+    for closed_form in (gamma_identity_cut, gamma_parity_cut, gamma_half_strata):
+        with pytest.raises(DomainError, match="d <= %d" % MAX_DIMENSION):
+            closed_form(MAX_DIMENSION + 2, 0.5)
+
+
+def test_half_strata_refuses_an_overflowing_denominator():
+    # Q_n overflows to inf: at d = 267 the top block's Q_133 stays finite, so
+    # the ratio would read 0; at d = 269 both are inf and the ratio NaN
+    for d, g in ((267, 0.5), (269, 0.5), (81, 1e-8)):
+        with pytest.raises(DomainError, match="overflows"):
+            gamma_half_strata(d, g)
+    spectrum = gamma_half_strata(265, 0.5)
+    assert math.isfinite(spectrum.total_entropy())
+    assert all(0.0 < m.gamma < 1.0 for m in spectrum.modes)
 
 
 def test_gammas_stay_in_unit_interval():

@@ -1,5 +1,6 @@
 """Command-line behaviors: formats, exit codes, config echo, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -222,6 +223,31 @@ def test_analytic_command(capsys):
         for scheme in ("parity", "identity-cut", "half-strata"):
             assert main(["analytic", "--scheme", scheme, "--d", "3", "--g", g]) == 2
             assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--scheme", "half-strata", "--d", "269", "--g", "0.5"], "Q_135 overflows"),
+        (["--scheme", "half-strata", "--d", "81", "--g", "1e-8"], "Q_41 overflows"),
+        (["--scheme", "parity", "--d", "1100"], "d <= 1029"),
+    ],
+)
+def test_analytic_overflow_exits_2(capsys, argv, message):
+    # these printed nan modes and entropies, or ended in an OverflowError
+    assert main(["analytic"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_analytic_just_below_overflow_keeps_its_output(capsys):
+    assert main(["analytic", "--scheme", "half-strata", "--d", "265", "--g", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("total entropy = 1.63315630057e+76\n")
+    # the bytes printed before non-finite mode parameters were refused
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6f08becf250c8a3ec38a256866f23d8f81490b6d1f664ceab97734c1d2e64a92"
 
 
 def test_verify_command_exit_codes(capsys):

@@ -26,8 +26,10 @@ from oscnet import (
     schmidt_spectrum,
 )
 from oscnet.gaussian import (
+    SOLVE_LEAF,
     _entropy_from_cov,
     _position_covariance,
+    _solve_lower,
     _symplectic_nus,
 )
 
@@ -64,6 +66,17 @@ def test_nu_from_gamma_singular():
     for bad in (1.0, -1.0, 1.5, 1.0 - 1e-13):
         with pytest.raises(SingularityError):
             nu_from_gamma(bad)
+
+
+def test_non_finite_mode_parameters_are_refused():
+    # every comparison with NaN is false, so no range check alone refuses it
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            nu_from_gamma(bad)
+        with pytest.raises(DomainError):
+            Mode(gamma=bad, nu=1.5)
+        with pytest.raises(DomainError):
+            Mode(gamma=0.5, nu=bad)
 
 
 def test_two_node_mode_parameter_matches_oracle():
@@ -366,3 +379,61 @@ def test_mode_and_spectrum_validation():
     assert spec.mode_count() == 3
     assert abs(spec.total_entropy() - 3 * entropy_from_nu(nu_from_gamma(0.5))) < 1e-14
     assert np.allclose(spec.expanded_gammas(), [0.5, 0.5, 0.5])
+
+
+def test_solve_lower_matches_lu_and_is_backward_stable():
+    rng = np.random.default_rng(17)
+    eps = np.finfo(float).eps
+    for n in (1, SOLVE_LEAF - 1, SOLVE_LEAF, SOLVE_LEAF + 1, 2 * SOLVE_LEAF + 1, 300):
+        # a Cholesky factor of I + M M^T / n is well conditioned; random
+        # triangles are not
+        m = rng.standard_normal((n, n))
+        lower = np.linalg.cholesky(np.eye(n) + m @ m.T / n)
+        rhs = [rng.standard_normal((n, w)) for w in (1, 7, n)]
+        rhs.append(rng.standard_normal((7, n)).T)
+        assert n == 1 or not rhs[-1].flags.c_contiguous
+        for b in rhs:
+            before = b.copy()
+            x = _solve_lower(lower, b)
+            assert np.array_equal(b, before)
+            want = np.linalg.solve(lower, b)
+            assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+            residual = np.linalg.norm(lower @ x - b)
+            assert residual <= 4 * n * eps * np.linalg.norm(lower) * np.linalg.norm(x)
+
+
+def test_no_dense_solve_on_the_cut_path(monkeypatch):
+    # np.linalg.solve LU-factors whatever it is given; only triangles of at
+    # most SOLVE_LEAF rows may reach it
+    orders = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        orders.append(np.shape(a)[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    v = potential_matrix(hypercube_graph(8), 0.5)
+    cut = named_bipartition(8, "identity_cut")
+    gamma_spectrum(v, cut)
+    engine_calls = len(orders)
+    entropy_oracle_symplectic(v, cut.side_a, table=False)
+    assert 0 < engine_calls < len(orders)
+    assert max(orders) <= SOLVE_LEAF
+
+
+def test_engine_agrees_with_cholesky_oracle_on_an_odd_unequal_cut():
+    # ~300 vertices and sides of 137 and 163: every level of the blocked
+    # solve runs on dense, unequal halves
+    rng = np.random.default_rng(29)
+    n = 300
+    upper = np.triu(rng.random((n, n)) < 0.03, 1)
+    graph = Graph(n, np.argwhere(upper).astype(np.int64))
+    side_a = sorted(int(i) for i in rng.choice(n, size=137, replace=False))
+    cut = Bipartition.from_side_a(n, side_a)
+    for g in (0.05, 0.5, 3.0):
+        v = potential_matrix(graph, g)
+        engine = entropy_of_bipartition(v, cut)
+        oracle = entropy_oracle_symplectic(v, side_a, table=False)
+        assert engine > 1.0
+        assert abs(engine - oracle) < 1e-9
