@@ -7,9 +7,16 @@ entanglement entropy of every one of them with the symplectic reference
 engine, groups values that agree within a tolerance into classes, and
 reports class values, multiplicities, and representative partitions.
 
-Results are deterministic: the enumeration order is lexicographic, the
-grouping is a single descending sweep, and worker parallelism only splits
-the enumeration into contiguous chunks that are merged back in order, so
+The partitions are one (k, n/2) int16 array of side-A rows, enumerated in
+lexicographic order or sampled: uniform draws seeded by random.Random,
+deduplicated and sorted.  Graph caps n at 4096, so int16 holds every label.
+Grouping is array work too: one lexsort on (-entropy, side A) orders the
+rows, a class breaks where consecutive values differ by more than the
+tolerance, and a second lexsort on (class, side A) picks representatives.
+
+Results are deterministic: the same seed draws the same rows, the
+grouping equals a single descending sweep, and worker parallelism only
+splits the rows into contiguous blocks that are merged back in order, so
 thread count never changes a single output byte.
 """
 
@@ -30,6 +37,8 @@ REPRESENTATIVE_CAP = 16
 # Most partitions one census enumerates or samples: n = 26 (5,200,300) fits
 # a few GB, n = 28 (20,058,300) does not.
 MAX_CENSUS_PARTITIONS = 10**7
+# Most random keys the sampler holds at once.
+SAMPLE_CHUNK_KEYS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,98 @@ def _side_a_subsets(n: int):
         yield (0,) + rest
 
 
+def _enumerated(n: int) -> np.ndarray:
+    """Every side A, one row each, in lexicographic order."""
+    half = n // 2
+    count = math.comb(n - 1, half - 1)
+    flat = itertools.chain.from_iterable(_side_a_subsets(n))
+    return np.fromiter(flat, np.int16, count * half).reshape(count, half)
+
+
+def _sampled(n: int, sample: int, seed: int) -> np.ndarray:
+    """The distinct side-A rows among sample uniform draws, sorted.
+
+    Each draw ranks n - 1 uniform 64-bit keys from random.Random(seed) and
+    takes the vertices of the n/2 - 1 smallest, so it is a uniform subset of
+    1..n-1; vertex 0 joins it.  numpy.random is never imported: it would
+    add its size to every pool worker forked from this process.
+    """
+    half = n // 2
+    side_a = np.zeros((sample, half), dtype=np.int16)
+    rng = random.Random(seed)
+    rows = SAMPLE_CHUNK_KEYS // (n - 1)
+    for lo in range(0, sample, rows):
+        hi = min(lo + rows, sample)
+        keys = np.frombuffer(rng.randbytes(8 * (hi - lo) * (n - 1)), dtype="<u8")
+        picked = keys.reshape(hi - lo, n - 1).argsort(axis=1)[:, : half - 1]
+        picked.sort(axis=1)
+        side_a[lo:hi, 1:] = picked + 1
+    side_a = side_a[np.lexsort(side_a.T[::-1])]
+    fresh = np.ones(sample, dtype=bool)
+    fresh[1:] = (side_a[1:] != side_a[:-1]).any(axis=1)
+    return side_a[fresh]
+
+
+def _entropies(kernel, side_a: np.ndarray) -> np.ndarray:
+    """kernel of every row of side_a, in order."""
+    return np.array([kernel(row) for row in side_a])
+
+
+def _classes(entropies: np.ndarray, side_a: np.ndarray, tolerance: float):
+    """(classes, warnings) of the descending sweep over (-entropy, side A).
+
+    A class breaks where consecutive sorted values differ by more than the
+    tolerance.  Its entropy is the mean over its members, the same pairwise
+    sum as np.mean of the list of them.
+    """
+    order = np.lexsort((*side_a.T[::-1], -entropies))
+    e = entropies[order]
+    rows = side_a[order]
+    breaks = np.flatnonzero(e[:-1] - e[1:] > tolerance) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [e.size]))
+    sizes = ends - starts
+    class_id = np.repeat(np.arange(starts.size), sizes)
+    rows = rows[np.lexsort((*rows.T[::-1], class_id))]
+
+    means = e[starts]
+    for ci in np.flatnonzero(sizes > 1).tolist():
+        means[ci] = e[starts[ci] : ends[ci]].mean()
+    # The first `kept` rows of every class, class after class.
+    kept = np.minimum(sizes, REPRESENTATIVE_CAP)
+    offsets = np.cumsum(kept) - kept
+    picked = np.repeat(starts - offsets, kept) + np.arange(kept.sum())
+    reps = list(map(tuple, rows[picked].tolist()))
+
+    classes = []
+    taken = 0
+    for mean, size, count in zip(means.tolist(), sizes.tolist(), kept.tolist()):
+        classes.append(
+            EntropyClass(
+                entropy=mean,
+                multiplicity=size,
+                representatives=tuple(reps[taken : taken + count]),
+                capped=size > REPRESENTATIVE_CAP,
+            )
+        )
+        taken += count
+
+    warnings = []
+    spreads = e[starts] - e[ends - 1]
+    for ci in np.flatnonzero(spreads > tolerance / 10.0).tolist():
+        warnings.append(
+            "class %d members spread over %.3e, within 10x of the "
+            "tolerance; consider tightening or loosening it" % (ci, spreads[ci])
+        )
+    gaps = e[breaks - 1] - e[breaks]
+    for ci in np.flatnonzero(gaps <= 10.0 * tolerance).tolist():
+        warnings.append(
+            "boundary between classes %d and %d has gap %.3e, within "
+            "10x of the tolerance" % (ci, ci + 1, gaps[ci])
+        )
+    return classes, warnings
+
+
 def entropy_census(
     graph: Graph,
     g: float,
@@ -133,6 +234,8 @@ def entropy_census(
     base = _norm_log_base(log_base)
     if sample is not None and (not isinstance(sample, int) or sample < 1):
         raise ValueError("sample must be a positive integer")
+    if not isinstance(seed, int):
+        raise ValueError("seed must be an integer")
     count = math.comb(n - 1, n // 2 - 1) if sample is None else sample
     if count > MAX_CENSUS_PARTITIONS:
         raise ValueError(
@@ -140,66 +243,27 @@ def entropy_census(
             "random sample with --sample" % (count, MAX_CENSUS_PARTITIONS)
         )
 
-    if sample is None:
-        subsets = list(_side_a_subsets(n))
-    else:
-        rng = random.Random(seed)
-        drawn = (
-            tuple(sorted([0] + rng.sample(range(1, n), n // 2 - 1)))
-            for _ in range(sample)
-        )
-        subsets = list(dict.fromkeys(drawn))
+    side_a = _enumerated(n) if sample is None else _sampled(n, sample, seed)
 
     v = potential_matrix(graph, g)
     root = _position_covariance(v)
     p_cov = v.matrix / 2.0
 
     kernel = functools.partial(_entropy_from_cov, root, p_cov, base=base)
-    if threads == 1 or len(subsets) < 2 * threads:
-        entropies = list(map(kernel, subsets))
+    if threads == 1 or len(side_a) < 2 * threads:
+        entropies = _entropies(kernel, side_a)
     else:
         # Imported here so that serial runs never pay for multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunksize = math.ceil(len(subsets) / threads)
+        # Each worker gets one contiguous block of rows, pickled as one array.
+        chunksize = math.ceil(len(side_a) / threads)
+        blocks = [side_a[i : i + chunksize] for i in range(0, len(side_a), chunksize)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            entropies = list(pool.map(kernel, subsets, chunksize=chunksize))
+            parts = pool.map(functools.partial(_entropies, kernel), blocks)
+            entropies = np.concatenate(list(parts))
 
-    order = sorted(range(len(subsets)), key=lambda i: (-entropies[i], subsets[i]))
-    groups = []
-    for i in order:
-        if groups and groups[-1][-1][0] - entropies[i] <= tolerance:
-            groups[-1].append((entropies[i], subsets[i]))
-        else:
-            groups.append([(entropies[i], subsets[i])])
-
-    classes = []
-    warnings = []
-    for gi, members in enumerate(groups):
-        values = [e for e, _ in members]
-        subsets_sorted = sorted(s for _, s in members)
-        spread = values[0] - values[-1]
-        if spread > tolerance / 10.0:
-            warnings.append(
-                "class %d members spread over %.3e, within 10x of the "
-                "tolerance; consider tightening or loosening it" % (gi, spread)
-            )
-        classes.append(
-            EntropyClass(
-                entropy=float(np.mean(values)),
-                multiplicity=len(members),
-                representatives=tuple(subsets_sorted[:REPRESENTATIVE_CAP]),
-                capped=len(subsets_sorted) > REPRESENTATIVE_CAP,
-            )
-        )
-    for gi in range(len(groups) - 1):
-        gap = groups[gi][-1][0] - groups[gi + 1][0][0]
-        if gap <= 10.0 * tolerance:
-            warnings.append(
-                "boundary between classes %d and %d has gap %.3e, within "
-                "10x of the tolerance" % (gi, gi + 1, gap)
-            )
-
+    classes, warnings = _classes(entropies, side_a, tolerance)
     # The sweep is descending: class 0 holds the largest entropy, the last
     # class the smallest.
     return CensusReport(
@@ -207,7 +271,7 @@ def entropy_census(
         g=float(g),
         log_base=base,
         tolerance=tolerance,
-        total_partitions=len(subsets),
+        total_partitions=len(side_a),
         classes=tuple(classes),
         min_class=len(classes) - 1,
         max_class=0,

@@ -266,8 +266,10 @@ def _cmd_analytic(args) -> int:
 def _cmd_verify(args) -> int:
     if not 0.0 < args.tolerance < np.inf:
         raise ValueError("tolerance must be positive and finite")
-    closed = analytic.analytic_entropy(args.scheme, args.d, args.g, args.log_base)
+    # Building the graph refuses a d too large for the oracle before the
+    # closed form spends its time.
     graph = hypercube_graph(args.d)
+    closed = analytic.analytic_entropy(args.scheme, args.d, args.g, args.log_base)
     cut = named_bipartition(args.d, args.scheme)
     v = potential_matrix(graph, args.g)
     # The closed forms are checked against the Cholesky route, which knows

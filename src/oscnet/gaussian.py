@@ -24,6 +24,7 @@ nothing else.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -293,6 +294,15 @@ def _position_covariance(
     return _solve_lower(np.linalg.cholesky(v.matrix), unit) / math.sqrt(2.0)
 
 
+# Every census and single cut uses one block order, so one mask is enough.
+@functools.lru_cache(maxsize=1)
+def _upper_mask(m: int) -> np.ndarray:
+    """Read-only m x m array of ones on and above the diagonal, zeros below."""
+    mask = np.triu(np.ones((m, m)))
+    mask.setflags(write=False)
+    return mask
+
+
 def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
     """Symplectic eigenvalues of the state restricted to subset.
 
@@ -304,10 +314,15 @@ def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
     by more than NU_SLACK raise; smaller dips clamp to 1.
     """
     if subset is not None:
-        rows = np.asarray(subset)
-        root = root[:, rows]
-        p_cov = p_cov[rows[:, None], rows]
-    r = np.linalg.qr(root, mode="r")
+        root = root.take(subset, axis=1)
+        p_cov = p_cov.take(subset, axis=0).take(subset, axis=1)
+    # The raw factorization is the one geqrf that mode="r" runs; R is the
+    # upper triangle of the transpose's leading square, which the cached
+    # mask keeps without np.triu's per-call mask.  The product can leave
+    # -0.0 below the diagonal where triu leaves 0.0; the nu stay the same
+    # bits.
+    m = root.shape[1]
+    r = np.linalg.qr(root, mode="raw")[0].T[:m] * _upper_mask(m)
     nus_sq = np.linalg.eigvalsh(r @ (4.0 * p_cov) @ r.T)
     nus = np.sqrt(np.maximum(nus_sq, 0.0))
     if nus.min() < 1.0 - NU_SLACK:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscnet import (
     analytic_entropy,
@@ -17,7 +19,13 @@ from oscnet import (
     potential_matrix,
 )
 from oscnet import census
-from oscnet.census import _side_a_subsets
+from oscnet.census import (
+    REPRESENTATIVE_CAP,
+    _classes,
+    _enumerated,
+    _sampled,
+    _side_a_subsets,
+)
 
 # The six known entropy classes of the cube at g = 0.5, written as side-A
 # vertex sets with 0-based coordinate labels (vertex b2 b1 b0 has index
@@ -181,6 +189,9 @@ def test_census_validation():
         entropy_census(hypercube_graph(3), 0.5, threads=0)
     with pytest.raises(ValueError):
         entropy_census(hypercube_graph(3), 0.5, sample=0)
+    for seed in (1.5, "3"):
+        with pytest.raises(ValueError, match="seed"):
+            entropy_census(hypercube_graph(3), 0.5, sample=4, seed=seed)
     with pytest.raises(TypeError):
         entropy_census("hypercube:3", 0.5)
 
@@ -239,3 +250,124 @@ def test_entropy_is_automorphism_invariant():
         a = entropy_oracle_symplectic(v, side)
         b = entropy_oracle_symplectic(v, mapped)
         assert abs(a - b) < 1e-10
+
+
+def test_enumerated_rows_are_the_side_a_tuples():
+    for n in (2, 8, 16):
+        assert list(map(tuple, _enumerated(n).tolist())) == list(_side_a_subsets(n))
+
+
+def _assert_canonical_and_unique(rows, n):
+    assert rows.dtype == np.int16 and rows.shape[1] == n // 2
+    assert (rows[:, 0] == 0).all() and (rows < n).all()
+    assert (np.diff(rows, axis=1) > 0).all()
+    assert len(set(map(tuple, rows.tolist()))) == len(rows)
+
+
+def test_sampler_rows_are_canonical_unique_and_seeded():
+    for n, sample in ((2, 5), (8, 200), (16, 500), (64, 3000)):
+        rows = _sampled(n, sample, 11)
+        _assert_canonical_and_unique(rows, n)
+        assert 1 <= len(rows) <= sample
+        assert np.array_equal(rows, _sampled(n, sample, 11))
+    # 200 draws from the cube's 35 partitions find all of them
+    assert np.array_equal(_sampled(8, 200, 11), _enumerated(8))
+    assert not np.array_equal(_sampled(64, 50, 11), _sampled(64, 50, 12))
+
+
+def test_sampler_rows_do_not_depend_on_the_chunk_size(monkeypatch):
+    want = _sampled(64, 1000, 5)
+    monkeypatch.setattr(census, "SAMPLE_CHUNK_KEYS", 63 * 7)
+    assert np.array_equal(_sampled(64, 1000, 5), want)
+
+
+def test_sampler_reaches_the_largest_hypercube():
+    n = 1 << 12
+    rows = _sampled(n, 10, 3)
+    assert len(rows) == 10
+    _assert_canonical_and_unique(rows, n)
+
+
+def _sweep_classes(entropies, subsets, tolerance):
+    """The census grouping as a sort and a sweep over Python lists: the
+    reference the array grouping must reproduce bit for bit."""
+    order = sorted(range(len(subsets)), key=lambda i: (-entropies[i], subsets[i]))
+    groups = []
+    for i in order:
+        if groups and groups[-1][-1][0] - entropies[i] <= tolerance:
+            groups[-1].append((entropies[i], subsets[i]))
+        else:
+            groups.append([(entropies[i], subsets[i])])
+    classes = []
+    warnings = []
+    for gi, members in enumerate(groups):
+        values = [e for e, _ in members]
+        subsets_sorted = sorted(s for _, s in members)
+        spread = values[0] - values[-1]
+        if spread > tolerance / 10.0:
+            warnings.append(
+                "class %d members spread over %.3e, within 10x of the "
+                "tolerance; consider tightening or loosening it" % (gi, spread)
+            )
+        classes.append(
+            census.EntropyClass(
+                entropy=float(np.mean(values)),
+                multiplicity=len(members),
+                representatives=tuple(subsets_sorted[:REPRESENTATIVE_CAP]),
+                capped=len(subsets_sorted) > REPRESENTATIVE_CAP,
+            )
+        )
+    for gi in range(len(groups) - 1):
+        gap = groups[gi][-1][0] - groups[gi + 1][0][0]
+        if gap <= 10.0 * tolerance:
+            warnings.append(
+                "boundary between classes %d and %d has gap %.3e, within "
+                "10x of the tolerance" % (gi, gi + 1, gap)
+            )
+    return classes, warnings
+
+
+# Values on a grid of 2**-20 with tolerances on the same grid: gaps equal to
+# the tolerance, or to a tenth or ten times of it, are then exact.
+GRID = 2.0**-20
+TEN_ROWS = _enumerated(10)
+
+
+@st.composite
+def groupings(draw):
+    """(entropies, side-A rows, tolerance) with clusters, ties and gaps at
+    the tolerance."""
+    k = draw(st.integers(1, len(TEN_ROWS)))
+    picked = draw(st.permutations(range(len(TEN_ROWS))))[:k]
+    if draw(st.booleans()):
+        tolerance = draw(st.sampled_from([1, 2, 10, 100])) * GRID
+        centers = draw(st.lists(st.integers(0, 4000), min_size=1, max_size=6))
+        offsets = st.sampled_from([0, 1, 2, 9, 10, 11, 99, 100, 101])
+        values = [
+            draw(st.sampled_from(centers)) * 64 * GRID + draw(offsets) * GRID
+            for _ in range(k)
+        ]
+    else:
+        tolerance = draw(st.floats(1e-12, 1.0))
+        pool = draw(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8))
+        values = [
+            draw(st.sampled_from(pool)) + draw(st.sampled_from([0.0, tolerance]))
+            for _ in range(k)
+        ]
+    return np.array(values), TEN_ROWS[sorted(picked)], tolerance
+
+
+@settings(max_examples=300, deadline=None)
+@given(groupings())
+def test_array_grouping_matches_the_sweep_bit_for_bit(case):
+    entropies, rows, tolerance = case
+    classes, warnings = _classes(entropies, rows, tolerance)
+    want, want_warnings = _sweep_classes(
+        entropies.tolist(), list(map(tuple, rows.tolist())), tolerance
+    )
+    assert [c.entropy.hex() for c in classes] == [c.entropy.hex() for c in want]
+    assert [c.multiplicity for c in classes] == [c.multiplicity for c in want]
+    assert [c.representatives for c in classes] == [c.representatives for c in want]
+    assert [c.capped for c in classes] == [c.capped for c in want]
+    assert warnings == want_warnings
+    assert all(type(v) is int for c in classes for r in c.representatives for v in r)

@@ -288,6 +288,15 @@ def test_verify_command_exit_codes(capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_large_d_before_the_closed_form(monkeypatch, capsys):
+    def closed_form(*args):
+        raise AssertionError("closed form evaluated")
+
+    monkeypatch.setattr(oscnet.analytic, "analytic_entropy", closed_form)
+    assert main(["verify", "--scheme", "parity", "--d", "1000"]) == 2
+    assert "hypercube dimension" in capsys.readouterr().err
+
+
 def test_spectrum_command(capsys):
     rc = main(["spectrum", "--d", "3"])
     out = capsys.readouterr().out
@@ -344,3 +353,23 @@ def test_module_entry_point_exit_code():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("VERIFY OK\n")
+
+
+def test_sampled_census_never_imports_numpy_random():
+    src = os.path.dirname(os.path.dirname(oscnet.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    script = (
+        "import io, sys, contextlib\n"
+        "from oscnet.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = main(['census', '--graph', 'hypercube:4', '--sample', '50',"
+        " '--threads', '2'])\n"
+        "print(rc, 'numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 False\n"

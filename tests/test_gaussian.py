@@ -359,6 +359,32 @@ def test_symplectic_nus_take_any_root():
     assert np.array_equal(block, want)
 
 
+def _nus_by_mode_r(root, p_cov):
+    """The kernel's eigenvalues with R from np.linalg.qr(mode="r")."""
+    r = np.linalg.qr(root, mode="r")
+    nus_sq = np.linalg.eigvalsh(r @ (4.0 * p_cov) @ r.T)
+    return np.maximum(np.sqrt(np.maximum(nus_sq, 0.0)), 1.0)
+
+
+def test_masked_raw_qr_matches_mode_r_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        v, side_a = _random_instance(rng)
+        rows = np.asarray(side_a)
+        # Any orthogonal Q keeps (Q F)^T (Q F) = X, so Q F is a valid root.
+        q, _ = np.linalg.qr(rng.standard_normal((v.n, v.n)))
+        root = q @ _position_covariance(v, rows, table=False)
+        p_aa = v.matrix[np.ix_(rows, rows)] / 2.0
+        want = _nus_by_mode_r(root, p_aa)
+        assert _symplectic_nus(root, p_aa, None).tobytes() == want.tobytes()
+    v = potential_matrix(hypercube_graph(10), 0.5)
+    rows = np.asarray(named_bipartition(10, "parity").side_a)
+    root = _position_covariance(v, rows)
+    p_aa = v.matrix[np.ix_(rows, rows)] / 2.0
+    want = _nus_by_mode_r(root, p_aa)
+    assert _symplectic_nus(root, p_aa, None).tobytes() == want.tobytes()
+
+
 def test_symplectic_nus_consistency_guard():
     # covariances that don't belong to one pure state violate nu >= 1;
     # the kernel takes a root of X = I/4
