@@ -15,7 +15,9 @@ Three equal bipartitions of H(d,2) admit exact mode spectra:
   three-term recursion Q_k(x) = x Q_{k-1}(x) - omega_{k-1} Q_{k-2}(x) with
   omega_i = i (d_J - i + 1) inside each ladder block of dimension d_J + 1,
   evaluated at x = d + 1/(2g); the block's single surviving ratio is
-  gamma = ((d_J + 1)/2) Q_{n-1}(x) / Q_n(x) with n = (d_J + 1)/2.
+  gamma = ((d_J + 1)/2) Q_{n-1}(x) / Q_n(x) with n = (d_J + 1)/2, taken
+  from a recursion for the ratio itself, which stays finite where Q_n
+  overflows.
 
 All three agree with the numerical engines to near machine precision; the
 tests enforce 1e-9.
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SchemeError, SingularityError
+from .errors import DomainError, SchemeError
 from .gaussian import ModeSpectrum, _mode, _norm_log_base
 from .graph import cut_name
 from .stratify import block_table, spin_x_block
@@ -47,6 +49,22 @@ def q_polynomial(n: int, x: float, d_block: int) -> float:
         omega = (j - 1) * (d_block - (j - 1) + 1)
         prev, cur = cur, x * cur - omega * prev
     return cur
+
+
+def _q_ratio(n: int, x: float, d_block: int) -> float:
+    """Q_{n-1}(x) / Q_n(x), n >= 1, without forming either polynomial.
+
+    The ratios r_j = Q_{j-1}/Q_j obey 1/r_j = x - omega_{j-1} r_{j-1} from
+    r_1 = 1/x, and stay of order 1/x where Q_n itself overflows a float.
+    At the half-strata point x = d + 1/(2g) > d_block every Q_j(x) is
+    positive (its zeros are eigenvalues of a leading block of the ladder's
+    tridiagonal, within [-d_block, d_block] by interlacing), so no
+    denominator vanishes.
+    """
+    r = 1.0 / x
+    for j in range(2, n + 1):
+        r = 1.0 / (x - (j - 1) * (d_block - j + 2) * r)
+    return r
 
 
 # Largest dimension whose mode degeneracies fit a float.  Every closed form's
@@ -144,20 +162,7 @@ def gamma_half_strata(d: int, g: float, log_base=2) -> ModeSpectrum:
         if g == 0.0:
             modes.append(_mode(0.0, deg))
             continue
-        d_j = dim - 1
-        n_j = dim // 2
-        x = d + 1.0 / (2.0 * g)
-        q_n = q_polynomial(n_j, x, d_j)
-        if not math.isfinite(q_n):
-            raise DomainError(
-                "elimination denominator Q_%d overflows a float at x=%.17g; "
-                "d = %d is too large for this coupling" % (n_j, x, d)
-            )
-        if abs(q_n) <= 1e-300:
-            raise SingularityError(
-                "elimination denominator Q_%d vanished at x=%.17g" % (n_j, x)
-            )
-        gamma = (dim / 2.0) * q_polynomial(n_j - 1, x, d_j) / q_n
+        gamma = (dim / 2.0) * _q_ratio(dim // 2, d + 1.0 / (2.0 * g), dim - 1)
         modes.append(_mode(gamma, deg))
     return _finish(modes, log_base)
 

@@ -10,6 +10,10 @@ reports class values, multiplicities, and representative partitions.
 The partitions are one (k, n/2) int16 array of side-A rows, enumerated in
 lexicographic order or sampled: uniform draws seeded by random.Random,
 deduplicated and sorted.  Graph caps n at 4096, so int16 holds every label.
+The kernel takes consecutive rows in chunks: one array gather of their
+factor columns and 4P blocks, at most STACK_BYTES together, feeds one
+stacked QR and congruence (gaussian._stacked_forms); eigvalsh and the
+entropy sum then run once per partition.
 Grouping is array work too: one lexsort on (-entropy, side A) orders the
 rows, a class breaks where consecutive values differ by more than the
 tolerance, and a second lexsort on (class, side A) picks representatives.
@@ -30,7 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _entropy_from_cov, _norm_log_base, _position_covariance
+from .gaussian import (
+    _entropy_from_cov,
+    _norm_log_base,
+    _position_covariance,
+    _stacked_forms,
+)
 from .graph import Graph, potential_matrix
 
 REPRESENTATIVE_CAP = 16
@@ -39,6 +48,9 @@ REPRESENTATIVE_CAP = 16
 MAX_CENSUS_PARTITIONS = 10**7
 # Most random keys the sampler holds at once.
 SAMPLE_CHUNK_KEYS = 1 << 16
+# Most bytes of factor columns and 4P blocks one stacked kernel step
+# gathers; a row larger than this goes alone.
+STACK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -136,9 +148,29 @@ def _sampled(n: int, sample: int, seed: int) -> np.ndarray:
     return side_a[fresh]
 
 
-def _entropies(kernel, side_a: np.ndarray) -> np.ndarray:
-    """kernel of every row of side_a, in order."""
-    return np.array([kernel(row) for row in side_a])
+def _entropies(
+    root_t: np.ndarray, p4: np.ndarray, base: str, side_a: np.ndarray
+) -> np.ndarray:
+    """Entropy of the cut of every row of side_a, in order.
+
+    root_t is the transpose of the position-covariance factor F, C-ordered
+    so that its rows are F's columns, and p4 is 4P.  Consecutive rows go to
+    _stacked_forms in chunks whose gathered columns and blocks take at most
+    STACK_BYTES together (one row if a single row is larger); each form is
+    then summed on its own.
+    """
+    k, m = side_a.shape
+    row_bytes = root_t.itemsize * m * (root_t.shape[1] + m)
+    step = max(1, STACK_BYTES // row_bytes)
+    out = np.empty(k)
+    for lo in range(0, k, step):
+        a = side_a[lo : lo + step]
+        forms = _stacked_forms(
+            root_t[a].swapaxes(1, 2), p4[a[:, :, None], a[:, None, :]]
+        )
+        for i, form in enumerate(forms, lo):
+            out[i] = _entropy_from_cov(form, base)
+    return out
 
 
 def _classes(entropies: np.ndarray, side_a: np.ndarray, tolerance: float):
@@ -246,12 +278,12 @@ def entropy_census(
     side_a = _enumerated(n) if sample is None else _sampled(n, sample, seed)
 
     v = potential_matrix(graph, g)
-    root = _position_covariance(v)
-    p_cov = v.matrix / 2.0
+    root_t = np.ascontiguousarray(_position_covariance(v).T)
+    p4 = 4.0 * (v.matrix / 2.0)
 
-    kernel = functools.partial(_entropy_from_cov, root, p_cov, base=base)
+    kernel = functools.partial(_entropies, root_t, p4, base)
     if threads == 1 or len(side_a) < 2 * threads:
-        entropies = _entropies(kernel, side_a)
+        entropies = kernel(side_a)
     else:
         # Imported here so that serial runs never pay for multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -260,7 +292,7 @@ def entropy_census(
         chunksize = math.ceil(len(side_a) / threads)
         blocks = [side_a[i : i + chunksize] for i in range(0, len(side_a), chunksize)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(functools.partial(_entropies, kernel), blocks)
+            parts = pool.map(kernel, blocks)
             entropies = np.concatenate(list(parts))
 
     classes, warnings = _classes(entropies, side_a, tolerance)

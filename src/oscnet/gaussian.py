@@ -14,7 +14,12 @@ two independent ways:
   (positions V^{-1}/2, momenta V/2) to one side and read off the symplectic
   eigenvalues of the reduced state.  The position covariance enters through
   a factor: gathered from an exact table on H(d,2), or solved from the
-  Cholesky factor of all of V, never from the cut's blocks.
+  Cholesky factor of all of V, never from the cut's blocks.  The oracle's
+  kernel is stacked: _stacked_forms takes k cuts' factor columns and 4P
+  blocks and returns their forms R 4P_A R^T from one stacked QR and one
+  stacked matmul; the census feeds it chunks of partitions, the single cut
+  k = 1.  Each form's eigvalsh and entropy sum (_entropy_from_cov) still
+  run one cut at a time.
 
 Both must agree to near machine precision on any positive definite V; the
 oracle is the assumption-free reference path.  The engine and the oracle's
@@ -24,7 +29,6 @@ nothing else.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -294,37 +298,27 @@ def _position_covariance(
     return _solve_lower(np.linalg.cholesky(v.matrix), unit) / math.sqrt(2.0)
 
 
-# Every census and single cut uses one block order, so one mask is enough.
-@functools.lru_cache(maxsize=1)
-def _upper_mask(m: int) -> np.ndarray:
-    """Read-only m x m array of ones on and above the diagonal, zeros below."""
-    mask = np.triu(np.ones((m, m)))
-    mask.setflags(write=False)
-    return mask
+def _stacked_forms(cols: np.ndarray, p4: np.ndarray) -> np.ndarray:
+    """The symmetric forms R 4P_A R^T of k cuts at once, shape (k, m, m).
 
-
-def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
-    """Symplectic eigenvalues of the state restricted to subset.
-
-    root is a factor of the position covariance, root^T root = X.  Any
-    square R with R^T R = X_A gives nu^2 = eig(R 4 P_A R^T), which is
-    similar to 4 X_A P_A but manifestly symmetric.  One QR reduces the tall
-    block of root's subset columns to such a triangle.  With subset None,
-    root's columns and p_cov already belong to the subset.  Values below 1
-    by more than NU_SLACK raise; smaller dips clamp to 1.
+    cols is a (k, n, m) stack of tall blocks F[:, A] of a factor of the
+    position covariance, F^T F = X, and p4 the (k, m, m) stack of the
+    blocks 4 P_A.  Any square R with R^T R = X_A gives
+    nu^2 = eig(R 4P_A R^T), which is similar to 4 X_A P_A but manifestly
+    symmetric.  One stacked QR reduces every tall block to such a triangle
+    and one stacked matmul forms every congruence; LAPACK and BLAS still
+    see each cut on its own, so a form has the same bits whatever else
+    shares its stack.
     """
-    if subset is not None:
-        root = root.take(subset, axis=1)
-        p_cov = p_cov.take(subset, axis=0).take(subset, axis=1)
-    # The raw factorization is the one geqrf that mode="r" runs; R is the
-    # upper triangle of the transpose's leading square, which the cached
-    # mask keeps without np.triu's per-call mask.  The product can leave
-    # -0.0 below the diagonal where triu leaves 0.0; the nu stay the same
-    # bits.
-    m = root.shape[1]
-    r = np.linalg.qr(root, mode="raw")[0].T[:m] * _upper_mask(m)
-    nus_sq = np.linalg.eigvalsh(r @ (4.0 * p_cov) @ r.T)
-    nus = np.sqrt(np.maximum(nus_sq, 0.0))
+    r = np.linalg.qr(cols, mode="r")
+    return r @ p4 @ r.swapaxes(-1, -2)
+
+
+def _symplectic_nus(form: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues nu = sqrt(eig(form)) of one cut's form
+    R 4P_A R^T.  Values below 1 by more than NU_SLACK raise; smaller dips
+    clamp to 1."""
+    nus = np.sqrt(np.maximum(np.linalg.eigvalsh(form), 0.0))
     if nus.min() < 1.0 - NU_SLACK:
         raise ConsistencyError(
             "symplectic eigenvalue %.17g fell below 1 by more than %g"
@@ -333,10 +327,9 @@ def _symplectic_nus(root: np.ndarray, p_cov: np.ndarray, subset) -> np.ndarray:
     return np.maximum(nus, 1.0)
 
 
-def _entropy_from_cov(
-    root: np.ndarray, p_cov: np.ndarray, subset, base: str
-) -> float:
-    nus = _symplectic_nus(root, p_cov, subset)
+def _entropy_from_cov(form: np.ndarray, base: str) -> float:
+    """Entropy of one cut from its form R 4P_A R^T (see _stacked_forms)."""
+    nus = _symplectic_nus(form)
     return float(sum(entropy_from_nu(nu, base) for nu in nus.tolist()))
 
 
@@ -359,5 +352,5 @@ def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> f
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
     root = _position_covariance(v, rows, table=table)
-    p_aa = v.matrix[rows[:, None], rows] / 2.0
-    return _entropy_from_cov(root, p_aa, None, base)
+    p4 = 4.0 * (v.matrix[rows[:, None], rows] / 2.0)
+    return _entropy_from_cov(_stacked_forms(root[None], p4[None])[0], base)

@@ -24,6 +24,7 @@ from oscnet import (
     spin_x_block,
 )
 from oscnet.analytic import CLOSED_FORMS, MAX_DIMENSION
+from oscnet.stratify import block_table
 
 
 def _poly_mul_x(coeffs):
@@ -300,15 +301,34 @@ def test_dimension_cap_keeps_degeneracies_in_float_range():
             closed_form(MAX_DIMENSION + 2, 0.5)
 
 
-def test_half_strata_refuses_an_overflowing_denominator():
-    # Q_n overflows to inf: at d = 267 the top block's Q_133 stays finite, so
-    # the ratio would read 0; at d = 269 both are inf and the ratio NaN
-    for d, g in ((267, 0.5), (269, 0.5), (81, 1e-8)):
-        with pytest.raises(DomainError, match="overflows"):
-            gamma_half_strata(d, g)
-    spectrum = gamma_half_strata(265, 0.5)
-    assert math.isfinite(spectrum.total_entropy())
-    assert all(0.0 < m.gamma < 1.0 for m in spectrum.modes)
+# Worst measured relative errors of the half-strata gammas against 50-digit
+# mpmath where Q_n overflows a float: 2.2e-16 at (267, 0.5), 2.4e-16 at
+# (269, 0.5), 1.5e-16 at (81, 1e-8), 2.4e-15 at (1029, 1e8).
+HALF_STRATA_BOUND = {(267, 0.5): 5e-16, (269, 0.5): 5e-16, (81, 1e-8): 4e-16,
+                     (1029, 1e8): 5e-15}
+
+
+def test_half_strata_past_the_overflow_of_q_n_matches_mpmath():
+    # The forward recursion for Q_n overflows a float at these points, but
+    # the ratio recursion never forms Q_n.
+    mpmath = pytest.importorskip("mpmath")
+    for (d, g), bound in HALF_STRATA_BOUND.items():
+        top = q_polynomial((d + 1) // 2, d + 1.0 / (2.0 * g), d)
+        assert not math.isfinite(top)
+        spectrum = gamma_half_strata(d, g)
+        assert math.isfinite(spectrum.total_entropy())
+        want = []
+        with mpmath.workdps(50):
+            x = d + 1 / (2 * mpmath.mpf(g))
+            for dim, deg in block_table(d):
+                prev, cur = mpmath.mpf(1), x
+                for j in range(2, dim // 2 + 1):
+                    prev, cur = cur, x * cur - (j - 1) * (dim - j + 1) * prev
+                want.append((dim * prev / (2 * cur), deg))
+        want.sort(reverse=True)
+        assert [m.degeneracy for m in spectrum.modes] == [deg for _, deg in want]
+        for m, (gamma, _) in zip(spectrum.modes, want):
+            assert abs(m.gamma - gamma) <= bound * gamma
 
 
 def test_gammas_stay_in_unit_interval():

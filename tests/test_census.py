@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscnet import (
+    ConsistencyError,
     analytic_entropy,
     entropy_census,
     entropy_oracle_symplectic,
@@ -26,6 +27,7 @@ from oscnet.census import (
     _sampled,
     _side_a_subsets,
 )
+from oscnet.gaussian import NU_SLACK, _position_covariance, entropy_from_nu
 
 # The six known entropy classes of the cube at g = 0.5, written as side-A
 # vertex sets with 0-based coordinate labels (vertex b2 b1 b0 has index
@@ -279,6 +281,106 @@ def test_sampler_rows_do_not_depend_on_the_chunk_size(monkeypatch):
     want = _sampled(64, 1000, 5)
     monkeypatch.setattr(census, "SAMPLE_CHUNK_KEYS", 63 * 7)
     assert np.array_equal(_sampled(64, 1000, 5), want)
+
+
+# The 6-cycle with chord 0-3: off the hypercube table, so the census
+# factor comes from the Cholesky route.
+CHORDED_CYCLE = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n"
+
+
+def _census_entropies(monkeypatch, graph, g, **kwargs):
+    """(side-A rows, entropies) as entropy_census hands them to grouping."""
+    seen = {}
+    grouping = census._classes
+
+    def record(entropies, side_a, tolerance):
+        seen["rows"], seen["entropies"] = side_a, entropies
+        return grouping(entropies, side_a, tolerance)
+
+    monkeypatch.setattr(census, "_classes", record)
+    entropy_census(graph, g, **kwargs)
+    return seen["rows"], seen["entropies"]
+
+
+def _per_partition_entropies(graph, g, rows):
+    """The census kernel one partition at a time: a 2-D qr(mode="r"), the
+    congruence R 4P_A R^T, eigvalsh, the clamp to 1 and the entropy sum."""
+    v = potential_matrix(graph, g)
+    root = _position_covariance(v)
+    p_cov = v.matrix / 2.0
+    out = []
+    for a in rows.tolist():
+        r = np.linalg.qr(root[:, a], mode="r")
+        nus_sq = np.linalg.eigvalsh(r @ (4.0 * p_cov[np.ix_(a, a)]) @ r.T)
+        nus = np.sqrt(np.maximum(nus_sq, 0.0))
+        assert nus.min() >= 1.0 - NU_SLACK
+        out.append(sum(entropy_from_nu(nu) for nu in np.maximum(nus, 1.0).tolist()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "uri, g, sample",
+    [("hypercube:3", g, None) for g in (0.5, 1e4, 1e11)]
+    + [("hypercube:4", g, None) for g in (0.5, 1e4, 1e11)]
+    + [("hypercube:6", g, 500) for g in (0.5, 1e4, 1e11)]
+    + [("chorded-cycle", g, None) for g in (0.5, 1e8)],
+)
+def test_stacked_census_matches_the_per_partition_kernel_bit_for_bit(
+    monkeypatch, uri, g, sample
+):
+    if uri == "chorded-cycle":
+        graph = graph_from_edge_list(CHORDED_CYCLE)
+    else:
+        graph = hypercube_graph(int(uri.split(":")[1]))
+    rows, entropies = _census_entropies(monkeypatch, graph, g, sample=sample, seed=3)
+    if sample is not None:
+        assert len(rows) == sample
+    want = _per_partition_entropies(graph, g, rows)
+    assert entropies.tobytes() == want.tobytes()
+
+
+def test_census_entropies_do_not_depend_on_the_stack_size(monkeypatch):
+    graph = hypercube_graph(4)
+    _, want = _census_entropies(monkeypatch, graph, 0.5)
+    # One row of H(4,2) gathers 8 x 16 factor entries and 8 x 8 of 4P.
+    row_bytes = 8 * 8 * (16 + 8)
+    for budget in (row_bytes, 7 * row_bytes + 5):
+        monkeypatch.setattr(census, "STACK_BYTES", budget)
+        _, entropies = _census_entropies(monkeypatch, graph, 0.5)
+        assert entropies.tobytes() == want.tobytes()
+
+
+def test_no_stack_gathers_more_than_the_budget(monkeypatch):
+    chunks = []
+    step = census._stacked_forms
+
+    def record(cols, p4):
+        chunks.append((cols.shape[0], cols.nbytes + p4.nbytes))
+        return step(cols, p4)
+
+    monkeypatch.setattr(census, "_stacked_forms", record)
+    for d in (3, 4):
+        chunks.clear()
+        entropy_census(hypercube_graph(d), 0.5)
+        assert sum(k for k, _ in chunks) == math.comb(2**d - 1, 2 ** (d - 1) - 1)
+        assert all(nbytes <= census.STACK_BYTES for _, nbytes in chunks)
+    assert max(k for k, _ in chunks) > 1
+    # A budget below one row's bytes takes one row at a time.
+    monkeypatch.setattr(census, "STACK_BYTES", 1000)
+    chunks.clear()
+    entropy_census(hypercube_graph(4), 0.5)
+    assert [k for k, _ in chunks] == [1] * 6435
+
+
+def test_a_consistency_error_inside_a_stack_propagates():
+    # X = diag(1/2, 1/2, 1/2, 1/8) against P = I/2: nu = 1 on vertices 0, 1
+    # and 2, but nu = 1/2 on vertex 3, which no pure state allows.
+    root_t = np.diag(np.sqrt([0.5, 0.5, 0.5, 0.125]))
+    p4 = 4.0 * (np.eye(4) / 2.0)
+    rows = np.array([[0, 1], [0, 2], [1, 2], [0, 3], [1, 2]], dtype=np.int16)
+    assert census._entropies(root_t, p4, "2", rows[:3]).tolist() == [0.0] * 3
+    with pytest.raises(ConsistencyError):
+        census._entropies(root_t, p4, "2", rows)
 
 
 def test_sampler_reaches_the_largest_hypercube():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -228,8 +229,9 @@ def test_analytic_command(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--scheme", "half-strata", "--d", "269", "--g", "0.5"], "Q_135 overflows"),
-        (["--scheme", "half-strata", "--d", "81", "--g", "1e-8"], "Q_41 overflows"),
+        # past the overflow of Q_n, half-strata is refused only by the cap
+        (["--scheme", "half-strata", "--d", "1031", "--g", "0.5"], "d <= 1029"),
+        (["--scheme", "half-strata", "--d", "1031", "--g", "1e-8"], "d <= 1029"),
         (["--scheme", "parity", "--d", "1100"], "d <= 1029"),
     ],
 )
@@ -239,6 +241,17 @@ def test_analytic_overflow_exits_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_analytic_half_strata_past_the_overflow_of_q_n(capsys):
+    # the closed form used to refuse these: Q_n overflows a float, their
+    # ratio does not
+    for d, g in (("269", "0.5"), ("81", "1e-8")):
+        argv = ["analytic", "--scheme", "half-strata", "--d", d, "--g", g]
+        assert main(argv) == 0
+        total = capsys.readouterr().out.splitlines()[-1]
+        assert total.startswith("total entropy = ")
+        assert math.isfinite(float(total.split(" = ")[1]))
 
 
 def test_analytic_just_below_overflow_keeps_its_output(capsys):

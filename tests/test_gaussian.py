@@ -30,6 +30,7 @@ from oscnet.gaussian import (
     _entropy_from_cov,
     _position_covariance,
     _solve_lower,
+    _stacked_forms,
     _symplectic_nus,
 )
 
@@ -327,6 +328,13 @@ def test_oracle_subset_validation():
     ) == entropy_oracle_symplectic(v, [0, 3])
 
 
+def _form(root, p_cov, subset):
+    """One cut's form R 4P_A R^T from the stacked step with k = 1."""
+    rows = np.asarray(subset)
+    p4 = 4.0 * p_cov[np.ix_(rows, rows)]
+    return _stacked_forms(root[:, rows][None], p4[None])[0]
+
+
 def test_oracle_column_solve_matches_full_inverse_route():
     # The oracle solves V for side A's unit columns; the census takes the
     # root of the full inverse.  The two covariance routes must give the
@@ -338,7 +346,7 @@ def test_oracle_column_solve_matches_full_inverse_route():
         root = _position_covariance(v)
         for k in range(1, v.n):
             side_a = sorted(int(i) for i in rng.choice(v.n, size=k, replace=False))
-            full = _entropy_from_cov(root, m / 2.0, side_a, "2")
+            full = _entropy_from_cov(_form(root, m / 2.0, side_a), "2")
             assert abs(entropy_oracle_symplectic(v, side_a) - full) < 1e-12
 
 
@@ -352,37 +360,49 @@ def test_symplectic_nus_take_any_root():
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     tall = np.vstack([q @ root, np.zeros((3, 8))])
     side_a = [0, 3, 5, 6]
-    want = _symplectic_nus(root, p, side_a)
-    assert np.abs(_symplectic_nus(tall, p, side_a) - want).max() < 1e-14
-    rows = np.asarray(side_a)
-    block = _symplectic_nus(root[:, rows], p[np.ix_(rows, rows)], None)
-    assert np.array_equal(block, want)
+    want = _symplectic_nus(_form(root, p, side_a))
+    assert np.abs(_symplectic_nus(_form(tall, p, side_a)) - want).max() < 1e-14
+    # The same cut stacked among others keeps its bits.
+    sides = np.array([[0, 1, 2, 3], side_a, [0, 1, 6, 7]])
+    forms = _stacked_forms(
+        root.T[sides].swapaxes(1, 2), 4.0 * p[sides[:, :, None], sides[:, None, :]]
+    )
+    assert np.array_equal(_symplectic_nus(forms[1]), want)
 
 
 def _nus_by_mode_r(root, p_cov):
-    """The kernel's eigenvalues with R from np.linalg.qr(mode="r")."""
+    """The kernel's eigenvalues from one 2-D np.linalg.qr(mode="r")."""
     r = np.linalg.qr(root, mode="r")
     nus_sq = np.linalg.eigvalsh(r @ (4.0 * p_cov) @ r.T)
     return np.maximum(np.sqrt(np.maximum(nus_sq, 0.0)), 1.0)
 
 
-def test_masked_raw_qr_matches_mode_r_bit_for_bit():
+def test_stacked_step_matches_2d_mode_r_bit_for_bit():
     rng = np.random.default_rng(23)
     for _ in range(20):
         v, side_a = _random_instance(rng)
         rows = np.asarray(side_a)
-        # Any orthogonal Q keeps (Q F)^T (Q F) = X, so Q F is a valid root.
-        q, _ = np.linalg.qr(rng.standard_normal((v.n, v.n)))
-        root = q @ _position_covariance(v, rows, table=False)
         p_aa = v.matrix[np.ix_(rows, rows)] / 2.0
-        want = _nus_by_mode_r(root, p_aa)
-        assert _symplectic_nus(root, p_aa, None).tobytes() == want.tobytes()
+        # Any orthogonal Q keeps (Q F)^T (Q F) = X, so each Q F is a valid
+        # root; three of them make a stack.
+        roots = []
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.standard_normal((v.n, v.n)))
+            roots.append(q @ _position_covariance(v, rows, table=False))
+        forms = _stacked_forms(np.stack(roots), np.stack([4.0 * p_aa] * 3))
+        for root, form in zip(roots, forms):
+            want = _nus_by_mode_r(root, p_aa)
+            assert _symplectic_nus(form).tobytes() == want.tobytes()
+    # Both sides of the d = 10 parity cut, stacked.
     v = potential_matrix(hypercube_graph(10), 0.5)
-    rows = np.asarray(named_bipartition(10, "parity").side_a)
-    root = _position_covariance(v, rows)
-    p_aa = v.matrix[np.ix_(rows, rows)] / 2.0
-    want = _nus_by_mode_r(root, p_aa)
-    assert _symplectic_nus(root, p_aa, None).tobytes() == want.tobytes()
+    cut = named_bipartition(10, "parity")
+    sides = np.array([cut.side_a, cut.side_b])
+    roots = [_position_covariance(v, rows) for rows in sides]
+    p_blocks = [v.matrix[np.ix_(rows, rows)] / 2.0 for rows in sides]
+    forms = _stacked_forms(np.stack(roots), 4.0 * np.stack(p_blocks))
+    for root, p_aa, form in zip(roots, p_blocks, forms):
+        want = _nus_by_mode_r(root, p_aa)
+        assert _symplectic_nus(form).tobytes() == want.tobytes()
 
 
 def test_symplectic_nus_consistency_guard():
@@ -391,7 +411,7 @@ def test_symplectic_nus_consistency_guard():
     root = np.eye(2) * 0.5
     p = np.eye(2) * 0.25
     with pytest.raises(ConsistencyError):
-        _symplectic_nus(root, p, [0, 1])
+        _symplectic_nus(_form(root, p, [0, 1]))
 
 
 def test_mode_and_spectrum_validation():
