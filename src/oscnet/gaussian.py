@@ -352,5 +352,6 @@ def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> f
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
     root = _position_covariance(v, rows, table=table)
-    p4 = 4.0 * (v.matrix[rows[:, None], rows] / 2.0)
-    return _entropy_from_cov(_stacked_forms(root[None], p4[None])[0], base)
+    p_aa = v.matrix[rows[:, None], rows] / 2.0
+    form = _stacked_forms(root[None], 4.0 * p_aa[None])[0]
+    return _entropy_from_cov(form, base)
