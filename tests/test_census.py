@@ -291,11 +291,10 @@ CHORDED_CYCLE = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n"
 def _census_entropies(monkeypatch, graph, g, **kwargs):
     """(side-A rows, entropies) as entropy_census hands them to grouping."""
     seen = {}
-    grouping = census._classes
 
     def record(entropies, side_a, tolerance):
         seen["rows"], seen["entropies"] = side_a, entropies
-        return grouping(entropies, side_a, tolerance)
+        return _classes(entropies, side_a, tolerance)
 
     monkeypatch.setattr(census, "_classes", record)
     entropy_census(graph, g, **kwargs)
