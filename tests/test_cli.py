@@ -230,8 +230,14 @@ def test_analytic_command(capsys):
     "argv, message",
     [
         # past the overflow of Q_n, half-strata is refused only by the cap
-        (["--scheme", "half-strata", "--d", "1031", "--g", "0.5"], "d <= 1029"),
-        (["--scheme", "half-strata", "--d", "1031", "--g", "1e-8"], "d <= 1029"),
+        pytest.param(
+            ["--scheme", "half-strata", "--d", "1031", "--g", "0.5"], "d <= 1029",
+            id="half-strata-1031-0.5",
+        ),
+        pytest.param(
+            ["--scheme", "half-strata", "--d", "1031", "--g", "1e-8"], "d <= 1029",
+            id="half-strata-1031-1e-8",
+        ),
         (["--scheme", "parity", "--d", "1100"], "d <= 1029"),
     ],
 )
@@ -243,15 +249,15 @@ def test_analytic_overflow_exits_2(capsys, argv, message):
     assert message in captured.err
 
 
-def test_analytic_half_strata_past_the_overflow_of_q_n(capsys):
+@pytest.mark.parametrize("d, g", [("269", "0.5"), ("81", "1e-8")])
+def test_analytic_half_strata_past_the_overflow_of_q_n(capsys, d, g):
     # the closed form used to refuse these: Q_n overflows a float, their
     # ratio does not
-    for d, g in (("269", "0.5"), ("81", "1e-8")):
-        argv = ["analytic", "--scheme", "half-strata", "--d", d, "--g", g]
-        assert main(argv) == 0
-        total = capsys.readouterr().out.splitlines()[-1]
-        assert total.startswith("total entropy = ")
-        assert math.isfinite(float(total.split(" = ")[1]))
+    argv = ["analytic", "--scheme", "half-strata", "--d", d, "--g", g]
+    assert main(argv) == 0
+    total = capsys.readouterr().out.splitlines()[-1]
+    assert total.startswith("total entropy = ")
+    assert math.isfinite(float(total.split(" = ")[1]))
 
 
 def test_analytic_just_below_overflow_keeps_its_output(capsys):
