@@ -14,7 +14,6 @@ from .analytic import (
     gamma_half_strata,
     gamma_identity_cut,
     gamma_parity_cut,
-    q_polynomial,
 )
 from .census import (
     CensusReport,
@@ -99,7 +98,6 @@ __all__ = [
     "named_bipartition",
     "nu_from_gamma",
     "potential_matrix",
-    "q_polynomial",
     "schmidt_spectrum",
     "spin_x_block",
     "stratified_adjacency",

@@ -35,22 +35,6 @@ from .graph import cut_name
 from .stratify import block_table, spin_x_block
 
 
-def q_polynomial(n: int, x: float, d_block: int) -> float:
-    """Evaluate Q_n(x) for the block of dimension d_block + 1 by recursion."""
-    if not isinstance(d_block, int) or d_block < 1:
-        raise ValueError("d_block must be a positive integer")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("polynomial index must be a non-negative integer")
-    x = float(x)
-    prev, cur = 1.0, x
-    if n == 0:
-        return prev
-    for j in range(2, n + 1):
-        omega = (j - 1) * (d_block - (j - 1) + 1)
-        prev, cur = cur, x * cur - omega * prev
-    return cur
-
-
 def _q_ratio(n: int, x: float, d_block: int) -> float:
     """Q_{n-1}(x) / Q_n(x), n >= 1, without forming either polynomial.
 

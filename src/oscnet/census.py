@@ -9,14 +9,17 @@ reports class values, multiplicities, and representative partitions.
 
 The partitions are one (k, n/2) int16 array of side-A rows, enumerated in
 lexicographic order or sampled: uniform draws seeded by random.Random,
-deduplicated and sorted.  Graph caps n at 4096, so int16 holds every label.
-The kernel takes consecutive rows in chunks: one array gather of their
-factor columns and 4P blocks, at most STACK_BYTES together, feeds one
-stacked QR and congruence (gaussian._stacked_forms); eigvalsh and the
-entropy sum then run once per partition.
-Grouping is array work too: one lexsort on (-entropy, side A) orders the
-rows, a class breaks where consecutive values differ by more than the
-tolerance, and a second lexsort on (class, side A) picks representatives.
+deduplicated and sorted, so the rows strictly increase either way.  Graph
+caps n at 4096, so int16 holds every label.  The kernel takes consecutive
+rows in chunks: one array gather of their factor columns and 4P blocks, at
+most STACK_BYTES together, feeds one stacked QR and congruence
+(gaussian._stacked_forms); then each partition makes one
+gaussian._entropy_from_cov call, which is one eigvalsh and one
+entropy_from_nu per nu.
+Grouping is array work too: since a row's index orders it like the row,
+a stable argsort of -entropy orders the rows, a class breaks where
+consecutive values differ by more than the tolerance, and a 2-key lexsort
+on (class, row index) picks representatives.
 
 Results are deterministic: the same seed draws the same rows, the
 grouping equals a single descending sweep, and worker parallelism only
@@ -100,8 +103,9 @@ class CensusReport:
 
     def to_csv(self) -> str:
         lines = ["class,entropy,multiplicity,capped,representatives"]
+        row = " ".join(["%d"] * (self.n // 2))
         for i, c in enumerate(self.classes):
-            reps = "|".join(" ".join(str(v) for v in r) for r in c.representatives)
+            reps = "|".join([row % r for r in c.representatives])
             lines.append(
                 "%d,%.12g,%d,%s,%s"
                 % (i, c.entropy, c.multiplicity, str(c.capped).lower(), reps)
@@ -117,7 +121,8 @@ def _side_a_subsets(n: int):
 
 
 def _enumerated(n: int) -> np.ndarray:
-    """Every side A, one row each, in lexicographic order."""
+    """Every side A, one row each, in strictly increasing lexicographic
+    order, which _classes relies on."""
     half = n // 2
     count = math.comb(n - 1, half - 1)
     flat = itertools.chain.from_iterable(_side_a_subsets(n))
@@ -125,7 +130,8 @@ def _enumerated(n: int) -> np.ndarray:
 
 
 def _sampled(n: int, sample: int, seed: int) -> np.ndarray:
-    """The distinct side-A rows among sample uniform draws, sorted.
+    """The distinct side-A rows among sample uniform draws, in strictly
+    increasing lexicographic order, which _classes relies on.
 
     Each draw ranks n - 1 uniform 64-bit keys from random.Random(seed) and
     takes the vertices of the n/2 - 1 smallest, so it is a uniform subset of
@@ -168,27 +174,28 @@ def _entropies(
         forms = _stacked_forms(
             root_t[a].swapaxes(1, 2), p4[a[:, :, None], a[:, None, :]]
         )
-        for i, form in enumerate(forms, lo):
-            out[i] = _entropy_from_cov(form, base)
+        out[lo : lo + len(a)] = [_entropy_from_cov(form, base) for form in forms]
     return out
 
 
 def _classes(entropies: np.ndarray, side_a: np.ndarray, tolerance: float):
     """(classes, warnings) of the descending sweep over (-entropy, side A).
 
-    A class breaks where consecutive sorted values differ by more than the
-    tolerance.  Its entropy is the mean over its members, the same pairwise
-    sum as np.mean of the list of them.
+    side_a's rows strictly increase in lexicographic order, so a stable
+    sort of -entropy breaks ties on side A, and a row's index stands for
+    the row itself.  A class breaks where consecutive sorted values differ
+    by more than the tolerance.  Its entropy is the mean over its members,
+    the same pairwise sum as np.mean of the list of them.
     """
-    order = np.lexsort((*side_a.T[::-1], -entropies))
+    order = np.argsort(-entropies, kind="stable")
     e = entropies[order]
-    rows = side_a[order]
     breaks = np.flatnonzero(e[:-1] - e[1:] > tolerance) + 1
     starts = np.concatenate(([0], breaks))
     ends = np.concatenate((breaks, [e.size]))
     sizes = ends - starts
     class_id = np.repeat(np.arange(starts.size), sizes)
-    rows = rows[np.lexsort((*rows.T[::-1], class_id))]
+    # Each class's members in side_a's order, class after class.
+    members = order[np.lexsort((order, class_id))]
 
     means = e[starts]
     for ci in np.flatnonzero(sizes > 1).tolist():
@@ -197,7 +204,7 @@ def _classes(entropies: np.ndarray, side_a: np.ndarray, tolerance: float):
     kept = np.minimum(sizes, REPRESENTATIVE_CAP)
     offsets = np.cumsum(kept) - kept
     picked = np.repeat(starts - offsets, kept) + np.arange(kept.sum())
-    reps = list(map(tuple, rows[picked].tolist()))
+    reps = list(map(tuple, side_a[members[picked]].tolist()))
 
     classes = []
     taken = 0

@@ -199,8 +199,9 @@ def _census_lines(report) -> list:
         "%d classes / %d partitions" % (len(report.classes), report.total_partitions),
         "class entropy multiplicity representatives",
     ]
+    row = ",".join(["%d"] * (report.n // 2))
     for i, c in enumerate(report.classes):
-        reps = "|".join(",".join(str(v) for v in r) for r in c.representatives)
+        reps = "|".join([row % r for r in c.representatives])
         if c.capped:
             reps += "|..."
         lines.append("%d %s %d %s" % (i, _fmt(c.entropy), c.multiplicity, reps))

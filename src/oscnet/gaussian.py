@@ -18,8 +18,9 @@ two independent ways:
   kernel is stacked: _stacked_forms takes k cuts' factor columns and 4P
   blocks and returns their forms R 4P_A R^T from one stacked QR and one
   stacked matmul; the census feeds it chunks of partitions, the single cut
-  k = 1.  Each form's eigvalsh and entropy sum (_entropy_from_cov) still
-  run one cut at a time.
+  k = 1.  Each form then takes exactly one eigvalsh (_symplectic_nus) and
+  one entropy_from_nu per nu, summed as a list (_entropy_from_cov): the
+  per-cut path holds those calls and nothing more.
 
 Both must agree to near machine precision on any positive definite V; the
 oracle is the assumption-free reference path.  The engine and the oracle's
@@ -52,6 +53,11 @@ NU_SLACK = 1e-10
 # Triangles of at most this order are solved by one LAPACK call; larger ones
 # are halved, so nearly all the flops of a triangular solve go to matmul.
 SOLVE_LEAF = 64
+
+
+# The log of every log-base spelling one dict lookup resolves; the others
+# (a float equal to math.e, or a refusal) go through _norm_log_base.
+_LOGS = {2: math.log2, "2": math.log2, "e": math.log}
 
 
 def _norm_log_base(log_base) -> str:
@@ -96,7 +102,10 @@ def entropy_from_nu(nu: float, log_base=2) -> float:
     at nu = 1.  Values of nu below 1 by more than 1e-10 are rejected;
     smaller dips are treated as exactly 1.
     """
-    log = math.log2 if _norm_log_base(log_base) == "2" else math.log
+    try:
+        log = _LOGS[log_base]
+    except (KeyError, TypeError):
+        log = _LOGS[_norm_log_base(log_base)]
     nu = float(nu)
     if nu < 1.0 - NU_SLACK:
         raise DomainError("symplectic eigenvalue %.17g is below 1" % nu)
@@ -317,20 +326,25 @@ def _stacked_forms(cols: np.ndarray, p4: np.ndarray) -> np.ndarray:
 def _symplectic_nus(form: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues nu = sqrt(eig(form)) of one cut's form
     R 4P_A R^T.  Values below 1 by more than NU_SLACK raise; smaller dips
-    clamp to 1."""
-    nus = np.sqrt(np.maximum(np.linalg.eigvalsh(form), 0.0))
-    if nus.min() < 1.0 - NU_SLACK:
+    clamp to 1.
+
+    eigvalsh returns ascending eigenvalues w, so only w[0] is checked.  The
+    clamp goes before the root: a correctly rounded sqrt is monotone and
+    fixes 1, so sqrt(max(w, 1)) has the bits of clamping after it.
+    """
+    w = np.linalg.eigvalsh(form)
+    low = math.sqrt(max(w[0], 0.0))
+    if low < 1.0 - NU_SLACK:
         raise ConsistencyError(
             "symplectic eigenvalue %.17g fell below 1 by more than %g"
-            % (nus.min(), NU_SLACK)
+            % (low, NU_SLACK)
         )
-    return np.maximum(nus, 1.0)
+    return np.sqrt(np.maximum(w, 1.0))
 
 
 def _entropy_from_cov(form: np.ndarray, base: str) -> float:
     """Entropy of one cut from its form R 4P_A R^T (see _stacked_forms)."""
-    nus = _symplectic_nus(form)
-    return float(sum(entropy_from_nu(nu, base) for nu in nus.tolist()))
+    return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(form).tolist()])
 
 
 def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> float:

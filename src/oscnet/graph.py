@@ -187,6 +187,9 @@ class PotentialMatrix:
         the transpose of its mirror; NaN and inf never pass.  Definiteness
         is one Cholesky factorization of v - EIG_FLOOR I; by Cauchy
         interlacing every principal block of v then clears the floor too.
+        The shift is made on v's own diagonal, which is restored from a
+        saved copy whether or not the factorization succeeds, so v ends
+        bit-identical; only a read-only v is copied first.
         """
         m = np.asarray(v, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -203,14 +206,18 @@ class PotentialMatrix:
                             "matrix must be finite and symmetric within %g"
                             % SYMMETRY_TOL
                         )
-        shifted = m.copy()
-        shifted[np.diag_indices_from(shifted)] -= EIG_FLOOR
+        work = m if m.flags.writeable else m.copy()
+        diagonal = np.diag_indices_from(work)
+        saved = work[diagonal]
+        work[diagonal] = saved - EIG_FLOOR
         try:
-            np.linalg.cholesky(shifted)
+            np.linalg.cholesky(work)
         except np.linalg.LinAlgError:
             raise DefinitenessError(
                 "potential matrix is not positive definite"
             ) from None
+        finally:
+            work[diagonal] = saved
         return m
 
     @property

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,10 +21,9 @@ from oscnet import (
     named_bipartition,
     nu_from_gamma,
     potential_matrix,
-    q_polynomial,
     spin_x_block,
 )
-from oscnet.analytic import CLOSED_FORMS, MAX_DIMENSION
+from oscnet.analytic import CLOSED_FORMS, MAX_DIMENSION, _q_ratio
 from oscnet.stratify import block_table
 
 
@@ -38,19 +38,34 @@ def _poly_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+# Q_n enters the library only through _q_ratio = Q_{n-1}/Q_n; these tests
+# check that ratio against Q_n built independently, at the same orders.
+
+
+def _q_values(n, x, d_block):
+    """Q_0(x)..Q_n(x) by the forward three-term recursion, exact when x is a
+    Fraction."""
+    q = [1, x]
+    for j in range(2, n + 1):
+        omega = (j - 1) * (d_block - (j - 1) + 1)
+        q.append(x * q[-1] - omega * q[-2])
+    return q[: n + 1]
+
+
 def test_q_polynomial_base_cases():
-    for x in (0.0, 1.0, 4.0, -2.5):
-        assert q_polynomial(0, x, 3) == 1.0
-        assert q_polynomial(1, x, 3) == x
+    # Q_0 = 1 and Q_1 = x, whatever the block
+    for x in (1.0, 4.0, -2.5, 1e300):
+        for d_block in (1, 3, 9):
+            assert _q_ratio(1, x, d_block) == 1.0 / x
 
 
 def test_q_polynomial_low_orders():
     # Q_2 = x^2 - omega_1 with omega_1 = d_block
-    assert q_polynomial(2, 4.0, 3) == 13.0
-    assert q_polynomial(2, 4.0, 5) == 11.0
+    assert _q_ratio(2, 4.0, 3) == 4.0 / 13.0
+    assert _q_ratio(2, 4.0, 5) == 4.0 / 11.0
     # Q_3 = x^3 - (omega_1 + omega_2) x for d_block = 5: omega = 5, 8
-    assert q_polynomial(3, 2.0, 5) == 2.0 ** 3 - 13.0 * 2.0
-    assert q_polynomial(3, 4.0, 5) == 4.0 ** 3 - 13.0 * 4.0
+    assert _q_ratio(3, 2.0, 5) == 1.0 / 18.0
+    assert abs(_q_ratio(3, 4.0, 5) - 11.0 / 12.0) <= math.ulp(11.0 / 12.0)
 
 
 def _q_coefficients(n, d_block):
@@ -68,43 +83,41 @@ def test_q_polynomial_sequence_coefficients():
     # Q_0..Q_3 for d_block = 5, where omega_1, omega_2 = 5, 8
     coefficients = ((1,), (0, 1), (-5, 0, 1), (0, -13, 0, 1))
     assert tuple(_q_coefficients(3, 5)) == coefficients
-    for k, coeffs in enumerate(coefficients):
+    for k in range(1, len(coefficients)):
         for x in (0.5, 1.0, 3.0, 7.0):
-            want = sum(c * x ** p for p, c in enumerate(coeffs))
-            assert abs(q_polynomial(k, x, 5) - want) < 1e-9
+            below, top = (
+                sum(c * x**p for p, c in enumerate(coefficients[i]))
+                for i in (k - 1, k)
+            )
+            assert abs(_q_ratio(k, x, 5) - below / top) < 1e-15 * abs(below / top)
 
 
 def test_q_polynomial_sequence_against_symbolic_recursion():
-    # independent integer polynomial arithmetic, same recursion; at small
-    # integer x every value is an exactly representable integer
+    # independent integer polynomial arithmetic; above the block's spectral
+    # radius every Q_j is positive and the float ratio is within 2k eps/2
     for d_block in range(1, 10):
-        for k, coeffs in enumerate(_q_coefficients(6, d_block)):
-            for x in range(-3, 8):
-                exact = sum(c * x ** p for p, c in enumerate(coeffs))
-                assert q_polynomial(k, float(x), d_block) == exact
+        rows = _q_coefficients(6, d_block)
+        for x in range(d_block + 1, d_block + 8):
+            q = [sum(c * x**p for p, c in enumerate(coeffs)) for coeffs in rows]
+            assert q == _q_values(6, x, d_block)
+            for k in range(1, 7):
+                exact = Fraction(q[k - 1], q[k])
+                got = Fraction(_q_ratio(k, float(x), d_block))
+                assert abs(got - exact) <= k * Fraction(2, 2**53) * exact
 
 
 def test_q_polynomial_matches_continued_fraction():
-    # Q_n = prod D_j with D_1 = x, D_j = x - omega_{j-1}/D_{j-1}
+    # Q_n / Q_{n-1} = D_n with D_1 = x, D_j = x - omega_{j-1}/D_{j-1}
     rng = np.random.default_rng(2)
     for d_block in (1, 3, 5, 7, 9):
         for _ in range(5):
             x = float(rng.uniform(d_block + 0.5, d_block + 12.0))
             n_max = (d_block + 1) // 2
             d_val = x
-            product = x
             for n in range(2, n_max + 1):
                 omega = (n - 1) * (d_block - (n - 1) + 1)
                 d_val = x - omega / d_val
-                product *= d_val
-            assert abs(q_polynomial(n_max, x, d_block) - product) < 1e-9 * abs(product)
-
-
-def test_q_polynomial_validation():
-    with pytest.raises(ValueError):
-        q_polynomial(-1, 1.0, 3)
-    with pytest.raises(ValueError):
-        q_polynomial(2, 1.0, 0)
+            assert abs(_q_ratio(n_max, x, d_block) * d_val - 1.0) < 1e-15
 
 
 def test_identity_cut_small_cases():
@@ -313,7 +326,7 @@ def test_half_strata_past_the_overflow_of_q_n_matches_mpmath():
     # the ratio recursion never forms Q_n.
     mpmath = pytest.importorskip("mpmath")
     for (d, g), bound in HALF_STRATA_BOUND.items():
-        top = q_polynomial((d + 1) // 2, d + 1.0 / (2.0 * g), d)
+        top = _q_values((d + 1) // 2, d + 1.0 / (2.0 * g), d)[-1]
         assert not math.isfinite(top)
         spectrum = gamma_half_strata(d, g)
         assert math.isfinite(spectrum.total_entropy())

@@ -259,11 +259,34 @@ def test_enumerated_rows_are_the_side_a_tuples():
         assert list(map(tuple, _enumerated(n).tolist())) == list(_side_a_subsets(n))
 
 
+def _assert_strictly_increasing(rows):
+    """Each row is lexicographically larger than the one before it, which
+    _classes relies on to break ties by row index."""
+    differ = rows[1:] != rows[:-1]
+    assert differ.any(axis=1).all()
+    first = differ.argmax(axis=1)
+    at = np.arange(len(first))
+    assert (rows[1:][at, first] > rows[:-1][at, first]).all()
+
+
 def _assert_canonical_and_unique(rows, n):
     assert rows.dtype == np.int16 and rows.shape[1] == n // 2
     assert (rows[:, 0] == 0).all() and (rows < n).all()
     assert (np.diff(rows, axis=1) > 0).all()
     assert len(set(map(tuple, rows.tolist()))) == len(rows)
+    _assert_strictly_increasing(rows)
+
+
+def test_enumerated_and_sampled_rows_strictly_increase():
+    for n in (2, 8, 16):
+        _assert_strictly_increasing(_enumerated(n))
+    for n, sample in ((8, 30), (16, 500), (64, 3000)):
+        _assert_strictly_increasing(_sampled(n, sample, 4))
+    # the check itself refuses a swapped pair and a repeated row
+    rows = _enumerated(8)
+    for bad in (rows[[0, 2, 1]], rows[[0, 1, 1]]):
+        with pytest.raises(AssertionError):
+            _assert_strictly_increasing(bad)
 
 
 def test_sampler_rows_are_canonical_unique_and_seeded():

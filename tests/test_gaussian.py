@@ -26,8 +26,10 @@ from oscnet import (
     schmidt_spectrum,
 )
 from oscnet.gaussian import (
+    NU_SLACK,
     SOLVE_LEAF,
     _entropy_from_cov,
+    _norm_log_base,
     _position_covariance,
     _solve_lower,
     _stacked_forms,
@@ -103,6 +105,80 @@ def test_entropy_from_nu_log_base_spellings():
     assert entropy_from_nu(1.5, "e") == entropy_from_nu(1.5, math.e)
     with pytest.raises(ValueError):
         entropy_from_nu(1.5, 10)
+
+
+# Every log-base spelling accepted, with the name it normalizes to, and
+# spellings refused; an unhashable one is refused as a ValueError too.
+LOG_BASE_SPELLINGS = (
+    (2, "2"), (2.0, "2"), ("2", "2"), (np.int64(2), "2"), (np.int16(2), "2"),
+    (np.float64(2.0), "2"), ("e", "e"), (math.e, "e"), (np.float64(math.e), "e"),
+)
+REFUSED_LOG_BASES = (
+    "E", 10, None, True, 1, "10", math.nan, np.float32(math.e), [2], {"e": 1},
+)
+
+
+def test_log_base_spellings_accepted_and_refused():
+    for spelling, name in LOG_BASE_SPELLINGS:
+        assert _norm_log_base(spelling) == name
+        want = entropy_from_nu(1.5, name)
+        assert entropy_from_nu(1.5, spelling).hex() == want.hex()
+    for spelling in REFUSED_LOG_BASES:
+        with pytest.raises(ValueError, match="log base must be 2 or 'e'"):
+            _norm_log_base(spelling)
+        with pytest.raises(ValueError, match="log base must be 2 or 'e'"):
+            entropy_from_nu(1.5, spelling)
+
+
+def _entropy_by_formula(nu, log):
+    """S(nu) written out, with dips to 1 - NU_SLACK clamped to zero."""
+    if nu <= 1.0:
+        return 0.0
+    up = (nu + 1.0) / 2.0
+    dn = (nu - 1.0) / 2.0
+    return up * log(up) - dn * log(dn)
+
+
+def test_entropy_from_nu_is_the_formula_bit_for_bit():
+    grid = [
+        1.0 - 5e-11, 1.0 - 1e-16, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9,
+        1.5, NU_TWO_NODE, 3.0, 1e3, 1e8,
+    ]
+    for nu in grid:
+        for base, log in (("2", math.log2), ("e", math.log)):
+            want = _entropy_by_formula(nu, log).hex()
+            assert entropy_from_nu(nu, base).hex() == want
+            assert entropy_from_nu(np.float64(nu), base).hex() == want
+    assert entropy_from_nu(1.0 - 5e-11) == 0.0
+    assert entropy_from_nu(math.nextafter(1.0, 2.0)) > 0.0
+
+
+def _form_with_eigenvalues(w):
+    """A symmetric form with eigenvalues w, rotated off the diagonal."""
+    q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((len(w), len(w))))
+    return (q * np.asarray(w)) @ q.T
+
+
+def _nus_by_formula(form):
+    """The symplectic eigenvalues as max(sqrt(max(eig, 0)), 1)."""
+    return np.maximum(np.sqrt(np.maximum(np.linalg.eigvalsh(form), 0.0)), 1.0)
+
+
+def test_symplectic_nus_clamp_dips_and_name_the_smallest_in_refusals():
+    # Dips of nu^2 within the slack clamp to exactly 1, others pass as they are.
+    form = _form_with_eigenvalues([4.0, 1.0 - 1e-11, 2.5, 1.0 - 1e-13, 9.0])
+    nus = _symplectic_nus(form)
+    assert nus.tobytes() == _nus_by_formula(form).tobytes()
+    assert np.count_nonzero(nus == 1.0) == 2 and nus.min() == 1.0
+    # The refusal names the smallest nu, here listed between larger ones;
+    # a negative eigenvalue counts as nu = 0.
+    for w in ([4.0, 0.81, 2.0, 1.0], [4.0, 1.0 - 1e-9, 9.0], [2.0, -0.5, 3.0]):
+        form = _form_with_eigenvalues(w)
+        smallest = np.sqrt(np.maximum(np.linalg.eigvalsh(form), 0.0)).min()
+        assert smallest < 1.0 - NU_SLACK
+        with pytest.raises(ConsistencyError) as refused:
+            _symplectic_nus(form)
+        assert "eigenvalue %.17g fell" % smallest in str(refused.value)
 
 
 def test_entropy_from_nu_domain():

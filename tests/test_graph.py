@@ -18,6 +18,7 @@ from oscnet import (
     potential_matrix,
     stratified_adjacency,
 )
+from oscnet.graph import EIG_FLOOR
 
 
 def test_hypercube_small_cases():
@@ -150,6 +151,32 @@ def test_potential_matrix_definiteness():
     assert np.linalg.eigvalsh(v.matrix).min() > 0
     with pytest.raises(DefinitenessError):
         potential_matrix(g, -0.2)
+
+
+def test_certify_leaves_the_input_bit_identical():
+    # On these diagonals d, (d - EIG_FLOOR) + EIG_FLOOR != d: only putting
+    # the saved diagonal back restores them.
+    for diagonal, definite in (([1.0, 2.925540438987424e-12], True), ([1.0, 1e-20], False)):
+        v = np.diag(diagonal)
+        v[0, 1] = v[1, 0] = 1e-13
+        shifted = (v.diagonal() - EIG_FLOOR) + EIG_FLOOR
+        assert not np.array_equal(shifted, v.diagonal())
+        before = v.tobytes()
+        if definite:
+            assert PotentialMatrix(v).matrix is v
+        else:
+            with pytest.raises(DefinitenessError):
+                PotentialMatrix(v)
+            assert v.flags.writeable
+        assert v.tobytes() == before
+    # A read-only input is certified through a copy, never written.
+    frozen = np.diag([1.0, 2.925540438987424e-12])
+    frozen.setflags(write=False)
+    assert PotentialMatrix(frozen).matrix is frozen
+    frozen = np.diag([1.0, 1e-20])
+    frozen.setflags(write=False)
+    with pytest.raises(DefinitenessError):
+        PotentialMatrix(frozen)
 
 
 def test_symmetry_check_covers_every_tile():

@@ -1,7 +1,7 @@
 """The public surface: every exported name on purpose, removed names gone."""
 
 import oscnet
-from oscnet import census, errors, gaussian, graph
+from oscnet import analytic, census, errors, gaussian, graph
 
 PUBLIC_NAMES = [
     "Bipartition",
@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "named_bipartition",
     "nu_from_gamma",
     "potential_matrix",
-    "q_polynomial",
     "schmidt_spectrum",
     "spin_x_block",
     "stratified_adjacency",
@@ -60,6 +59,7 @@ def test_removed_names_stay_removed():
         (errors, "EliminationError"),
         (graph, "strata_partition"),
         (census, "extremal_partitions"),
+        (analytic, "q_polynomial"),
     ):
         assert not hasattr(module, name)
         assert not hasattr(oscnet, name)
