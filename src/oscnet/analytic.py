@@ -6,9 +6,13 @@ Three equal bipartitions of H(d,2) admit exact mode spectra:
   Whitening is diagonal in the sub-cube eigenbasis, so each sub-cube
   adjacency eigenvalue lambda gives one ratio gamma = 2g/(1+2g(d-lambda)).
 
-* parity_cut: even versus odd Hamming weight.  Both whitened blocks are
-  multiples of the identity, so the ratios are 2g/(1+2gd) times the
-  singular values of the even-to-odd coupling inside each ladder block.
+* parity_cut: even versus odd Hamming weight.  Every edge of H(d,2) joins
+  adjacent strata, so it crosses the cut: V_AA = V_BB = (1 + 2gd) I and
+  V_AB = -2g A_eo, and the ratios are 2g/(1+2gd) times the singular values
+  of A_eo.  The adjacency [[0, A_eo], [A_eo^T, 0]] has eigenvalues +-s for
+  each singular value s, so these are the positive hypercube eigenvalues
+  d - 2i (i < d/2) with multiplicity binomial(d, i); even d adds
+  binomial(d, d/2)/2 zero modes.
 
 * half_strata (odd d only): lower half of the distance shells versus the
   upper half.  Eliminating the strata away from the cut telescopes into a
@@ -27,12 +31,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError, SchemeError
 from .gaussian import ModeSpectrum, _mode, _norm_log_base
 from .graph import cut_name
-from .stratify import block_table, spin_x_block
+from .stratify import MAX_DIMENSION, block_table, hypercube_spectrum
 
 
 def _q_ratio(n: int, x: float, d_block: int) -> float:
@@ -49,12 +51,6 @@ def _q_ratio(n: int, x: float, d_block: int) -> float:
     for j in range(2, n + 1):
         r = 1.0 / (x - (j - 1) * (d_block - j + 2) * r)
     return r
-
-
-# Largest dimension whose mode degeneracies fit a float.  Every closed form's
-# degeneracies are binomials of row d or d - 1 of Pascal's triangle, so
-# C(d, d // 2) bounds them, and it passes the float range at d = 1030.
-MAX_DIMENSION = 1029
 
 
 def _check_dg(d: int, g: float):
@@ -103,29 +99,20 @@ def gamma_identity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
 def gamma_parity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
     """Exact spectrum of the even/odd Hamming-weight cut of H(d,2).
 
-    Every ratio is (2g/(1+2gd)) times a singular value of the even-to-odd
-    stratum coupling of one ladder block; blocks contribute with their
-    degeneracies, and even strata left unpaired inside a block contribute
-    zero modes, so the count including zeros is 2^(d-1).
+    One mode per positive adjacency eigenvalue lambda_i = d - 2i with
+    degeneracy binomial(d, i): gamma_i = 2g lambda_i / (1 + 2gd).  Even d
+    adds binomial(d, d/2)/2 zero modes, so the count is 2^(d-1).
     """
     g = _check_dg(d, g)
     pref = 2.0 * g / (1.0 + 2.0 * g * d)
-    modes = []
-    zero_modes = 0
-    for dim, deg in block_table(d):
-        k = (d + 1 - dim) // 2
-        even = [j for j in range(dim) if (k + j) % 2 == 0]
-        odd = [j for j in range(dim) if (k + j) % 2 == 1]
-        paired = min(len(even), len(odd))
-        zero_modes += (len(even) - paired) * deg
-        if paired == 0:
-            continue
-        block = spin_x_block(dim)
-        coupling = block[np.ix_(even, odd)]
-        for s in np.linalg.svd(coupling, compute_uv=False):
-            modes.append(_mode(pref * float(s), deg))
-    if zero_modes:
-        modes.append(_mode(0.0, zero_modes))
+    # Each eigenvalue pair +-lambda is one singular value lambda of A_eo; the
+    # kernel of the adjacency (lambda = 0, even d) splits evenly between the
+    # two sides.
+    modes = [
+        _mode(pref * lam, mult if lam else mult // 2)
+        for lam, mult in hypercube_spectrum(d)
+        if lam >= 0
+    ]
     return _finish(modes, log_base)
 
 

@@ -9,8 +9,10 @@ verify    closed form against the oracle; exit 1 on disagreement.
 spectrum  ladder-block table and adjacency spectrum of a hypercube.
 
 Exit codes: 0 success, 1 verification failure, 2 bad usage or invalid input.
-All floating-point output uses 12 significant digits.  Orchestration here is
-single-threaded; only the census spreads work across processes.
+Text and CSV output and the census JSON's entropies use 12 significant
+digits; the JSON of entropy, analytic and spectrum carries full float
+precision.  Orchestration here is single-threaded; only the census spreads
+work across processes.
 """
 
 from __future__ import annotations
@@ -157,11 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=0.5, help="coupling strength (default 0.5)")
     p.add_argument("--tolerance", type=float, default=1e-9)
 
+    # spectrum reports no entropy, so it takes --output but not --log-base.
     p = sub.add_parser(
-        "spectrum",
-        parents=[common],
-        help="ladder blocks and adjacency spectrum of hypercube:<d>",
+        "spectrum", help="ladder blocks and adjacency spectrum of hypercube:<d>"
     )
+    p.add_argument("--output", default=None, help="write result to this file")
     p.add_argument("--d", type=int, required=True, help="hypercube dimension")
     p.add_argument("--format", choices=("text", "json"), default="text")
 

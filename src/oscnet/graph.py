@@ -164,6 +164,10 @@ class PotentialMatrix:
     symmetric square root of the position covariance V^{-1}/2 at Hamming
     distance k = 0..d, within eps times its largest entry.  The constructor
     does not take it, so it always belongs to the matrix.
+
+    A float64 array given to the constructor is owned, not copied: .matrix
+    is that array, made read-only, so the caller's writes to it raise.
+    gamma_spectrum and entropy_oracle_symplectic copy raw arrays first.
     """
 
     matrix: np.ndarray

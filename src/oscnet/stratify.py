@@ -36,6 +36,12 @@ def spin_x_block(block_dim: int) -> np.ndarray:
     return block
 
 
+# Largest dimension whose mode degeneracies fit a float.  Every closed form's
+# degeneracies are binomials of row d or d - 1 of Pascal's triangle, so
+# C(d, d // 2) bounds them, and it passes the float range at d = 1030.
+MAX_DIMENSION = 1029
+
+
 def block_table(d: int) -> list:
     """Dimensions and multiplicities of the ladder blocks for H(d,2).
 
@@ -43,8 +49,8 @@ def block_table(d: int) -> list:
     degeneracy binomial(d,k) - binomial(d,k-1), k = 0..floor(d/2).  Block k
     spans strata k..d-k.  Dimensions times degeneracies sum to 2^d.
     """
-    if not isinstance(d, int) or d < 1:
-        raise GraphSizeError("dimension must be a positive integer")
+    if not isinstance(d, int) or not 1 <= d <= MAX_DIMENSION:
+        raise GraphSizeError("dimension must be an integer in 1..%d" % MAX_DIMENSION)
     table = []
     for k in range(d // 2 + 1):
         deg = math.comb(d, k) - (math.comb(d, k - 1) if k >= 1 else 0)
@@ -98,6 +104,6 @@ def hypercube_spectrum(d: int) -> list:
     Returns [(d - 2i, binomial(d,i))] for i = 0..d, largest eigenvalue
     first.  Multiplicities sum to 2^d and the spectrum is symmetric about 0.
     """
-    if not isinstance(d, int) or d < 1:
-        raise GraphSizeError("dimension must be a positive integer")
+    if not isinstance(d, int) or not 1 <= d <= MAX_DIMENSION:
+        raise GraphSizeError("dimension must be an integer in 1..%d" % MAX_DIMENSION)
     return [(d - 2 * i, math.comb(d, i)) for i in range(d + 1)]

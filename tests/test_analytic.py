@@ -180,6 +180,72 @@ def test_parity_top_block_couples_with_integer_strengths():
             assert np.abs(gammas - pref * s).min() < 1e-12
 
 
+def _parity_by_ladder_blocks(d, g):
+    """Parity-cut (gamma, degeneracy) rows the long way round: one SVD of
+    the even-to-odd coupling inside each ladder block, scaled by
+    2g/(1+2gd), and one zero row per even stratum a block leaves
+    unpaired."""
+    pref = 2.0 * g / (1.0 + 2.0 * g * d)
+    rows = []
+    for dim, deg in block_table(d):
+        k = (d + 1 - dim) // 2
+        even = [j for j in range(dim) if (k + j) % 2 == 0]
+        odd = [j for j in range(dim) if (k + j) % 2 == 1]
+        rows += [(0.0, deg)] * (len(even) - min(len(even), len(odd)))
+        if even and odd:
+            coupling = spin_x_block(dim)[np.ix_(even, odd)]
+            for sv in np.linalg.svd(coupling, compute_uv=False):
+                rows.append((pref * float(sv), deg))
+    return rows
+
+
+@pytest.mark.parametrize("g", [1e-8, 1e-4, 0.5, 7.3, 1e4, 1e8])
+def test_parity_cut_reads_the_hypercube_spectrum(g):
+    for d in range(1, 15):
+        spectrum = gamma_parity_cut(d, g)
+        reference = _parity_by_ladder_blocks(d, g)
+        expanded = np.sort([gam for gam, deg in reference for _ in range(deg)])
+        got = spectrum.expanded_gammas()
+        assert got.size == expanded.size
+        assert np.abs(got - expanded[::-1]).max() <= 1e-12 * expanded[-1]
+        assert spectrum.mode_count() == 2 ** (d - 1)
+        # one row per positive eigenvalue d - 2i, with gamma exactly
+        # pref * (d - 2i), then the zero modes of even d
+        pref = 2.0 * g / (1.0 + 2.0 * g * d)
+        want = [(pref * (d - 2 * i), math.comb(d, i)) for i in range((d + 1) // 2)]
+        if d % 2 == 0:
+            want.append((0.0, math.comb(d, d // 2) // 2))
+        assert [(m.gamma, m.degeneracy) for m in spectrum.modes] == want
+
+
+# Worst measured relative errors of the parity totals against 50-digit
+# mpmath over d = 1..15 in both log bases: 3.3e-9 at 1e-4, 5.8e-15 at 0.1,
+# 2.0e-15 at 0.5, 1.7e-15 at 7.3, 3.4e-13 at 1e4, 3.3e-9 at 1e8.  Weak and
+# strong coupling lose digits in nu and its entropy, not in the gammas.
+PARITY_TOTAL_BOUND = {1e-4: 7e-9, 0.1: 1.2e-14, 0.5: 5e-15, 7.3: 4e-15,
+                      1e4: 7e-13, 1e8: 7e-9}
+
+
+@pytest.mark.parametrize("g", sorted(PARITY_TOTAL_BOUND))
+def test_parity_cut_totals_match_mpmath(g):
+    mpmath = pytest.importorskip("mpmath")
+    for d in range(1, 16):
+        for log_base in ("2", "e"):
+            with mpmath.workdps(50):
+                q = mpmath.mpf(g)
+                want = mpmath.mpf(0)
+                for i in range((d + 1) // 2):
+                    gamma = 2 * q * (d - 2 * i) / (1 + 2 * q * d)
+                    nu = 1 / mpmath.sqrt(1 - gamma**2)
+                    up, dn = (nu + 1) / 2, (nu - 1) / 2
+                    entropy = up * mpmath.log(up) - dn * mpmath.log(dn)
+                    want += math.comb(d, i) * entropy
+                if log_base == "2":
+                    want /= mpmath.log(2)
+                got = gamma_parity_cut(d, g, log_base).total_entropy()
+                assert abs(got - want) <= PARITY_TOTAL_BOUND[g] * want
+
+
 def test_mode_counts():
     for d in range(1, 10):
         assert gamma_identity_cut(d, 0.3).mode_count() == 2 ** (d - 1)

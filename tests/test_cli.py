@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -219,6 +220,17 @@ def test_analytic_command(capsys):
     assert abs(doc["totalEntropy"] - analytic_entropy("identity_cut", 4, 1.0)) < 1e-12
     assert sum(m["degeneracy"] for m in doc["modes"]) == 8
 
+    # the parity cut lists one row per positive adjacency eigenvalue, with
+    # gamma exact: 0.75 and 0.25 at d = 3, 515 rows at d = 1029
+    argv = ["analytic", "--scheme", "parity", "--d", "3", "--format", "json"]
+    assert main(argv) == 0
+    modes = json.loads(capsys.readouterr().out)["modes"]
+    assert [(m["gamma"], m["degeneracy"]) for m in modes] == [(0.75, 1), (0.25, 3)]
+    assert main(["analytic", "--scheme", "parity", "--d", "1029", "--g", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[5] == "gamma nu degeneracy entropy"
+    assert len(lines[6:-1]) == 515
+
     # a non-finite coupling is bad usage, not a nan or zero entropy
     for g in ("nan", "inf", "1e308"):
         for scheme in ("parity", "identity-cut", "half-strata"):
@@ -316,7 +328,7 @@ def test_verify_refuses_a_large_d_before_the_closed_form(monkeypatch, capsys):
     assert "hypercube dimension" in capsys.readouterr().err
 
 
-def test_spectrum_command(capsys):
+def test_spectrum_command(monkeypatch, capsys):
     rc = main(["spectrum", "--d", "3"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -333,6 +345,27 @@ def test_spectrum_command(capsys):
         {"dimension": 1, "degeneracy": 2},
     ]
     assert doc["basisCheckMaxDelta"] < 1e-9
+
+    # spectrum reports no entropy, so it has no --log-base to ignore
+    with pytest.raises(SystemExit) as err:
+        main(["spectrum", "--d", "3", "--log-base", "e"])
+    assert err.value.code == 2
+
+    # The ladder tables stop where the closed forms do: d = 1029 is listed
+    # in full, d = 1030 is refused before any binomial is computed.
+    assert main(["spectrum", "--d", "1029"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "-1029 1"
+    assert len(lines) == 2 + 1 + 515 + 1 + 1030
+
+    def comb(*args):
+        raise AssertionError("binomial computed")
+
+    monkeypatch.setattr(oscnet.stratify, "math", types.SimpleNamespace(comb=comb))
+    assert main(["spectrum", "--d", "1030"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1..1029" in captured.err
 
 
 def test_log_base_flag(capsys):

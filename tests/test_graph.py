@@ -10,6 +10,8 @@ from oscnet import (
     GraphSizeError,
     PotentialMatrix,
     SchemeError,
+    entropy_oracle_symplectic,
+    gamma_spectrum,
     graph_from_edge_list,
     graph_from_uri,
     hamming_weights,
@@ -177,6 +179,21 @@ def test_certify_leaves_the_input_bit_identical():
     frozen.setflags(write=False)
     with pytest.raises(DefinitenessError):
         PotentialMatrix(frozen)
+
+
+def test_potential_matrix_owns_its_array_and_the_engines_copy_first():
+    # PotentialMatrix takes a float64 array without a copy and freezes it;
+    # the engine and the oracle copy a raw array before wrapping it.
+    cut = named_bipartition(3, "parity")
+    raw = np.array(potential_matrix(hypercube_graph(3), 0.5).matrix)
+    gamma_spectrum(raw, cut)
+    entropy_oracle_symplectic(raw, cut.side_a)
+    assert raw.flags.writeable
+    owned = PotentialMatrix(raw)
+    assert owned.matrix is raw
+    assert not raw.flags.writeable
+    with pytest.raises(ValueError):
+        raw[0, 0] = 2.0
 
 
 def test_symmetry_check_covers_every_tile():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oscnet import (
+    GraphSizeError,
     block_table,
     hypercube_graph,
     hypercube_spectrum,
@@ -13,6 +14,7 @@ from oscnet import (
     spin_x_block,
     stratified_adjacency,
 )
+from oscnet.stratify import MAX_DIMENSION
 
 
 def test_spin_x_block_entries():
@@ -131,3 +133,9 @@ def test_hypercube_spectrum_tables():
         expanded = np.sort(np.repeat([v for v, _ in spec], [m for _, m in spec]))
         dense = np.sort(np.linalg.eigvalsh(hypercube_graph(d).adjacency_matrix()))
         assert np.abs(expanded - dense).max() < 1e-9
+    # both ladder tables stop at the closed forms' dimension limit
+    for table in (block_table, hypercube_spectrum):
+        assert table(MAX_DIMENSION)
+        for d in (0, MAX_DIMENSION + 1):
+            with pytest.raises(GraphSizeError, match="1..%d" % MAX_DIMENSION):
+                table(d)
