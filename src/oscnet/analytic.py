@@ -23,6 +23,12 @@ Three equal bipartitions of H(d,2) admit exact mode spectra:
   from a recursion for the ratio itself, which stays finite where Q_n
   overflows.
 
+The identity and parity forms also know 1 - gamma as a ratio,
+(1 + 4gi)/(1 + 2g + 4gi) and (1 + 4gi)/(1 + 2gd), and take
+nu = 1/sqrt((1 - gamma)(1 + gamma)) from it for every gamma above 1/2: at
+strong coupling the float difference 1.0 - gamma would keep only a few of
+its digits.
+
 All three agree with the numerical engines to near machine precision; the
 tests enforce 1e-9.
 """
@@ -90,9 +96,10 @@ def gamma_identity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
     g = _check_dg(d, g)
     modes = []
     for i in range(d):
-        lam = (d - 1) - 2 * i
-        gamma = 2.0 * g / (1.0 + 2.0 * g * (d - lam))
-        modes.append(_mode(gamma, math.comb(d - 1, i)))
+        # d - lambda_i = 1 + 2i, so 1 - gamma_i = (1 + 4gi) / (1 + 2g + 4gi).
+        den = 1.0 + 2.0 * g * (1 + 2 * i)
+        gap = (1.0 + 4.0 * g * i) / den
+        modes.append(_mode(2.0 * g / den, math.comb(d - 1, i), gap))
     return _finish(modes, log_base)
 
 
@@ -104,12 +111,17 @@ def gamma_parity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
     adds binomial(d, d/2)/2 zero modes, so the count is 2^(d-1).
     """
     g = _check_dg(d, g)
-    pref = 2.0 * g / (1.0 + 2.0 * g * d)
+    den = 1.0 + 2.0 * g * d
+    pref = 2.0 * g / den
     # Each eigenvalue pair +-lambda is one singular value lambda of A_eo; the
     # kernel of the adjacency (lambda = 0, even d) splits evenly between the
-    # two sides.
+    # two sides.  With lambda = d - 2i, 1 - gamma = (1 + 4gi) / (1 + 2gd).
     modes = [
-        _mode(pref * lam, mult if lam else mult // 2)
+        _mode(
+            pref * lam,
+            mult if lam else mult // 2,
+            (1.0 + 2.0 * g * (d - lam)) / den,
+        )
         for lam, mult in hypercube_spectrum(d)
         if lam >= 0
     ]

@@ -26,6 +26,17 @@ Both must agree to near machine precision on any positive definite V; the
 oracle is the assumption-free reference path.  The engine and the oracle's
 Cholesky route share one primitive, the triangular solve _solve_lower, and
 nothing else.
+
+Every dense factorization gets a column-major operand.  numpy's linalg
+copies each operand into a Fortran-order buffer for LAPACK, and from a
+row-major array that copy is a strided transpose.  So the Cholesky calls
+factor transposed views (V^T, V_AA^T, V_BB^T), and the QR gets F[:, A]
+column-major from either route.  np.linalg.cholesky reads the lower
+triangle of its operand, which for a transposed view is the upper triangle
+of V or of the block.  potential_matrix builds V exactly symmetric, signed
+zeros included, so LAPACK sees the same buffer and returns the same bits
+as from the row-major array; a raw array that is only symmetric within
+SYMMETRY_TOL has its upper triangle factored.
 """
 
 from __future__ import annotations
@@ -140,11 +151,24 @@ class Mode:
             raise ValueError("nu must be at least 1")
 
 
-def _mode(gamma: float, degeneracy: int = 1) -> Mode:
+def _mode(gamma: float, degeneracy: int = 1, gap: float | None = None) -> Mode:
     """The mode of one coupling ratio; ratios below GAMMA_ZERO are exact zero
-    modes with nu = 1."""
+    modes with nu = 1.
+
+    gap is 1 - gamma when the caller knows it to a few ulps.  Above
+    gamma = 1/2 the float difference 1.0 - gamma is exact (Sterbenz), so it
+    carries all of gamma's rounding error, magnified by 1/(1 - gamma): there
+    nu = 1/sqrt(gap (1 + gamma)) is taken from gap.  Below, both are within
+    an ulp or two of 1 - gamma and 1.0 - gamma is kept.  nu_from_gamma's
+    refusals apply either way.
+    """
     gamma = float(gamma)
-    nu = 1.0 if gamma < GAMMA_ZERO else nu_from_gamma(gamma)
+    if gamma < GAMMA_ZERO:
+        nu = 1.0
+    else:
+        nu = nu_from_gamma(gamma)
+        if gap is not None and gamma > 0.5:
+            nu = 1.0 / math.sqrt(gap * (1.0 + gamma))
     return Mode(gamma=gamma, nu=nu, degeneracy=degeneracy)
 
 
@@ -265,8 +289,9 @@ def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
     a = list(cut.side_a)
     b = list(cut.side_b)
     # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
-    la = np.linalg.cholesky(m[np.ix_(a, a)])
-    lb = np.linalg.cholesky(m[np.ix_(b, b)])
+    # Transposed views are column-major operands (see the module docstring).
+    la = np.linalg.cholesky(m[np.ix_(a, a)].T)
+    lb = np.linalg.cholesky(m[np.ix_(b, b)].T)
     coupling = _solve_lower(lb, _solve_lower(la, m[np.ix_(a, b)]).T).T
     sigma = np.linalg.svd(coupling, compute_uv=False)
     if sigma.size and sigma[0] >= 1.0:
@@ -299,12 +324,16 @@ def _position_covariance(
     idx = np.arange(v.n)
     cols = idx if rows is None else np.asarray(rows)
     if v.profile is not None and table:
+        # F is symmetric, so the rows F[rows, :] transposed are F[:, rows],
+        # column-major.
         weights = hamming_weights(v.profile.size - 1)
-        return v.profile[weights[idx[:, None] ^ cols]]
+        return v.profile[weights[cols[:, None] ^ idx]].T
     # certify has already factored V, so the Cholesky exists.
     unit = np.zeros((v.n, cols.size))
     unit[cols, np.arange(cols.size)] = 1.0
-    return _solve_lower(np.linalg.cholesky(v.matrix), unit) / math.sqrt(2.0)
+    root = _solve_lower(np.linalg.cholesky(v.matrix.T), unit)
+    # The scaling pass writes F column-major, the layout QR copies it into.
+    return np.divide(root, math.sqrt(2.0), out=np.empty(root.shape, order="F"))
 
 
 def _stacked_forms(cols: np.ndarray, p4: np.ndarray) -> np.ndarray:

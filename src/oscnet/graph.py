@@ -191,8 +191,10 @@ class PotentialMatrix:
         the transpose of its mirror; NaN and inf never pass.  Definiteness
         is one Cholesky factorization of v - EIG_FLOOR I; by Cauchy
         interlacing every principal block of v then clears the floor too.
-        The shift is made on v's own diagonal, which is restored from a
-        saved copy whether or not the factorization succeeds, so v ends
+        The factorization is handed the transpose, a column-major view that
+        LAPACK copies without transposing, and so reads the upper triangle
+        of v.  The shift is made on v's own diagonal, which is restored from
+        a saved copy whether or not the factorization succeeds, so v ends
         bit-identical; only a read-only v is copied first.
         """
         m = np.asarray(v, dtype=float)
@@ -215,7 +217,7 @@ class PotentialMatrix:
         saved = work[diagonal]
         work[diagonal] = saved - EIG_FLOOR
         try:
-            np.linalg.cholesky(work)
+            np.linalg.cholesky(work.T)
         except np.linalg.LinAlgError:
             raise DefinitenessError(
                 "potential matrix is not positive definite"

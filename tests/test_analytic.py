@@ -220,10 +220,12 @@ def test_parity_cut_reads_the_hypercube_spectrum(g):
 
 # Worst measured relative errors of the parity totals against 50-digit
 # mpmath over d = 1..15 in both log bases: 3.3e-9 at 1e-4, 5.8e-15 at 0.1,
-# 2.0e-15 at 0.5, 1.7e-15 at 7.3, 3.4e-13 at 1e4, 3.3e-9 at 1e8.  Weak and
-# strong coupling lose digits in nu and its entropy, not in the gammas.
+# 2.3e-15 at 0.5, 1.7e-15 at 7.3, 8.8e-15 at 1e4, 2.0e-12 at 1e8.  Weak
+# coupling loses digits in the entropy of a nu near 1, strong coupling in
+# the entropy of a large nu; a nu near its pole comes from the exact
+# 1 - gamma.
 PARITY_TOTAL_BOUND = {1e-4: 7e-9, 0.1: 1.2e-14, 0.5: 5e-15, 7.3: 4e-15,
-                      1e4: 7e-13, 1e8: 7e-9}
+                      1e4: 2e-14, 1e8: 4e-12}
 
 
 @pytest.mark.parametrize("g", sorted(PARITY_TOTAL_BOUND))
@@ -244,6 +246,37 @@ def test_parity_cut_totals_match_mpmath(g):
                     want /= mpmath.log(2)
                 got = gamma_parity_cut(d, g, log_base).total_entropy()
                 assert abs(got - want) <= PARITY_TOTAL_BOUND[g] * want
+
+
+# Worst measured relative error of a nu against 50-digit mpmath over
+# d = 1..15 at g = 1e8: 1.8e-16 for both cuts (1.7e-7 parity and 5.4e-10
+# identity when nu was taken from 1.0 - gamma).
+NU_STRONG_BOUND = 4e-16
+
+
+def _parity_gammas(d, q):
+    return [2 * q * (d - 2 * i) / (1 + 2 * q * d) for i in range((d + 1) // 2)]
+
+
+def _identity_gammas(d, q):
+    return [2 * q / (1 + 2 * q * (1 + 2 * i)) for i in range(d)]
+
+
+@pytest.mark.parametrize(
+    "closed_form, gammas",
+    [(gamma_parity_cut, _parity_gammas), (gamma_identity_cut, _identity_gammas)],
+    ids=["parity", "identity"],
+)
+def test_strong_coupling_nu_matches_mpmath(closed_form, gammas):
+    mpmath = pytest.importorskip("mpmath")
+    g = 1e8
+    for d in range(1, 16):
+        got = [m.nu for m in closed_form(d, g).modes if m.gamma > 0.0]
+        with mpmath.workdps(50):
+            want = [1 / mpmath.sqrt(1 - x**2) for x in gammas(d, mpmath.mpf(g))]
+            assert len(got) == len(want)
+            for nu, ref in zip(got, want):
+                assert abs(nu - ref) <= NU_STRONG_BOUND * ref
 
 
 def test_mode_counts():

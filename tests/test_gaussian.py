@@ -550,3 +550,45 @@ def test_engine_agrees_with_cholesky_oracle_on_an_odd_unequal_cut():
         oracle = entropy_oracle_symplectic(v, side_a, table=False)
         assert engine > 1.0
         assert abs(engine - oracle) < 1e-9
+
+
+def _column_major(a) -> bool:
+    """Every matrix of the (stack of) matrices a is Fortran-contiguous."""
+    return all(a[i].flags.f_contiguous for i in np.ndindex(a.shape[:-2]))
+
+
+def test_dense_factorizations_get_column_major_operands(monkeypatch):
+    # numpy copies each LAPACK operand into a column-major buffer; a
+    # row-major operand makes that copy a strided transpose
+    cholesky, qr = np.linalg.cholesky, np.linalg.qr
+    seen = []
+
+    def spy(real):
+        def recording(a, *args, **kwargs):
+            seen.append((real.__name__, a.shape, _column_major(a)))
+            return real(a, *args, **kwargs)
+
+        return recording
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky))
+    monkeypatch.setattr(np.linalg, "qr", spy(qr))
+    v = potential_matrix(hypercube_graph(6), 0.5)
+    cut = named_bipartition(6, "parity")
+    gamma_spectrum(v, cut)
+    entropy_oracle_symplectic(v, cut.side_a, table=True)
+    entropy_oracle_symplectic(v, cut.side_a, table=False)
+    names = [name for name, _, _ in seen]
+    assert sorted(names) == ["cholesky"] * 4 + ["qr"] * 2
+    assert all(layout for _, shape, layout in seen if shape[-2] > 1)
+
+    # Each transposed operand holds the values the row-major one did: V is
+    # exactly symmetric, so LAPACK gets the same buffer and returns the same
+    # bits.
+    m = v.matrix
+    side_a = list(cut.side_a)
+    for x in (m, m[np.ix_(side_a, side_a)]):
+        assert cholesky(x.T).tobytes() == cholesky(x).tobytes()
+    cols = _position_covariance(v, np.asarray(side_a))
+    assert cols.flags.f_contiguous
+    c_order = np.ascontiguousarray(cols)
+    assert qr(cols[None], mode="r").tobytes() == qr(c_order[None], mode="r").tobytes()
