@@ -11,15 +11,20 @@ The partitions are one (k, n/2) int16 array of side-A rows, enumerated in
 lexicographic order or sampled: uniform draws seeded by random.Random,
 deduplicated and sorted, so the rows strictly increase either way.  Graph
 caps n at 4096, so int16 holds every label.  The kernel takes consecutive
-rows in chunks: one array gather of their factor columns and 4P blocks, at
-most STACK_BYTES together, feeds one stacked QR and congruence
-(gaussian._stacked_forms); then each partition makes one
-gaussian._entropy_from_cov call, which is one eigvalsh and one
-entropy_from_nu per nu.
+rows in chunks: one np.take of their factor columns and one flat take of
+their 4P blocks on the linear indices a_i * n + a_j, at most STACK_BYTES
+together, feed one stacked QR and congruence (gaussian._stacked_forms);
+then each partition makes one gaussian._entropy_from_cov call, which is one
+eigvalsh and one entropy_from_nu per nu.
 Grouping is array work too: since a row's index orders it like the row,
 a stable argsort of -entropy orders the rows, a class breaks where
 consecutive values differ by more than the tolerance, and a 2-key lexsort
-on (class, row index) picks representatives.
+on (class, row index) picks representatives.  The report keeps the result
+as read-only arrays: class entropies, multiplicities, and the kept
+representative rows, int16, class after class, with a count per class.
+Its text, CSV and JSON renderings read the arrays and format every
+representative row in one pass; the EntropyClass objects of
+CensusReport.classes are built only when that attribute is first read.
 
 Results are deterministic: the same seed draws the same rows, the
 grouping equals a single descending sweep, and worker parallelism only
@@ -66,21 +71,67 @@ class EntropyClass:
     capped: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CensusReport:
-    """Full census output plus the configuration that produced it."""
+    """Full census output plus the configuration that produced it.
+
+    The classes are held as arrays, in descending entropy order: entropies
+    (each class's mean), multiplicities, and the representatives, one
+    read-only int16 array of side-A rows, class after class, the first
+    representative_counts[i] of them class i's.  classes builds the same
+    content as EntropyClass objects on first read.  A report compares
+    equal only to itself.
+    """
 
     n: int
     g: float
     log_base: str
     tolerance: float
     total_partitions: int
-    classes: tuple
+    entropies: np.ndarray
+    multiplicities: np.ndarray
+    representatives: np.ndarray
+    representative_counts: np.ndarray
     min_class: int
     max_class: int
     warnings: tuple
 
+    def _columns(self):
+        """(entropy, multiplicity, representative count) of each class, as
+        Python numbers."""
+        return zip(
+            self.entropies.tolist(),
+            self.multiplicities.tolist(),
+            self.representative_counts.tolist(),
+        )
+
+    @functools.cached_property
+    def classes(self) -> tuple:
+        """One EntropyClass per class, built once, on first read."""
+        rows = iter(map(tuple, self.representatives.tolist()))
+        return tuple(
+            EntropyClass(
+                entropy=entropy,
+                multiplicity=size,
+                representatives=tuple(itertools.islice(rows, count)),
+                capped=size > count,
+            )
+            for entropy, size, count in self._columns()
+        )
+
+    def joined_representatives(self, sep: str) -> list:
+        """Each class's representatives as one string: a row's labels
+        joined by sep, its rows by "|".  All rows are formatted in one
+        gather from a table of label strings."""
+        labels = np.array([str(i) for i in range(self.n)], dtype=object)
+        rows = iter([sep.join(r) for r in labels[self.representatives].tolist()])
+        return [
+            "|".join(itertools.islice(rows, count))
+            for count in self.representative_counts.tolist()
+        ]
+
     def to_dict(self) -> dict:
+        rows = iter(self.representatives.tolist())
         return {
             "n": self.n,
             "g": self.g,
@@ -91,25 +142,22 @@ class CensusReport:
             "maxClass": self.max_class,
             "classes": [
                 {
-                    "entropy": float("%.12g" % c.entropy),
-                    "multiplicity": c.multiplicity,
-                    "representatives": [list(r) for r in c.representatives],
-                    "capped": c.capped,
+                    "entropy": float("%.12g" % entropy),
+                    "multiplicity": size,
+                    "representatives": list(itertools.islice(rows, count)),
+                    "capped": size > count,
                 }
-                for c in self.classes
+                for entropy, size, count in self._columns()
             ],
             "warnings": list(self.warnings),
         }
 
     def to_csv(self) -> str:
         lines = ["class,entropy,multiplicity,capped,representatives"]
-        row = " ".join(["%d"] * (self.n // 2))
-        for i, c in enumerate(self.classes):
-            reps = "|".join([row % r for r in c.representatives])
-            lines.append(
-                "%d,%.12g,%d,%s,%s"
-                % (i, c.entropy, c.multiplicity, str(c.capped).lower(), reps)
-            )
+        reps = self.joined_representatives(" ")
+        for i, (entropy, size, count) in enumerate(self._columns()):
+            capped = "true" if size > count else "false"
+            lines.append("%d,%.12g,%d,%s,%s" % (i, entropy, size, capped, reps[i]))
         return "\n".join(lines) + "\n"
 
 
@@ -160,32 +208,40 @@ def _entropies(
     """Entropy of the cut of every row of side_a, in order.
 
     root_t is the transpose of the position-covariance factor F, C-ordered
-    so that its rows are F's columns, and p4 is 4P.  Consecutive rows go to
+    so that its rows are F's columns, and p4 is the n x n matrix 4P, whose
+    blocks are gathered by one flat take on the linear indices
+    a_i * n + a_j.  Consecutive rows go to
     _stacked_forms in chunks whose gathered columns and blocks take at most
     STACK_BYTES together (one row if a single row is larger); each form is
     then summed on its own.
     """
     k, m = side_a.shape
-    row_bytes = root_t.itemsize * m * (root_t.shape[1] + m)
+    n = root_t.shape[1]
+    row_bytes = root_t.itemsize * m * (n + m)
     step = max(1, STACK_BYTES // row_bytes)
     out = np.empty(k)
     for lo in range(0, k, step):
-        a = side_a[lo : lo + step]
-        forms = _stacked_forms(
-            root_t[a].swapaxes(1, 2), p4[a[:, :, None], a[:, None, :]]
-        )
+        # As int16, a_i * n would overflow.
+        a = side_a[lo : lo + step].astype(np.intp)
+        cols = np.take(root_t, a, axis=0).swapaxes(1, 2)
+        blocks = np.take(p4, a[:, :, None] * n + a[:, None, :])
+        forms = _stacked_forms(cols, blocks)
         out[lo : lo + len(a)] = [_entropy_from_cov(form, base) for form in forms]
     return out
 
 
 def _classes(entropies: np.ndarray, side_a: np.ndarray, tolerance: float):
-    """(classes, warnings) of the descending sweep over (-entropy, side A).
+    """(means, sizes, reps, kept, warnings) of the descending sweep over
+    (-entropy, side A).
 
     side_a's rows strictly increase in lexicographic order, so a stable
     sort of -entropy breaks ties on side A, and a row's index stands for
     the row itself.  A class breaks where consecutive sorted values differ
     by more than the tolerance.  Its entropy is the mean over its members,
-    the same pairwise sum as np.mean of the list of them.
+    the same pairwise sum as np.mean of the list of them.  reps holds the
+    first kept[i] = min(sizes[i], REPRESENTATIVE_CAP) members of every
+    class i, in side_a's order, class after class.  The four arrays are
+    read-only.
     """
     order = np.argsort(-entropies, kind="stable")
     e = entropies[order]
@@ -200,24 +256,12 @@ def _classes(entropies: np.ndarray, side_a: np.ndarray, tolerance: float):
     means = e[starts]
     for ci in np.flatnonzero(sizes > 1).tolist():
         means[ci] = e[starts[ci] : ends[ci]].mean()
-    # The first `kept` rows of every class, class after class.
     kept = np.minimum(sizes, REPRESENTATIVE_CAP)
     offsets = np.cumsum(kept) - kept
     picked = np.repeat(starts - offsets, kept) + np.arange(kept.sum())
-    reps = list(map(tuple, side_a[members[picked]].tolist()))
-
-    classes = []
-    taken = 0
-    for mean, size, count in zip(means.tolist(), sizes.tolist(), kept.tolist()):
-        classes.append(
-            EntropyClass(
-                entropy=mean,
-                multiplicity=size,
-                representatives=tuple(reps[taken : taken + count]),
-                capped=size > REPRESENTATIVE_CAP,
-            )
-        )
-        taken += count
+    reps = side_a[members[picked]]
+    for array in (means, sizes, reps, kept):
+        array.flags.writeable = False
 
     warnings = []
     spreads = e[starts] - e[ends - 1]
@@ -232,7 +276,7 @@ def _classes(entropies: np.ndarray, side_a: np.ndarray, tolerance: float):
             "boundary between classes %d and %d has gap %.3e, within "
             "10x of the tolerance" % (ci, ci + 1, gaps[ci])
         )
-    return classes, warnings
+    return means, sizes, reps, kept, warnings
 
 
 def entropy_census(
@@ -302,7 +346,7 @@ def entropy_census(
             parts = pool.map(kernel, blocks)
             entropies = np.concatenate(list(parts))
 
-    classes, warnings = _classes(entropies, side_a, tolerance)
+    means, sizes, reps, kept, warnings = _classes(entropies, side_a, tolerance)
     # The sweep is descending: class 0 holds the largest entropy, the last
     # class the smallest.
     return CensusReport(
@@ -311,8 +355,11 @@ def entropy_census(
         log_base=base,
         tolerance=tolerance,
         total_partitions=len(side_a),
-        classes=tuple(classes),
-        min_class=len(classes) - 1,
+        entropies=means,
+        multiplicities=sizes,
+        representatives=reps,
+        representative_counts=kept,
+        min_class=len(means) - 1,
         max_class=0,
         warnings=tuple(warnings),
     )

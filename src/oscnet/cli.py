@@ -197,21 +197,21 @@ def _cmd_entropy(args) -> int:
 
 
 def _census_lines(report) -> list:
+    entropies = report.entropies.tolist()
+    sizes = report.multiplicities.tolist()
+    counts = report.representative_counts.tolist()
     lines = [
-        "%d classes / %d partitions" % (len(report.classes), report.total_partitions),
+        "%d classes / %d partitions" % (len(entropies), report.total_partitions),
         "class entropy multiplicity representatives",
     ]
-    row = ",".join(["%d"] * (report.n // 2))
-    for i, c in enumerate(report.classes):
-        reps = "|".join([row % r for r in c.representatives])
-        if c.capped:
+    for i, reps in enumerate(report.joined_representatives(",")):
+        if sizes[i] > counts[i]:
             reps += "|..."
-        lines.append("%d %s %d %s" % (i, _fmt(c.entropy), c.multiplicity, reps))
+        lines.append("%d %s %d %s" % (i, _fmt(entropies[i]), sizes[i], reps))
     for label, index in (("min", report.min_class), ("max", report.max_class)):
-        c = report.classes[index]
         lines.append(
             "%s class = %d (entropy %s, multiplicity %d)"
-            % (label, index, _fmt(c.entropy), c.multiplicity)
+            % (label, index, _fmt(entropies[index]), sizes[index])
         )
     return lines + ["warning: %s" % w for w in report.warnings]
 
@@ -242,10 +242,10 @@ def _cmd_census(args) -> int:
         print(
             "%d classes / %d partitions (min %s, max %s) -> %s"
             % (
-                len(report.classes),
+                len(report.entropies),
                 report.total_partitions,
-                _fmt(report.classes[report.min_class].entropy),
-                _fmt(report.classes[report.max_class].entropy),
+                _fmt(report.entropies[report.min_class]),
+                _fmt(report.entropies[report.max_class]),
                 args.output,
             )
         )

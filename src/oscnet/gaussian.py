@@ -352,28 +352,29 @@ def _stacked_forms(cols: np.ndarray, p4: np.ndarray) -> np.ndarray:
     return r @ p4 @ r.swapaxes(-1, -2)
 
 
-def _symplectic_nus(form: np.ndarray) -> np.ndarray:
+def _symplectic_nus(form: np.ndarray) -> list:
     """Symplectic eigenvalues nu = sqrt(eig(form)) of one cut's form
-    R 4P_A R^T.  Values below 1 by more than NU_SLACK raise; smaller dips
-    clamp to 1.
+    R 4P_A R^T, as a list of floats.  Values below 1 by more than NU_SLACK
+    raise; smaller dips clamp to 1.
 
     eigvalsh returns ascending eigenvalues w, so only w[0] is checked.  The
-    clamp goes before the root: a correctly rounded sqrt is monotone and
-    fixes 1, so sqrt(max(w, 1)) has the bits of clamping after it.
+    clamp and the root run on Python floats: math.sqrt, like np.sqrt, is
+    correctly rounded, so each nu has the bits of sqrt(max(w, 1)), and a
+    NaN stays NaN as it would through np.maximum.
     """
-    w = np.linalg.eigvalsh(form)
+    w = np.linalg.eigvalsh(form).tolist()
     low = math.sqrt(max(w[0], 0.0))
     if low < 1.0 - NU_SLACK:
         raise ConsistencyError(
             "symplectic eigenvalue %.17g fell below 1 by more than %g"
             % (low, NU_SLACK)
         )
-    return np.sqrt(np.maximum(w, 1.0))
+    return [1.0 if x <= 1.0 else math.sqrt(x) for x in w]
 
 
 def _entropy_from_cov(form: np.ndarray, base: str) -> float:
     """Entropy of one cut from its form R 4P_A R^T (see _stacked_forms)."""
-    return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(form).tolist()])
+    return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(form)])
 
 
 def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> float:

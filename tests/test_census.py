@@ -22,6 +22,8 @@ from oscnet import (
 from oscnet import census
 from oscnet.census import (
     REPRESENTATIVE_CAP,
+    CensusReport,
+    EntropyClass,
     _classes,
     _enumerated,
     _sampled,
@@ -481,17 +483,89 @@ def groupings(draw):
     return np.array(values), TEN_ROWS[sorted(picked)], tolerance
 
 
+def _report(rows, grouped, tolerance):
+    """The CensusReport that entropy_census builds from _classes' output."""
+    means, sizes, reps, kept, warnings = grouped
+    return CensusReport(
+        n=10,
+        g=0.5,
+        log_base="2",
+        tolerance=tolerance,
+        total_partitions=len(rows),
+        entropies=means,
+        multiplicities=sizes,
+        representatives=reps,
+        representative_counts=kept,
+        min_class=len(means) - 1,
+        max_class=0,
+        warnings=tuple(warnings),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(groupings())
 def test_array_grouping_matches_the_sweep_bit_for_bit(case):
     entropies, rows, tolerance = case
-    classes, warnings = _classes(entropies, rows, tolerance)
+    grouped = _classes(entropies, rows, tolerance)
+    means, sizes, reps, kept, warnings = grouped
     want, want_warnings = _sweep_classes(
         entropies.tolist(), list(map(tuple, rows.tolist())), tolerance
     )
+    # The arrays: representatives are int16 rows, class after class.
+    assert [e.hex() for e in means.tolist()] == [c.entropy.hex() for c in want]
+    assert sizes.tolist() == [c.multiplicity for c in want]
+    assert kept.tolist() == [len(c.representatives) for c in want]
+    assert reps.dtype == np.int16
+    assert list(map(tuple, reps.tolist())) == [
+        r for c in want for r in c.representatives
+    ]
+    assert (sizes > kept).tolist() == [c.capped for c in want]
+    assert not any(a.flags.writeable for a in (means, sizes, reps, kept))
+    assert warnings == want_warnings
+    # The EntropyClass objects the report builds from them on first read.
+    classes = _report(rows, grouped, tolerance).classes
     assert [c.entropy.hex() for c in classes] == [c.entropy.hex() for c in want]
     assert [c.multiplicity for c in classes] == [c.multiplicity for c in want]
     assert [c.representatives for c in classes] == [c.representatives for c in want]
     assert [c.capped for c in classes] == [c.capped for c in want]
-    assert warnings == want_warnings
     assert all(type(v) is int for c in classes for r in c.representatives for v in r)
+    assert all(
+        type(c.entropy) is float and type(c.multiplicity) is int and type(c.capped) is bool
+        for c in classes
+    )
+
+
+def test_report_classes_are_built_once_on_first_read(monkeypatch):
+    built = []
+
+    def entropy_class(**fields):
+        built.append(fields)
+        return EntropyClass(**fields)
+
+    monkeypatch.setattr(census, "EntropyClass", entropy_class)
+    report = entropy_census(hypercube_graph(3), 0.5)
+    assert built == []
+    first = report.classes
+    assert len(built) == 6
+    second = report.classes
+    assert second is first
+    assert all(a is b for a, b in zip(first, second))
+    assert len(built) == 6
+
+
+def test_report_arrays_are_read_only_and_equality_is_identity():
+    report = entropy_census(hypercube_graph(3), 0.5)
+    for array in (
+        report.entropies,
+        report.multiplicities,
+        report.representatives,
+        report.representative_counts,
+    ):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    # A field-wise == would compare arrays and raise; reports with equal
+    # content are distinct objects.
+    again = entropy_census(hypercube_graph(3), 0.5)
+    assert report == report
+    assert report != again
+    assert report.to_dict() == again.to_dict()

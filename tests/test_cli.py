@@ -202,6 +202,74 @@ def test_census_threads_do_not_change_results(tmp_path):
     assert doc_one == doc_two
 
 
+# sha256 of the census's stdout in each format, and its --output summary
+# line, as printed before the report held its classes as arrays.
+CHORDED_CYCLE = "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n0 3\n"
+CENSUS_DIGESTS = [
+    (
+        ["--graph", "hypercube:3"],
+        {
+            "text": "5759bdc22f315828f20eaac9e9c07f7ea7ef04551844fb8b164e3f2e9e346c73",
+            "csv": "8486af99ce8a9b6ea273b48d6e474d5883c3704108a0e2adbd28e17996a8bb56",
+            "json": "4f2e0a50f999851de9f7c2d7a1aed181122a4809d77061d354ba0e0096ede5f7",
+        },
+        "6 classes / 35 partitions (min 0.704508412743, max 1.2793800332)",
+    ),
+    (
+        ["--graph", "hypercube:4"],
+        {
+            "text": "02b38c7a6466259ea53c16fa23d6801fcad7c56fdb40cb2dbcf11ba4f2a219c2",
+            "csv": "e6203c5501e7b0b29fe146336ad7bf1cd0188f2a6b9c9ad702a3b456af35788e",
+            "json": "7e88e03366b002a7ffacb025f4d9f02417433acdb4d3b3d2b69da7d31afeb505",
+        },
+        "55 classes / 6435 partitions (min 0.984681867792, max 2.16232257408)",
+    ),
+    (
+        ["--graph", "hypercube:6", "--sample", "300", "--seed", "7", "--threads", "2"],
+        {
+            "text": "0a217ad4a11e13598dfaf74565b23bd5fb328ab47c94205343d33a514065a816",
+            "csv": "07181640226001b23d74c54d21d829b05ff726742a28f8c3234c5e58983c26da",
+            "json": "90bb91e32a5afaf4f261785bb3548e54080bbddcb926a09a47611dc5950250d0",
+        },
+        "300 classes / 300 partitions (min 3.7211956483, max 4.81528384092)",
+    ),
+    (
+        ["--graph", "file:chorded.txt"],
+        {
+            "text": "bf7a792767ea1cd1591887c23d92bb28dd4b91f1e97f8248d396266fe502c2cd",
+            "csv": "70c5a48b6555fc6453a4030f6a6dd4b73a54d325d50744fb46dd84f95db57c2c",
+            "json": "6b39b2ec53fa191357cae864b7cf331247e6bc2ab5cd0fd919d5763ea09d894b",
+        },
+        "5 classes / 10 partitions (min 0.536222564309, max 1.01693691075)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digests, summary",
+    CENSUS_DIGESTS,
+    ids=["hypercube-3", "hypercube-4", "hypercube-6-sample", "file-chorded"],
+)
+def test_census_output_bytes_are_pinned_and_build_no_entropy_class(
+    tmp_path, monkeypatch, capsys, argv, digests, summary
+):
+    def refuse(**fields):
+        raise AssertionError("the census CLI built an EntropyClass")
+
+    monkeypatch.setattr(census, "EntropyClass", refuse)
+    # A relative path, so that the echoed graph URI does not vary.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chorded.txt").write_text(CHORDED_CYCLE)
+    for fmt, digest in digests.items():
+        assert main(["census", *argv, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+    assert main(["census", *argv, "--output", "census.txt"]) == 0
+    assert capsys.readouterr().out == summary + " -> census.txt\n"
+    text = (tmp_path / "census.txt").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == digests["text"]
+
+
 def test_analytic_command(capsys):
     rc = main(["analytic", "--scheme", "half-strata", "--d", "3", "--g", "0.5"])
     out = capsys.readouterr().out
