@@ -1,4 +1,4 @@
-"""Census classes and oracle entropies against 50-digit mpmath values.
+"""Census classes, oracle and engine entropies against 50-digit mpmath values.
 
 The absolute 1e-9 agreement checks elsewhere say nothing about small or
 large entropies; these bound the relative error on H(3,2), H(4,2) and
@@ -13,6 +13,7 @@ import pytest
 
 from oscnet import (
     entropy_census,
+    entropy_of_bipartition,
     entropy_oracle_symplectic,
     hypercube_graph,
     named_bipartition,
@@ -25,6 +26,10 @@ from oscnet import (
 CENSUS_BOUND = {0.5: 1e-14, 1e4: 5e-14, 1e8: 3e-12}
 ORACLE_BOUND = {0.5: 3e-14, 1e4: 1.5e-13, 1e8: 3e-12}
 CHOLESKY_ORACLE_BOUND = {0.5: 3e-14, 1e4: 2e-12, 1e8: 1e-9}
+# The engine's worst at the same g: 2.5e-15, 1.0e-12 (1.7e-12 with
+# LU-solved leaves), 1.2e-8.  At g = 1e8 its largest singular values sit
+# ~1e-9 below 1, where a few ulps of sigma move the entropy by ~1e-8 relative.
+ENGINE_BOUND = {0.5: 5e-15, 1e4: 3.5e-12, 1e8: 2.5e-8}
 
 
 def _mp_covariances(d, g):
@@ -89,9 +94,12 @@ def test_oracle_on_named_cuts_against_mpmath(d, g):
     cov = _mp_covariances(d, g)
     schemes = ["parity", "identity-cut"] + (["half-strata"] if d % 2 else [])
     for scheme in schemes:
-        side_a = named_bipartition(d, scheme).side_a
+        cut = named_bipartition(d, scheme)
+        side_a = cut.side_a
         exact = _mp_entropy(cov, side_a)
         table = entropy_oracle_symplectic(v, side_a)
         assert _relative(table, exact) <= ORACLE_BOUND[g], (scheme, table)
         solved = entropy_oracle_symplectic(v, side_a, table=False)
         assert _relative(solved, exact) <= CHOLESKY_ORACLE_BOUND[g], (scheme, solved)
+        engine = entropy_of_bipartition(v, cut)
+        assert _relative(engine, exact) <= ENGINE_BOUND[g], (scheme, engine)
