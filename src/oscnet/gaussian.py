@@ -13,14 +13,15 @@ two independent ways:
 * entropy_oracle_symplectic: reduce the ground-state covariance matrices
   (positions V^{-1}/2, momenta V/2) to one side and read off the symplectic
   eigenvalues of the reduced state.  The position covariance enters through
-  a factor: gathered from an exact table on H(d,2), or solved from the
-  Cholesky factor of all of V, never from the cut's blocks.  The oracle's
-  kernel is stacked: _stacked_forms takes k cuts' factor columns and 4P
-  blocks and returns their forms R 4P_A R^T from one stacked QR and one
-  stacked matmul; the census feeds it chunks of partitions, the single cut
-  k = 1.  Each form then takes exactly one eigvalsh (_symplectic_nus) and
-  one entropy_from_nu per nu, summed as a list (_entropy_from_cov): the
-  per-cut path holds those calls and nothing more.
+  a factor: gathered from the exact table that potential_matrix attaches on
+  H(d,2), or, for any V without one, solved from the Cholesky factor of all
+  of V, never from the cut's blocks.  The oracle's kernel is stacked:
+  _stacked_forms takes k cuts' factor columns and 4P blocks and returns
+  their forms R 4P_A R^T from one stacked QR and one stacked matmul; the
+  census feeds it chunks of partitions, the single cut k = 1.  Each form
+  then takes exactly one eigvalsh (_symplectic_nus) and one entropy_from_nu
+  per nu, summed as a list (_entropy_from_cov): the per-cut path holds
+  those calls and nothing more.
 
 Both must agree to near machine precision on any positive definite V; the
 oracle is the assumption-free reference path.  The engine and the oracle's
@@ -328,23 +329,22 @@ def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
     return gamma_spectrum(v, cut, log_base=log_base).total_entropy()
 
 
-def _position_covariance(
-    v: PotentialMatrix, rows=None, *, table: bool = True
-) -> np.ndarray:
+def _position_covariance(v: PotentialMatrix, rows=None) -> np.ndarray:
     """A tall factor F, n x |rows|, with F^T F = X[rows, rows], of the
     ground-state position covariance X = V^{-1}/2 of psi ~ exp(-x^T V x / 2);
     all of X's columns when rows is None.
 
-    On H(d,2), v carries the symmetric root X^{1/2} as a function of
-    Hamming distance (its profile), and F is its column block.  Otherwise,
-    or when table is off, V = C C^T is factored by Cholesky and
-    F = C^{-1} E_rows / sqrt(2), E_rows the unit columns of rows.  X itself
-    is never formed: V^{-1} would resolve its small eigenvalues only to
-    eps max|X|.
+    The route follows from v alone.  When v carries a profile, the symmetric
+    root X^{1/2} as a function of Hamming distance that potential_matrix
+    attaches on H(d,2), F is its column block.  Otherwise (a raw array,
+    PotentialMatrix(array), any other graph) V = C C^T is factored by
+    Cholesky and F = C^{-1} E_rows / sqrt(2), E_rows the unit columns of
+    rows.  X itself is never formed: V^{-1} would resolve its small
+    eigenvalues only to eps max|X|.
     """
     idx = np.arange(v.n)
     cols = idx if rows is None else np.asarray(rows)
-    if v.profile is not None and table:
+    if v.profile is not None:
         # F is symmetric, so the rows F[rows, :] transposed are F[:, rows],
         # column-major.
         weights = hamming_weights(v.profile.size - 1)
@@ -398,7 +398,7 @@ def _entropy_from_cov(form: np.ndarray, base: str) -> float:
     return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(form)])
 
 
-def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> float:
+def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     """Reference entropy of the ground state reduced to an index subset.
 
     Takes the subset's block of the position covariance V^{-1}/2 and of the
@@ -410,13 +410,14 @@ def entropy_oracle_symplectic(v, subset, log_base=2, *, table: bool = True) -> f
     On H(d,2) a factor of the covariance block is gathered from the
     distance table of X^{1/2} that potential_matrix attaches; elsewhere it
     is solved from the Cholesky factor of V against the subset's unit
-    columns.  table=False takes the Cholesky route on H(d,2) too, a route
-    that knows nothing of hypercube harmonic analysis.
+    columns.  A raw array or PotentialMatrix(array) carries no table, so it
+    takes the Cholesky route on H(d,2) too, a route that knows nothing of
+    hypercube harmonic analysis.
     """
     base = _norm_log_base(log_base)
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
-    root = _position_covariance(v, rows, table=table)
+    root = _position_covariance(v, rows)
     p_aa = v.matrix[rows[:, None], rows] / 2.0
     form = _stacked_forms(root[None], 4.0 * p_aa[None])[0]
     return _entropy_from_cov(form, base)

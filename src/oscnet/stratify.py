@@ -42,6 +42,11 @@ def spin_x_block(block_dim: int) -> np.ndarray:
 MAX_DIMENSION = 1029
 
 
+def _check_dimension(d) -> None:
+    if not isinstance(d, int) or not 1 <= d <= MAX_DIMENSION:
+        raise GraphSizeError("dimension must be an integer in 1..%d" % MAX_DIMENSION)
+
+
 def block_table(d: int) -> list:
     """Dimensions and multiplicities of the ladder blocks for H(d,2).
 
@@ -49,8 +54,7 @@ def block_table(d: int) -> list:
     degeneracy binomial(d,k) - binomial(d,k-1), k = 0..floor(d/2).  Block k
     spans strata k..d-k.  Dimensions times degeneracies sum to 2^d.
     """
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIMENSION:
-        raise GraphSizeError("dimension must be an integer in 1..%d" % MAX_DIMENSION)
+    _check_dimension(d)
     table = []
     for k in range(d // 2 + 1):
         deg = math.comb(d, k) - (math.comb(d, k - 1) if k >= 1 else 0)
@@ -104,6 +108,5 @@ def hypercube_spectrum(d: int) -> list:
     Returns [(d - 2i, binomial(d,i))] for i = 0..d, largest eigenvalue
     first.  Multiplicities sum to 2^d and the spectrum is symmetric about 0.
     """
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIMENSION:
-        raise GraphSizeError("dimension must be an integer in 1..%d" % MAX_DIMENSION)
+    _check_dimension(d)
     return [(d - 2 * i, math.comb(d, i)) for i in range(d + 1)]

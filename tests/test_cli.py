@@ -349,7 +349,7 @@ def test_analytic_just_below_overflow_keeps_its_output(capsys):
     assert digest == "6f08becf250c8a3ec38a256866f23d8f81490b6d1f664ceab97734c1d2e64a92"
 
 
-def test_verify_command_exit_codes(capsys):
+def test_verify_command_exit_codes(monkeypatch, capsys):
     assert main(["verify", "--scheme", "parity", "--d", "3", "--g", "1.0"]) == 0
     out = capsys.readouterr().out
     assert "VERIFY OK" in out
@@ -361,6 +361,17 @@ def test_verify_command_exit_codes(capsys):
     for g in ("1e4", "1e5"):
         assert main(["verify", "--scheme", "half-strata", "--d", "9", "--g", g]) == 0
         assert "VERIFY OK" in capsys.readouterr().out
+
+    # at g = 1e8 the oracle's root table resolves the parity and identity
+    # closed forms
+    for scheme, d in (("parity", "6"), ("identity-cut", "3")):
+        assert main(["verify", "--scheme", scheme, "--d", d, "--g", "1e8"]) == 0
+        assert "VERIFY OK" in capsys.readouterr().out
+
+    # the half-strata closed form itself is ~1.4e-7 off at g = 1e8
+    # (ROADMAP item 11), so verify reports it
+    assert main(["verify", "--scheme", "half-strata", "--d", "7", "--g", "1e8"]) == 1
+    assert "VERIFY FAIL" in capsys.readouterr().out
 
     # an absurd tolerance turns roundoff into a reported failure
     assert (
@@ -386,6 +397,14 @@ def test_verify_command_exit_codes(capsys):
         assert main(["verify", "--scheme", "parity", "--d", "3", flag, value]) == 2
         assert "finite" in capsys.readouterr().err
 
+    # a closed form 1e-8 off is caught at the default tolerance
+    closed_form = oscnet.analytic.analytic_entropy
+    monkeypatch.setattr(
+        oscnet.analytic, "analytic_entropy", lambda *args: closed_form(*args) + 1e-8
+    )
+    assert main(["verify", "--scheme", "parity", "--d", "4"]) == 1
+    assert "VERIFY FAIL" in capsys.readouterr().out
+
 
 def test_verify_refuses_a_large_d_before_the_closed_form(monkeypatch, capsys):
     def closed_form(*args):
@@ -402,7 +421,8 @@ def test_spectrum_command(monkeypatch, capsys):
     assert rc == 0
     assert "block dimension degeneracy" in out
     assert "0 4 1" in out
-    assert "basis check" in out
+    # the tables are closed forms; no dense cross-check is computed
+    assert "basis check" not in out
 
     rc = main(["spectrum", "--d", "4", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
@@ -412,7 +432,7 @@ def test_spectrum_command(monkeypatch, capsys):
         {"dimension": 3, "degeneracy": 3},
         {"dimension": 1, "degeneracy": 2},
     ]
-    assert doc["basisCheckMaxDelta"] < 1e-9
+    assert "basisCheckMaxDelta" not in doc
 
     # spectrum reports no entropy, so it has no --log-base to ignore
     with pytest.raises(SystemExit) as err:

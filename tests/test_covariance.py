@@ -74,6 +74,7 @@ def test_table_matches_lu_inverse():
     cases = [(d, g) for d in range(1, 9) for g in _couplings(d)] + [(10, 0.5)]
     for d, g in cases:
         v = potential_matrix(hypercube_graph(d), g)
+        plain = PotentialMatrix(v.matrix)
         root = _position_covariance(v)
         lu = np.linalg.inv(v.matrix) / 2.0
         lam = [1.0 + 4.0 * g * l for l in range(d + 1)]
@@ -85,7 +86,7 @@ def test_table_matches_lu_inverse():
         rows = np.asarray(named_bipartition(d, "identity_cut").side_a)
         assert np.array_equal(_position_covariance(v, rows), root[:, rows])
         # the Cholesky route's tall factor of the same block
-        solved = _position_covariance(v, rows, table=False)
+        solved = _position_covariance(plain, rows)
         assert solved.shape == (v.n, rows.size)
         assert np.abs(solved.T @ solved - lu[np.ix_(rows, rows)]).max() <= bound
 
@@ -110,22 +111,24 @@ def test_profile_only_on_the_hypercube_potential():
         PotentialMatrix(np.eye(2), np.zeros(2))
 
 
-def test_oracle_lu_route_ignores_the_table():
+def test_oracle_takes_cholesky_route_without_the_table():
+    # The route is a property of V alone: the same matrix without the
+    # profile takes the Cholesky route, and no switch forces it.
     d, g = 5, 0.7
     v = potential_matrix(hypercube_graph(d), g)
     side_a = named_bipartition(d, "half_strata").side_a
     plain = PotentialMatrix(v.matrix)
     rows = np.asarray(side_a)
-    assert np.array_equal(
-        _position_covariance(v, rows, table=False),
-        _position_covariance(plain, rows),
+    assert not np.array_equal(
+        _position_covariance(v, rows), _position_covariance(plain, rows)
     )
-    assert np.array_equal(
-        _position_covariance(v, table=False), _position_covariance(plain)
-    )
-    solved = entropy_oracle_symplectic(v, side_a, table=False)
-    assert solved == entropy_oracle_symplectic(plain, side_a)
+    solved = entropy_oracle_symplectic(plain, side_a)
+    assert solved == entropy_oracle_symplectic(np.array(v.matrix), side_a)
     assert abs(entropy_oracle_symplectic(v, side_a) - solved) < 1e-12
+    with pytest.raises(TypeError):
+        entropy_oracle_symplectic(v, side_a, table=False)
+    with pytest.raises(TypeError):
+        _position_covariance(v, rows, table=False)
 
 
 def test_census_table_route_matches_relabeled_lu_route(tmp_path):

@@ -448,6 +448,7 @@ def test_stacked_step_matches_2d_mode_r_bit_for_bit():
     rng = np.random.default_rng(23)
     for _ in range(20):
         v, side_a = _random_instance(rng)
+        plain = PotentialMatrix(v.matrix)
         rows = np.asarray(side_a)
         p_aa = v.matrix[np.ix_(rows, rows)] / 2.0
         # Any orthogonal Q keeps (Q F)^T (Q F) = X, so each Q F is a valid
@@ -455,7 +456,7 @@ def test_stacked_step_matches_2d_mode_r_bit_for_bit():
         roots = []
         for _ in range(3):
             q, _ = np.linalg.qr(rng.standard_normal((v.n, v.n)))
-            roots.append(q @ _position_covariance(v, rows, table=False))
+            roots.append(q @ _position_covariance(plain, rows))
         forms = _stacked_forms(np.stack(roots), np.stack([4.0 * p_aa] * 3))
         for root, form in zip(roots, forms):
             want = _nus_by_mode_r(root, p_aa)
@@ -548,12 +549,13 @@ def test_no_dense_solve_on_the_cut_path(monkeypatch):
         orders.append(np.shape(a)[0])
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", recording)
     v = potential_matrix(hypercube_graph(8), 0.5)
     cut = named_bipartition(8, "identity_cut")
+    plain = PotentialMatrix(v.matrix)
+    monkeypatch.setattr(np.linalg, "solve", recording)
     gamma_spectrum(v, cut)
     engine_calls = len(orders)
-    entropy_oracle_symplectic(v, cut.side_a, table=False)
+    entropy_oracle_symplectic(plain, cut.side_a)
     assert 0 < engine_calls < len(orders)
     assert max(orders) <= SOLVE_LEAF
 
@@ -570,7 +572,7 @@ def test_engine_agrees_with_cholesky_oracle_on_an_odd_unequal_cut():
     for g in (0.05, 0.5, 3.0):
         v = potential_matrix(graph, g)
         engine = entropy_of_bipartition(v, cut)
-        oracle = entropy_oracle_symplectic(v, side_a, table=False)
+        oracle = entropy_oracle_symplectic(PotentialMatrix(v.matrix), side_a)
         assert engine > 1.0
         assert abs(engine - oracle) < 1e-9
 
@@ -593,13 +595,16 @@ def test_dense_factorizations_get_column_major_operands(monkeypatch):
 
         return recording
 
+    # Built before the spies, so its constructor's Cholesky goes unrecorded;
+    # v's certification below is recorded.
+    plain = PotentialMatrix(potential_matrix(hypercube_graph(6), 0.5).matrix)
     monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky))
     monkeypatch.setattr(np.linalg, "qr", spy(qr))
     v = potential_matrix(hypercube_graph(6), 0.5)
     cut = named_bipartition(6, "parity")
     gamma_spectrum(v, cut)
-    entropy_oracle_symplectic(v, cut.side_a, table=True)
-    entropy_oracle_symplectic(v, cut.side_a, table=False)
+    entropy_oracle_symplectic(v, cut.side_a)
+    entropy_oracle_symplectic(plain, cut.side_a)
     names = [name for name, _, _ in seen]
     assert sorted(names) == ["cholesky"] * 4 + ["qr"] * 2
     assert all(layout for _, shape, layout in seen if shape[-2] > 1)

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 from oscnet import (
+    PotentialMatrix,
     entropy_census,
     entropy_of_bipartition,
     entropy_oracle_symplectic,
@@ -91,6 +92,7 @@ def test_census_classes_against_mpmath(d, g):
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_oracle_on_named_cuts_against_mpmath(d, g):
     v = potential_matrix(hypercube_graph(d), g)
+    plain = PotentialMatrix(v.matrix)
     cov = _mp_covariances(d, g)
     schemes = ["parity", "identity-cut"] + (["half-strata"] if d % 2 else [])
     for scheme in schemes:
@@ -99,7 +101,7 @@ def test_oracle_on_named_cuts_against_mpmath(d, g):
         exact = _mp_entropy(cov, side_a)
         table = entropy_oracle_symplectic(v, side_a)
         assert _relative(table, exact) <= ORACLE_BOUND[g], (scheme, table)
-        solved = entropy_oracle_symplectic(v, side_a, table=False)
+        solved = entropy_oracle_symplectic(plain, side_a)
         assert _relative(solved, exact) <= CHOLESKY_ORACLE_BOUND[g], (scheme, solved)
         engine = entropy_of_bipartition(v, cut)
         assert _relative(engine, exact) <= ENGINE_BOUND[g], (scheme, engine)

@@ -74,7 +74,7 @@ def test_stratified_adjacency_d1():
 
 
 def test_stratified_spectra_match_vertex_basis():
-    for d in range(1, 9):
+    for d in range(1, 11):
         dense = np.linalg.eigvalsh(hypercube_graph(d).adjacency_matrix())
         strat = np.linalg.eigvalsh(stratified_adjacency(d))
         assert np.abs(np.sort(dense) - np.sort(strat)).max() < 1e-9
