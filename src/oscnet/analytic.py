@@ -29,6 +29,10 @@ nu = 1/sqrt((1 - gamma)(1 + gamma)) from it for every gamma above 1/2: at
 strong coupling the float difference 1.0 - gamma would keep only a few of
 its digits.
 
+Each builder returns a ModeSpectrum, which sorts its modes by descending
+gamma and carries no log base; analytic_entropy, like
+ModeSpectrum.total_entropy, takes the base of the entropy it returns.
+
 All three agree with the numerical engines to near machine precision; the
 tests enforce 1e-9.
 """
@@ -38,7 +42,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, SchemeError
-from .gaussian import ModeSpectrum, _mode, _norm_log_base
+from .gaussian import ModeSpectrum, _mode
 from .graph import cut_name
 from .stratify import MAX_DIMENSION, block_table, hypercube_spectrum
 
@@ -81,12 +85,7 @@ def _check_dg(d: int, g: float):
     return g + 0.0
 
 
-def _finish(modes, log_base) -> ModeSpectrum:
-    modes = sorted(modes, key=lambda m: -m.gamma)
-    return ModeSpectrum(tuple(modes), log_base=_norm_log_base(log_base))
-
-
-def gamma_identity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
+def gamma_identity_cut(d: int, g: float) -> ModeSpectrum:
     """Exact spectrum of the coordinate (facet-to-facet) cut of H(d,2).
 
     One mode per sub-cube adjacency eigenvalue lambda_i = (d-1) - 2i with
@@ -100,10 +99,10 @@ def gamma_identity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
         den = 1.0 + 2.0 * g * (1 + 2 * i)
         gap = (1.0 + 4.0 * g * i) / den
         modes.append(_mode(2.0 * g / den, math.comb(d - 1, i), gap))
-    return _finish(modes, log_base)
+    return ModeSpectrum(modes)
 
 
-def gamma_parity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
+def gamma_parity_cut(d: int, g: float) -> ModeSpectrum:
     """Exact spectrum of the even/odd Hamming-weight cut of H(d,2).
 
     One mode per positive adjacency eigenvalue lambda_i = d - 2i with
@@ -125,10 +124,10 @@ def gamma_parity_cut(d: int, g: float, log_base=2) -> ModeSpectrum:
         for lam, mult in hypercube_spectrum(d)
         if lam >= 0
     ]
-    return _finish(modes, log_base)
+    return ModeSpectrum(modes)
 
 
-def gamma_half_strata(d: int, g: float, log_base=2) -> ModeSpectrum:
+def gamma_half_strata(d: int, g: float) -> ModeSpectrum:
     """Exact spectrum of the half-strata cut of H(d,2), odd d only.
 
     Each ladder block of dimension d_J + 1 straddles the cut symmetrically
@@ -147,7 +146,7 @@ def gamma_half_strata(d: int, g: float, log_base=2) -> ModeSpectrum:
             continue
         gamma = (dim / 2.0) * _q_ratio(dim // 2, d + 1.0 / (2.0 * g), dim - 1)
         modes.append(_mode(gamma, deg))
-    return _finish(modes, log_base)
+    return ModeSpectrum(modes)
 
 
 # Closed-form spectrum of each named cut, keyed by graph.cut_name.
@@ -161,4 +160,4 @@ CLOSED_FORMS = {
 def analytic_entropy(scheme: str, d: int, g: float, log_base=2) -> float:
     """Total closed-form entropy of a named cut, in any spelling cut_name
     accepts."""
-    return CLOSED_FORMS[cut_name(scheme)](d, g, log_base).total_entropy()
+    return CLOSED_FORMS[cut_name(scheme)](d, g).total_entropy(log_base)

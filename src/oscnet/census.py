@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 
@@ -301,6 +302,10 @@ def entropy_census(
     census.  The report is then an estimate of the class structure, not a
     census.  Either way at most MAX_CENSUS_PARTITIONS partitions are taken;
     a larger census or sample is refused before any work is done.
+
+    threads asks for that many worker processes, at most os.cpu_count();
+    with one worker, or fewer than two rows per worker, the census runs in
+    this process.  The report is the same either way.
     """
     if not isinstance(graph, Graph):
         raise TypeError("expected a Graph")
@@ -308,10 +313,8 @@ def entropy_census(
     if n < 2 or n % 2:
         raise ValueError("census requires an even vertex count >= 2")
     tolerance = float(tolerance)
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
-    if not math.isfinite(tolerance):
-        raise ValueError("tolerance must be finite")
+    if not (tolerance > 0.0 and math.isfinite(tolerance)):
+        raise ValueError("tolerance must be positive and finite")
     if not isinstance(threads, int) or threads < 1:
         raise ValueError("threads must be a positive integer")
     base = _norm_log_base(log_base)
@@ -333,16 +336,19 @@ def entropy_census(
     p4 = 4.0 * (v.matrix / 2.0)
 
     kernel = functools.partial(_entropies, root_t, p4, base)
-    if threads == 1 or len(side_a) < 2 * threads:
+    # The pool starts every worker at once, so more workers than cores would
+    # only add processes.
+    workers = min(threads, os.cpu_count() or 1)
+    if workers == 1 or len(side_a) < 2 * workers:
         entropies = kernel(side_a)
     else:
         # Imported here so that serial runs never pay for multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         # Each worker gets one contiguous block of rows, pickled as one array.
-        chunksize = math.ceil(len(side_a) / threads)
+        chunksize = math.ceil(len(side_a) / workers)
         blocks = [side_a[i : i + chunksize] for i in range(0, len(side_a), chunksize)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(kernel, blocks)
             entropies = np.concatenate(list(parts))
 

@@ -72,10 +72,9 @@ def _emit_modes(args, config, spectrum, totals):
 
     totals lists (text label, JSON key, value) triples.
     """
-    base = spectrum.log_base
     rows = [
-        (m.gamma, m.nu, m.degeneracy, gaussian.entropy_from_nu(m.nu, base))
-        for m in spectrum.modes
+        (m.gamma, m.nu, m.degeneracy, s)
+        for m, s in zip(spectrum.modes, spectrum.entropies(args.log_base))
     ]
 
     def text():
@@ -174,8 +173,8 @@ def _cmd_entropy(args) -> int:
     subset = _parse_subset(args.subset)
     v = potential_matrix(graph, args.g)
     cut = Bipartition.from_side_a(graph.n, subset)
-    spectrum = gaussian.gamma_spectrum(v, cut, log_base=args.log_base)
-    engine = spectrum.total_entropy()
+    spectrum = gaussian.gamma_spectrum(v, cut)
+    engine = spectrum.total_entropy(args.log_base)
     oracle = gaussian.entropy_oracle_symplectic(
         v, cut.side_a, log_base=args.log_base
     )
@@ -253,14 +252,16 @@ def _cmd_census(args) -> int:
 
 def _cmd_analytic(args) -> int:
     closed_form = analytic.CLOSED_FORMS[cut_name(args.scheme)]
-    spectrum = closed_form(args.d, args.g, args.log_base)
+    spectrum = closed_form(args.d, args.g)
     config = [
         ("scheme", args.scheme),
         ("d", args.d),
         ("g", _fmt(args.g)),
         ("log-base", args.log_base),
     ]
-    totals = [("total entropy", "totalEntropy", spectrum.total_entropy())]
+    totals = [
+        ("total entropy", "totalEntropy", spectrum.total_entropy(args.log_base))
+    ]
     _emit_modes(args, config, spectrum, totals)
     return 0
 

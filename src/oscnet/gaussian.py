@@ -30,6 +30,14 @@ nothing else.  It halves a triangle down to leaves of at most SOLVE_LEAF
 rows, applies each leaf's inverse by matmul and refines the result once in
 working precision, so nearly all of its flops are matmul flops.
 
+A spectrum carries no log base: bits or nats change the unit of an
+entropy, not the gammas and nus it is summed from.  So gamma_spectrum, like
+the gamma_* closed forms in analytic, takes none, and
+ModeSpectrum.entropies alone turns modes into entropies; total_entropy sums
+its values.  Those two methods and every function that returns an entropy
+(entropy_from_nu, entropy_of_bipartition, entropy_oracle_symplectic) take
+log_base, 2 or "e".
+
 Every dense factorization gets a column-major operand.  numpy's linalg
 copies each operand into a Fortran-order buffer for LAPACK, and from a
 row-major array that copy is a strided transpose.  So the Cholesky calls
@@ -114,16 +122,19 @@ def entropy_from_nu(nu: float, log_base=2) -> float:
     """Entropy of one thermal mode with symplectic eigenvalue nu.
 
     S(nu) = ((nu+1)/2) log((nu+1)/2) - ((nu-1)/2) log((nu-1)/2), which is 0
-    at nu = 1.  Values of nu below 1 by more than 1e-10 are rejected;
-    smaller dips are treated as exactly 1.
+    at nu = 1.  Values of nu below 1 by more than 1e-10, NaN and infinity
+    are rejected; smaller dips are treated as exactly 1.
     """
     try:
         log = _LOGS[log_base]
     except (KeyError, TypeError):
         log = _LOGS[_norm_log_base(log_base)]
     nu = float(nu)
-    if nu < 1.0 - NU_SLACK:
-        raise DomainError("symplectic eigenvalue %.17g is below 1" % nu)
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not 1.0 - NU_SLACK <= nu < math.inf:
+        raise DomainError(
+            "symplectic eigenvalue %.17g is below 1 or not finite" % nu
+        )
     if nu <= 1.0:
         return 0.0
     up = (nu + 1.0) / 2.0
@@ -178,14 +189,18 @@ def _mode(gamma: float, degeneracy: int = 1, gap: float | None = None) -> Mode:
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """A multiset of entanglement modes with a fixed entropy log base."""
+    """A multiset of entanglement modes, sorted by descending gamma.
+
+    The spectrum has no unit: entropies and total_entropy take the log base.
+    The sort is stable, so modes of equal gamma keep the order they came in.
+    """
 
     modes: tuple
-    log_base: str = "2"
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "log_base", _norm_log_base(self.log_base))
+        object.__setattr__(
+            self, "modes", tuple(sorted(self.modes, key=lambda m: -m.gamma))
+        )
 
     def mode_count(self) -> int:
         """Total number of modes, degeneracies included."""
@@ -196,15 +211,17 @@ class ModeSpectrum:
         out = []
         for m in self.modes:
             out.extend([m.gamma] * m.degeneracy)
-        return np.sort(np.array(out))[::-1]
+        return np.array(out)
 
-    def total_entropy(self) -> float:
+    def entropies(self, log_base=2) -> list:
+        """S(nu) of one copy of each mode, in mode order."""
+        base = _norm_log_base(log_base)
+        return [entropy_from_nu(m.nu, base) for m in self.modes]
+
+    def total_entropy(self, log_base=2) -> float:
         """Sum of degeneracy * S(nu) over all modes."""
         return float(
-            sum(
-                m.degeneracy * entropy_from_nu(m.nu, self.log_base)
-                for m in self.modes
-            )
+            sum(m.degeneracy * s for m, s in zip(self.modes, self.entropies(log_base)))
         )
 
 
@@ -237,8 +254,10 @@ def schmidt_spectrum(nu: float, n_max: int) -> SchmidtSpectrum:
     if not isinstance(n_max, int) or n_max < 1:
         raise ValueError("n_max must be a positive integer")
     nu = float(nu)
-    if nu < 1.0 - NU_SLACK:
-        raise DomainError("symplectic eigenvalue %.17g is below 1" % nu)
+    if not 1.0 - NU_SLACK <= nu < math.inf:
+        raise DomainError(
+            "symplectic eigenvalue %.17g is below 1 or not finite" % nu
+        )
     nu = max(nu, 1.0)
     t = (nu - 1.0) / (nu + 1.0)
     n = np.arange(n_max + 1)
@@ -287,7 +306,7 @@ def _substitute(l: np.ndarray, x: np.ndarray) -> None:
     _substitute(l[h:, h:], x[h:])
 
 
-def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
+def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     """Coupling-ratio spectrum of a bipartition of the ground state.
 
     Whitens both diagonal blocks of V by their Cholesky factors
@@ -297,7 +316,6 @@ def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
     modes are returned, sorted by descending gamma; ratios below 1e-12 count
     as exact zero modes.
     """
-    base = _norm_log_base(log_base)
     m = _as_potential(v).matrix
     if cut.n != m.shape[0]:
         raise ValueError("bipartition size does not match matrix")
@@ -321,12 +339,12 @@ def gamma_spectrum(v, cut: Bipartition, log_base=2) -> ModeSpectrum:
             "whitened coupling has singular value %.17g >= 1; "
             "the matrix is not positive definite" % sigma[0]
         )
-    return ModeSpectrum(tuple(_mode(s) for s in sigma), log_base=base)
+    return ModeSpectrum(tuple(_mode(s) for s in sigma))
 
 
 def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
     """Entanglement entropy across a cut via the whitened-coupling engine."""
-    return gamma_spectrum(v, cut, log_base=log_base).total_entropy()
+    return gamma_spectrum(v, cut).total_entropy(log_base)
 
 
 def _position_covariance(v: PotentialMatrix, rows=None) -> np.ndarray:

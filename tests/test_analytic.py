@@ -244,7 +244,7 @@ def test_parity_cut_totals_match_mpmath(g):
                     want += math.comb(d, i) * entropy
                 if log_base == "2":
                     want /= mpmath.log(2)
-                got = gamma_parity_cut(d, g, log_base).total_entropy()
+                got = gamma_parity_cut(d, g).total_entropy(log_base)
                 assert abs(got - want) <= PARITY_TOTAL_BOUND[g] * want
 
 
@@ -356,6 +356,18 @@ def test_zero_coupling_spectra_are_trivial():
     spec = gamma_half_strata(5, 0.0)
     assert spec.total_entropy() == 0.0
     assert np.all(spec.expanded_gammas() == 0.0)
+
+
+def test_closed_forms_take_no_log_base_and_list_modes_descending():
+    for builder in (gamma_identity_cut, gamma_parity_cut, gamma_half_strata):
+        with pytest.raises(TypeError):
+            builder(3, 0.5, log_base=2)
+        with pytest.raises(TypeError):
+            builder(3, 0.5, "e")
+        gammas = [m.gamma for m in builder(5, 0.5).modes]
+        assert gammas == sorted(gammas, reverse=True)
+    nats = analytic_entropy("parity", 5, 0.5, "e")
+    assert nats == gamma_parity_cut(5, 0.5).total_entropy("e")
 
 
 # Every accepted spelling of each named cut.

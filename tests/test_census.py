@@ -154,6 +154,49 @@ def test_census_is_deterministic_and_thread_invariant():
         assert a.to_dict() == c.to_dict()
 
 
+@pytest.mark.parametrize(
+    "cores, threads, d, workers",
+    [
+        # 3,000 requested workers are capped at the cores.
+        (3, 3000, 4, 3),
+        (2, 2, 3, 2),
+        # The cube's 35 rows give two or more to each of 4 capped workers,
+        # but not to each of 20: the serial fallback counts capped workers.
+        (4, 3000, 3, 4),
+        (20, 3000, 3, None),
+        # One core, or none reported, runs serially.
+        (1, 8, 3, None),
+        (None, 8, 3, None),
+    ],
+)
+def test_census_workers_are_capped_at_the_cores(monkeypatch, cores, threads, d, workers):
+    import concurrent.futures
+
+    made = []
+
+    class InProcessPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return map(fn, blocks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: cores)
+    pooled = entropy_census(hypercube_graph(d), 0.5, threads=threads)
+    assert made == ([] if workers is None else [workers])
+    monkeypatch.undo()
+    assert pooled.to_dict() == entropy_census(hypercube_graph(d), 0.5).to_dict()
+
+
 def test_census_boundary_warning_fires_near_tolerance():
     g = hypercube_graph(3)
     strict = entropy_census(g, 0.5)
@@ -187,7 +230,7 @@ def test_census_sampling_is_seeded_and_bounded():
 
 def test_census_validation():
     for tolerance in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             entropy_census(hypercube_graph(3), 0.5, tolerance=tolerance)
     with pytest.raises(ValueError):
         entropy_census(hypercube_graph(3), 0.5, threads=0)

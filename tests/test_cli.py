@@ -270,6 +270,75 @@ def test_census_output_bytes_are_pinned_and_build_no_entropy_class(
     assert hashlib.sha256(text).hexdigest() == digests["text"]
 
 
+# sha256 of the stdout of analytic (every scheme, both log bases, text and
+# JSON) and of spectrum, as printed while spectra carried a log base.
+ANALYTIC_DIGESTS = {
+    ("parity", "6", "1e8", "2", "text"):
+        "4ccfecffb4f35bc6f89f3158359e8353a76aa73a5d66e848f5452ff51af2eae2",
+    ("parity", "6", "1e8", "2", "json"):
+        "1fa1d3d53ea0081973ed3842b4e9550b8dce9e519f9969635ee9abc06f62b60a",
+    ("parity", "6", "1e8", "e", "text"):
+        "4f06e2f24215ffa26d08e028661998ee0b9657bbb5ba2321072cf6f6f0a31ae6",
+    ("parity", "6", "1e8", "e", "json"):
+        "9611b1c87b3f451f64101ca66e7bf5861d828130e34a9c00a897b6cd3f8dbc39",
+    ("identity-cut", "4", "1e-6", "2", "text"):
+        "8044097d08a4a568c2c9e62ae01b244038820f00e57e8a606d1ff1e191884e43",
+    ("identity-cut", "4", "1e-6", "2", "json"):
+        "10f6d11576d3f01f85887327727b8433309c142de6acae057f30d21fe7a9af7d",
+    ("identity-cut", "4", "1e-6", "e", "text"):
+        "f5970a57c428660cf427a2f32c6f354b1aec2ebb0180a34543a23aa610ab33b5",
+    ("identity-cut", "4", "1e-6", "e", "json"):
+        "655ddf4e9843b557605627463aacc9f1d2724beea404d378e3c71c3a10b18649",
+    ("half-strata", "5", "0.5", "2", "text"):
+        "b1c41c332d26a9bfc0504d659f45acf986d10dbdf5c45b255d1d1efa6859f424",
+    ("half-strata", "5", "0.5", "2", "json"):
+        "ce69d2bcec8442e31d01babfcc016fedd0cc60078f92cb7aa66a4788d2693337",
+    ("half-strata", "5", "0.5", "e", "text"):
+        "4eb8bd84030065221dc96fd49b67b1c1b14003e65afc9d0417e4105f76e75491",
+    ("half-strata", "5", "0.5", "e", "json"):
+        "3e9db45edbcf82dd3a6064037c872b440979516c1e859bd48da49e3cf3ca6556",
+}
+SPECTRUM_DIGESTS = {
+    "text": "5715b1e0fc9215f922da643cf2cf63f84514d9d7cf4172cb0b445f071faf1a77",
+    "json": "f53780c42a55cf6f216afcc970e177a679d693e6ff7d5bf05183984a9c962a15",
+}
+# sha256 of entropy's text stdout, printed then too, without its difference
+# line, which is the rounding noise of two routes.  Facet cuts have no zero modes, whose
+# printed gammas would be rounding noise too.
+ENTROPY_DIGESTS = {
+    ("hypercube:2", "0,1", "2"):
+        "b0ddbd60e5e31fe41ec5356af51ded6b955525b39a93e491ce8d0cecd63fc901",
+    ("hypercube:2", "0,1", "e"):
+        "f465643845d66c1620058a95b800e42ea6b80cba4534ce1bf99d89dcdb5e343d",
+    ("hypercube:3", "0,1,2,3", "2"):
+        "5d76d962ca1f5dcf9a79ec682f8889b405c8bb22b28e3402cc7599f21de8782e",
+    ("hypercube:3", "0,1,2,3", "e"):
+        "b55ae648ce900048a21202cdfcd89a88c9df389935d6a84796f6977efa801076",
+}
+
+
+def _stdout_sha256(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    out = "".join(
+        line for line in out.splitlines(True) if not line.startswith("difference")
+    )
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_analytic_spectrum_and_entropy_output_bytes_are_pinned(capsys):
+    for (scheme, d, g, base, fmt), digest in ANALYTIC_DIGESTS.items():
+        argv = ["analytic", "--scheme", scheme, "--d", d, "--g", g,
+                "--log-base", base, "--format", fmt]
+        assert _stdout_sha256(capsys, argv) == digest, argv
+    for fmt, digest in SPECTRUM_DIGESTS.items():
+        argv = ["spectrum", "--d", "6", "--format", fmt]
+        assert _stdout_sha256(capsys, argv) == digest, argv
+    for (graph, subset, base), digest in ENTROPY_DIGESTS.items():
+        argv = ["entropy", "--graph", graph, "--subset", subset, "--log-base", base]
+        assert _stdout_sha256(capsys, argv) == digest, argv
+
+
 def test_analytic_command(capsys):
     rc = main(["analytic", "--scheme", "half-strata", "--d", "3", "--g", "0.5"])
     out = capsys.readouterr().out

@@ -78,6 +78,10 @@ def test_non_finite_mode_parameters_are_refused():
             nu_from_gamma(bad)
         with pytest.raises(DomainError):
             Mode(gamma=bad, nu=1.5)
+        with pytest.raises(DomainError, match="not finite"):
+            entropy_from_nu(bad)
+        with pytest.raises(DomainError, match="not finite"):
+            schmidt_spectrum(bad, 3)
         with pytest.raises(DomainError):
             Mode(gamma=0.5, nu=bad)
 
@@ -489,10 +493,32 @@ def test_mode_and_spectrum_validation():
         Mode(gamma=0.1, nu=0.9)
     with pytest.raises(ValueError):
         Mode(gamma=0.1, nu=1.1, degeneracy=0)
-    spec = ModeSpectrum((Mode(0.5, nu_from_gamma(0.5), 3),), log_base=2)
+    spec = ModeSpectrum((Mode(0.5, nu_from_gamma(0.5), 3),))
     assert spec.mode_count() == 3
     assert abs(spec.total_entropy() - 3 * entropy_from_nu(nu_from_gamma(0.5))) < 1e-14
     assert np.allclose(spec.expanded_gammas(), [0.5, 0.5, 0.5])
+
+
+def test_mode_spectrum_sorts_its_modes_and_takes_the_log_base_per_entropy():
+    nus = {gamma: nu_from_gamma(gamma) for gamma in (0.25, 0.5)}
+    low, high, tie = (Mode(0.25, nus[0.25], 1), Mode(0.5, nus[0.5], 2),
+                      Mode(0.25, nus[0.25], 3))
+    spec = ModeSpectrum([low, high, tie])
+    # Descending gamma, equal gammas in the order given.
+    assert spec.modes == (high, low, tie)
+    assert spec.expanded_gammas().tolist() == [0.5] * 2 + [0.25] * 4
+    for base in (2, "2", "e", math.e):
+        s = spec.entropies(base)
+        assert s == [entropy_from_nu(m.nu, base) for m in spec.modes]
+        assert spec.total_entropy(base) == 2 * s[0] + 1 * s[1] + 3 * s[2]
+    assert spec.total_entropy() == spec.total_entropy(2)
+    with pytest.raises(ValueError, match="log base"):
+        spec.entropies(10)
+    with pytest.raises(TypeError):
+        ModeSpectrum([high], log_base=2)
+    v = potential_matrix(hypercube_graph(2), 0.5)
+    with pytest.raises(TypeError):
+        gamma_spectrum(v, named_bipartition(2, "parity"), log_base=2)
 
 
 def _solve_lower_cases(rng):
