@@ -26,9 +26,12 @@ two independent ways:
 Both must agree to near machine precision on any positive definite V; the
 oracle is the assumption-free reference path.  The engine and the oracle's
 Cholesky route share one primitive, the triangular solve _solve_lower, and
-nothing else.  It halves a triangle down to leaves of at most SOLVE_LEAF
-rows, applies each leaf's inverse by matmul and refines the result once in
-working precision, so nearly all of its flops are matmul flops.
+nothing else.  PotentialMatrix.certify also calls it, to halve V by Schur
+complements, but certification is the gate before both routes and neither
+reads its result, so they stay independent.  _solve_lower halves a
+triangle down to leaves of at most SOLVE_LEAF rows, applies each leaf's
+inverse by matmul and refines the result once in working precision, so
+nearly all of its flops are matmul flops.
 
 A spectrum carries no log base: bits or nats change the unit of an
 entropy, not the gammas and nus it is summed from.  So gamma_spectrum, like
@@ -76,6 +79,11 @@ NU_SLACK = 1e-10
 # their inverse; larger ones are halved.  16 beat 32 and 64 on the whitening
 # solves of the H(10,2) parity cut.
 SOLVE_LEAF = 16
+# Rows of the covariance root table gathered per pass.  On the H(10,2)
+# parity cut, passes of 32 rows peak at 4.5 MB of numpy buffers, where one
+# pass over all 512 rows took 8 MB: its int64 labels and weights were each
+# as large as the gathered block.
+_TABLE_ROWS = 32
 
 
 # The log of every log-base spelling one dict lookup resolves; the others
@@ -321,8 +329,8 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
         raise ValueError("bipartition size does not match matrix")
     a = np.asarray(cut.side_a, dtype=np.intp)
     b = np.asarray(cut.side_b, dtype=np.intp)
-    # One row take per side, then a column take: whole rows copy as runs,
-    # where np.ix_ gathers element by element.
+    # Side A's rows are taken once and serve two column takes: whole rows
+    # copy as runs, where an index pair gathers element by element.
     rows_a = m.take(a, axis=0)
     v_ab = rows_a.take(b, axis=1)
     # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
@@ -331,7 +339,9 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     # Freed here, the rows' pages serve the buffers below; held through the
     # solves and the SVD, they cost ~2,500 fresh page faults per H(10,2) cut.
     del rows_a
-    lb = np.linalg.cholesky(m.take(b, axis=0).take(b, axis=1).T)
+    # Side B's rows would serve one take only, so V_BB is gathered by index
+    # pair, without the |B| x n rows.
+    lb = np.linalg.cholesky(m[b[:, None], b].T)
     coupling = _solve_lower(lb, _solve_lower(la, v_ab).T).T
     sigma = np.linalg.svd(coupling, compute_uv=False)
     if sigma.size and sigma[0] >= 1.0:
@@ -364,10 +374,15 @@ def _position_covariance(v: PotentialMatrix, rows=None) -> np.ndarray:
     cols = idx if rows is None else np.asarray(rows)
     if v.profile is not None:
         # F is symmetric, so the rows F[rows, :] transposed are F[:, rows],
-        # column-major.
+        # column-major.  They are gathered _TABLE_ROWS at a time, so F's
+        # block is the only n x |rows| array.
         weights = hamming_weights(v.profile.size - 1)
-        return v.profile[weights[cols[:, None] ^ idx]].T
-    # certify has already factored V, so the Cholesky exists.
+        out = np.empty((v.n, cols.size), order="F")
+        for i in range(0, cols.size, _TABLE_ROWS):
+            part = cols[i : i + _TABLE_ROWS]
+            out[:, i : i + part.size] = v.profile[weights[part[:, None] ^ idx]].T
+        return out
+    # certify has shown V positive definite, so the Cholesky exists.
     unit = np.zeros((v.n, cols.size))
     unit[cols, np.arange(cols.size)] = 1.0
     root = _solve_lower(np.linalg.cholesky(v.matrix.T), unit)
@@ -436,6 +451,9 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
     root = _position_covariance(v, rows)
-    p_aa = v.matrix[rows[:, None], rows] / 2.0
-    form = _stacked_forms(root[None], 4.0 * p_aa[None])[0]
+    # 4P_A from V_AA: halved, then quadrupled, in place.
+    p4 = v.matrix[rows[:, None], rows]
+    p4 /= 2.0
+    p4 *= 4.0
+    form = _stacked_forms(root[None], p4[None])[0]
     return _entropy_from_cov(form, base)

@@ -21,7 +21,7 @@ from oscnet import (
     named_bipartition,
     potential_matrix,
 )
-from oscnet.gaussian import _position_covariance
+from oscnet.gaussian import _TABLE_ROWS, _position_covariance
 from oscnet.graph import EIG_FLOOR
 
 EPS = np.finfo(float).eps
@@ -89,6 +89,18 @@ def test_table_matches_lu_inverse():
         solved = _position_covariance(plain, rows)
         assert solved.shape == (v.n, rows.size)
         assert np.abs(solved.T @ solved - lu[np.ix_(rows, rows)]).max() <= bound
+
+
+def test_table_columns_gathered_in_passes_match_the_whole_table():
+    # Side sets that end in a partial pass, listed in any order.
+    v = potential_matrix(hypercube_graph(7), 0.5)
+    root = _position_covariance(v)
+    rng = np.random.default_rng(5)
+    for size in (1, _TABLE_ROWS - 1, _TABLE_ROWS, 2 * _TABLE_ROWS + 5, v.n):
+        rows = rng.permutation(v.n)[:size]
+        cols = _position_covariance(v, rows)
+        assert cols.flags.f_contiguous
+        assert np.array_equal(cols, root[:, rows])
 
 
 def test_profile_only_on_the_hypercube_potential():

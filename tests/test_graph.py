@@ -1,5 +1,7 @@
 """Graph construction, potential matrices, named bipartitions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from oscnet import (
     potential_matrix,
     stratified_adjacency,
 )
-from oscnet.graph import EIG_FLOOR
+from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR
 
 
 def test_hypercube_small_cases():
@@ -179,6 +181,97 @@ def test_certify_leaves_the_input_bit_identical():
     frozen.setflags(write=False)
     with pytest.raises(DefinitenessError):
         PotentialMatrix(frozen)
+
+
+def _halved_certify_cases(n, rng):
+    """Symmetric n x n matrices and the verdict each should get: smallest
+    eigenvalue well above EIG_FLOOR, below 0, and between 0 and EIG_FLOOR;
+    one whose halves V_11 and V_22 are definite while the Schur complement
+    V_22 - V_21 V_11^{-1} V_12 is not; and two with a diagonal entry on
+    which the shift by EIG_FLOOR does not round-trip."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    cases = []
+    for low, definite in ((1e-3, True), (-1e-3, False), (EIG_FLOOR / 2, False)):
+        eigenvalues = np.concatenate([[low], rng.uniform(0.5, 1.5, n - 1)])
+        v = (q * eigenvalues) @ q.T
+        cases.append(((v + v.T) / 2, definite))
+    # Rotating each half of [[I, C], [C^T, I]] keeps both halves near I, but
+    # C's singular value 1.5 gives V the eigenvalue 1 - 1.5 = -0.5.
+    h = n // 2
+    couple = np.zeros((h, n - h))
+    couple[0, 0] = 1.5
+    couple[np.arange(1, h), np.arange(1, h)] = 0.5
+    q1 = np.linalg.qr(rng.standard_normal((h, h)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((n - h, n - h)))[0]
+    rotation = np.zeros((n, n))
+    rotation[:h, :h] = q1
+    rotation[h:, h:] = q2
+    v = rotation @ np.block([[np.eye(h), couple], [couple.T, np.eye(n - h)]])
+    v = v @ rotation.T
+    v = (v + v.T) / 2
+    np.linalg.cholesky(v[:h, :h])
+    np.linalg.cholesky(v[h:, h:])
+    cases.append((v, False))
+    # The diagonals of the n = 2 bit-identity test, on a row and column cut
+    # off from the rest of a definite v.
+    for tiny, definite in ((2.925540438987424e-12, True), (1e-20, False)):
+        assert (tiny - EIG_FLOOR) + EIG_FLOOR != tiny
+        v = cases[0][0].copy()
+        v[-1, :] = v[:, -1] = 0.0
+        v[-1, -1] = tiny
+        cases.append((v, definite))
+    return cases
+
+
+@pytest.mark.parametrize("n", [1024, 2 * CERTIFY_LEAF + 3])
+def test_certify_by_halves_gives_the_verdict_of_one_cholesky(n):
+    rng = np.random.default_rng(n)
+    for v, definite in _halved_certify_cases(n, rng):
+        try:
+            np.linalg.cholesky(v - EIG_FLOOR * np.eye(n))
+            whole = True
+        except np.linalg.LinAlgError:
+            whole = False
+        assert whole == definite
+        before = v.tobytes()
+        frozen = v.copy()
+        frozen.setflags(write=False)
+        if definite:
+            assert PotentialMatrix(v).matrix is v
+            assert PotentialMatrix(frozen).matrix is frozen
+        else:
+            with pytest.raises(DefinitenessError):
+                PotentialMatrix(v)
+            assert v.flags.writeable
+            with pytest.raises(DefinitenessError):
+                PotentialMatrix(frozen)
+        assert v.tobytes() == before
+        assert frozen.tobytes() == before
+
+
+def test_certify_never_factors_more_than_a_leaf(monkeypatch):
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        factored.append(a.shape[0])
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    v = potential_matrix(hypercube_graph(10), 0.5).matrix
+    monkeypatch.undo()
+    assert factored and max(factored) <= CERTIFY_LEAF
+    # One factor of all of V would be as large as V; certification by
+    # halves holds blocks of at most half its order at a time.  numpy's
+    # own LAPACK work buffers are not traced.
+    work = np.array(v)
+    tracemalloc.start()
+    try:
+        PotentialMatrix.certify(work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * v.nbytes
 
 
 def test_potential_matrix_owns_its_array_and_the_engines_copy_first():
