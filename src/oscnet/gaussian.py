@@ -86,18 +86,21 @@ SOLVE_LEAF = 16
 _TABLE_ROWS = 32
 
 
-# The log of every log-base spelling one dict lookup resolves; the others
-# (a float equal to math.e, or a refusal) go through _norm_log_base.
-_LOGS = {2: math.log2, "2": math.log2, "e": math.log}
+# The log of every accepted log-base spelling.  A lookup goes by hash and
+# equality, so 2.0, np.int64(2) and np.float64(math.e) find their key, while
+# True (== 1), np.float32(math.e) (!= math.e), NaN and unhashable values
+# do not.
+_LOGS = {2: math.log2, "2": math.log2, math.e: math.log, "e": math.log}
 
 
 def _norm_log_base(log_base) -> str:
-    """Normalize a log-base argument to "2" or "e"."""
-    if log_base in (2, 2.0, "2"):
-        return "2"
-    if log_base == "e" or (isinstance(log_base, float) and log_base == math.e):
-        return "e"
-    raise ValueError("log base must be 2 or 'e', got %r" % (log_base,))
+    """Normalize a log-base argument to "2" or "e"; a spelling _LOGS does
+    not hold is refused."""
+    try:
+        log = _LOGS[log_base]
+    except (KeyError, TypeError):
+        raise ValueError("log base must be 2 or 'e', got %r" % (log_base,)) from None
+    return "2" if log is math.log2 else "e"
 
 
 def _as_potential(v) -> PotentialMatrix:
@@ -136,6 +139,7 @@ def entropy_from_nu(nu: float, log_base=2) -> float:
     try:
         log = _LOGS[log_base]
     except (KeyError, TypeError):
+        # Every accepted spelling is a key, so this raises the refusal.
         log = _LOGS[_norm_log_base(log_base)]
     nu = float(nu)
     # Written so that NaN, which fails every comparison, is refused too.
@@ -175,8 +179,9 @@ class Mode:
 
 
 def _mode(gamma: float, degeneracy: int = 1, gap: float | None = None) -> Mode:
-    """The mode of one coupling ratio; ratios below GAMMA_ZERO are exact zero
-    modes with nu = 1.
+    """The mode of one coupling ratio; ratios in [0, GAMMA_ZERO) are exact
+    zero modes, gamma = 0 and nu = 1, so rounding noise of the SVD never
+    reaches a printed gamma.
 
     gap is 1 - gamma when the caller knows it to a few ulps.  Above
     gamma = 1/2 the float difference 1.0 - gamma is exact (Sterbenz), so it
@@ -186,12 +191,11 @@ def _mode(gamma: float, degeneracy: int = 1, gap: float | None = None) -> Mode:
     refusals apply either way.
     """
     gamma = float(gamma)
-    if gamma < GAMMA_ZERO:
-        nu = 1.0
-    else:
-        nu = nu_from_gamma(gamma)
-        if gap is not None and gamma > 0.5:
-            nu = 1.0 / math.sqrt(gap * (1.0 + gamma))
+    if 0.0 <= gamma < GAMMA_ZERO:
+        return Mode(gamma=0.0, nu=1.0, degeneracy=degeneracy)
+    nu = nu_from_gamma(gamma)
+    if gap is not None and gamma > 0.5:
+        nu = 1.0 / math.sqrt(gap * (1.0 + gamma))
     return Mode(gamma=gamma, nu=nu, degeneracy=degeneracy)
 
 
@@ -321,8 +325,8 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     V_AA = L_A L_A^T, V_BB = L_B L_B^T and takes the singular values of
     L_A^{-1} V_AB L_B^{-T}, which are those of V_AA^{-1/2} V_AB V_BB^{-1/2};
     each singular value gamma < 1 is one entanglement mode.  min(|A|, |B|)
-    modes are returned, sorted by descending gamma; ratios below 1e-12 count
-    as exact zero modes.
+    modes are returned, sorted by descending gamma; ratios below 1e-12 are
+    exact zero modes, reported as gamma = 0.
     """
     m = _as_potential(v).matrix
     if cut.n != m.shape[0]:

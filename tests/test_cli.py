@@ -68,6 +68,22 @@ def test_entropy_json_format(capsys):
     assert len(doc["modes"]) == 2
 
 
+def test_entropy_prints_zero_modes_as_zero(capsys):
+    # The SVD leaves ~1e-17 of rounding noise where the second mode of this
+    # cut is exactly zero; gamma below GAMMA_ZERO prints as 0.
+    argv = ["entropy", "--graph", "hypercube:2", "--subset", "0,3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    top = lines.index("gamma nu degeneracy entropy")
+    assert lines[top + 1 : top + 3] == [
+        "0.666666666667 1.3416407865 1 0.701882486605",
+        "0 1 1 0",
+    ]
+    assert main(argv + ["--format", "json"]) == 0
+    modes = json.loads(capsys.readouterr().out)["modes"]
+    assert modes[1] == {"gamma": 0.0, "nu": 1.0, "degeneracy": 1, "entropy": 0.0}
+
+
 def test_entropy_bad_inputs_exit_2(capsys):
     assert main(["entropy", "--graph", "hypercube:2", "--g", "0.5", "--subset", "0,x"]) == 2
     assert main(["entropy", "--graph", "hypercube:1", "--g", "0.5", "--subset", "0,1"]) == 2

@@ -259,6 +259,12 @@ def test_gamma_spectrum_rejects_indefinite_matrix():
         gamma_spectrum(v, Bipartition.from_side_a(2, [0]))
 
 
+def test_gamma_spectrum_refuses_a_cut_of_another_size():
+    v = potential_matrix(hypercube_graph(2), 0.5)
+    with pytest.raises(ValueError, match="bipartition size does not match"):
+        gamma_spectrum(v, Bipartition.from_side_a(2, [0]))
+
+
 def test_definiteness_floor_holds_on_every_route():
     # lambda_min = delta = 5e-13 is positive but below EIG_FLOOR = 1e-12
     delta = 5e-13

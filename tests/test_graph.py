@@ -9,9 +9,11 @@ from oscnet import (
     Bipartition,
     DefinitenessError,
     EdgeListError,
+    Graph,
     GraphSizeError,
     PotentialMatrix,
     SchemeError,
+    entropy_of_bipartition,
     entropy_oracle_symplectic,
     gamma_spectrum,
     graph_from_edge_list,
@@ -89,6 +91,64 @@ def test_hypercube_automorphism_invariance():
         assert np.array_equal(a[np.ix_(relabeled, relabeled)], a)
 
 
+@pytest.mark.parametrize(
+    "n, edges, error, message",
+    [
+        (0, np.zeros((0, 2)), GraphSizeError, "positive integer"),
+        (2.0, [[0, 1]], GraphSizeError, "positive integer"),
+        (4097, [[0, 1]], GraphSizeError, "exceeds"),
+        (3, [0, 1], EdgeListError, "shape"),
+        (3, [[0, 1, 2]], EdgeListError, "shape"),
+        (3, [[0, 3]], EdgeListError, "out of range"),
+        (3, [[-1, 2]], EdgeListError, "out of range"),
+        (3, [[0, 1], [2, 2]], EdgeListError, "self-loop on vertex 2"),
+    ],
+)
+def test_graph_refuses_malformed_input(n, edges, error, message):
+    with pytest.raises(error, match=message):
+        Graph(n, edges)
+
+
+def test_graph_canonicalizes_its_edges():
+    # A reversed pair names the same edge, as it does in an edge-list file.
+    assert Graph(3, [[1, 0]]).edges.tolist() == [[0, 1]]
+    assert Graph(2, [[1, 0]]) == graph_from_edge_list("1 0\n")
+    # A repeated edge is one edge: V counts it once on the diagonal and once
+    # off it, so V is that of the graph.
+    doubled = Graph(2, [[0, 1], [0, 1], [1, 0]])
+    assert doubled == hypercube_graph(1) and doubled.num_edges == 1
+    assert potential_matrix(doubled, 0.5).matrix.tolist() == [[2, -1], [-1, 2]]
+    assert Graph(3, [[0, 1]]) != Graph(3, [[1, 2]])
+    assert Graph(3, [[0, 1]]) != Graph(4, [[0, 1]])
+    # The caller's array is read, never reordered or frozen; the graph's own
+    # edges are read-only.
+    raw = hypercube_graph(3).edges[::-1, ::-1].copy()
+    before = raw.copy()
+    cube = Graph(8, raw)
+    assert raw.flags.writeable and np.array_equal(raw, before)
+    with pytest.raises(ValueError):
+        cube.edges[0, 0] = 1
+
+
+def test_any_listing_of_the_cube_is_the_cube():
+    rng = np.random.default_rng(4)
+    cube = hypercube_graph(4)
+    rows = cube.edges[np.concatenate([np.arange(cube.num_edges), [0, 5, 5, 31]])]
+    rows = rows[rng.permutation(len(rows))]
+    flip = rng.random(len(rows)) < 0.5
+    rows[flip] = rows[flip, ::-1]
+    listed = Graph(16, rows)
+    assert listed == cube and hash(listed) == hash(cube)
+    v, w = potential_matrix(cube, 0.5), potential_matrix(listed, 0.5)
+    assert w.profile is not None and w.profile.tobytes() == v.profile.tobytes()
+    assert w.matrix.tobytes() == v.matrix.tobytes()
+    cut = named_bipartition(4, "parity")
+    assert entropy_of_bipartition(w, cut) == entropy_of_bipartition(v, cut)
+    assert entropy_oracle_symplectic(w, cut.side_a) == entropy_oracle_symplectic(
+        v, cut.side_a
+    )
+
+
 def test_edge_list_parsing():
     g = graph_from_edge_list("0 1\n1 2\n")
     assert g.n == 3
@@ -123,6 +183,8 @@ def test_graph_uri(tmp_path):
     assert g.n == 4 and g.num_edges == 3
     with pytest.raises(ValueError):
         graph_from_uri("lattice:3")
+    with pytest.raises(ValueError, match="graph URI must look like"):
+        graph_from_uri("hypercube3")
     with pytest.raises(GraphSizeError):
         graph_from_uri("hypercube:x")
 
@@ -301,6 +363,12 @@ def test_symmetry_check_covers_every_tile():
             PotentialMatrix(bad)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+def test_certify_refuses_a_non_square_array(shape):
+    with pytest.raises(ValueError, match="square"):
+        PotentialMatrix(np.ones(shape))
+
+
 def test_non_finite_matrices_rejected():
     base = potential_matrix(hypercube_graph(2), 0.5).matrix
     for bad_value in (np.nan, np.inf, -np.inf):
@@ -344,6 +412,11 @@ def test_named_bipartition_errors():
         named_bipartition(3, "diagonal")
     with pytest.raises(SchemeError):
         named_bipartition(3, "coordinate", axis=3)
+    # axis belongs to the coordinate cut alone; other schemes used to drop it
+    with pytest.raises(SchemeError, match="axis"):
+        named_bipartition(3, "parity", axis=5)
+    with pytest.raises(SchemeError, match="axis"):
+        named_bipartition(3, "half-strata", axis=-4)
 
 
 def test_bipartition_validation():

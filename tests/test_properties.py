@@ -86,6 +86,24 @@ def test_entropy_is_invariant_under_relabeling(instance, rnd):
 
 
 @PROPERTY
+@given(
+    graphs(st.integers(1, 10)), st.floats(0.0, 3.0), st.randoms(use_true_random=False)
+)
+def test_a_graph_is_its_edge_set(graph, g, rnd):
+    # Shuffled, orientation-flipped and repeated rows list the same edges.
+    rows = graph.edges.tolist()
+    rows += [rnd.choice(rows) for _ in range(rnd.randint(0, len(rows)))]
+    rnd.shuffle(rows)
+    rows = [row[::-1] if rnd.random() < 0.5 else row for row in rows]
+    other = Graph(graph.n, np.array(rows, dtype=np.int64).reshape(-1, 2))
+    assert other == graph and hash(other) == hash(graph)
+    assert (
+        potential_matrix(other, g).matrix.tobytes()
+        == potential_matrix(graph, g).matrix.tobytes()
+    )
+
+
+@PROPERTY
 @given(graphs(st.sampled_from([2, 4, 6, 8])), st.floats(0.0, 3.0))
 def test_census_classes_descend_from_max_to_min(graph, g):
     report = entropy_census(graph, g)
