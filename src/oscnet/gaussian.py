@@ -26,8 +26,8 @@ two independent ways:
 Both must agree to near machine precision on any positive definite V; the
 oracle is the assumption-free reference path.  The engine and the oracle's
 Cholesky route share one primitive, the triangular solve _solve_lower, and
-nothing else.  PotentialMatrix.certify also calls it, to halve V by Schur
-complements, but certification is the gate before both routes and neither
+nothing else.  Certification (graph._lower_factor) also calls it, to halve
+V by Schur complements, but certification is the gate before both routes and neither
 reads its result, so they stay independent.  _solve_lower halves a
 triangle down to leaves of at most SOLVE_LEAF rows, applies each leaf's
 inverse by matmul and refines the result once in working precision, so
@@ -47,10 +47,12 @@ row-major array that copy is a strided transpose.  So the Cholesky calls
 factor transposed views (V^T, V_AA^T, V_BB^T), and the QR gets F[:, A]
 column-major from either route.  np.linalg.cholesky reads the lower
 triangle of its operand, which for a transposed view is the upper triangle
-of V or of the block.  potential_matrix builds V exactly symmetric, signed
-zeros included, so LAPACK sees the same buffer and returns the same bits
-as from the row-major array; a raw array that is only symmetric within
-SYMMETRY_TOL has its upper triangle factored.
+of V or of the block.  Every block that potential_matrix's V writes is
+exactly that of a symmetric V, signed zeros included, so LAPACK sees the
+same buffer and returns the same bits as from the row-major array; a raw
+array that is only symmetric within SYMMETRY_TOL has its upper triangle
+factored.  The engine and the oracle read V through PotentialMatrix.block;
+only the oracle's Cholesky route reads all of V.
 """
 
 from __future__ import annotations
@@ -328,24 +330,16 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     modes are returned, sorted by descending gamma; ratios below 1e-12 are
     exact zero modes, reported as gamma = 0.
     """
-    m = _as_potential(v).matrix
-    if cut.n != m.shape[0]:
+    v = _as_potential(v)
+    if cut.n != v.n:
         raise ValueError("bipartition size does not match matrix")
     a = np.asarray(cut.side_a, dtype=np.intp)
     b = np.asarray(cut.side_b, dtype=np.intp)
-    # Side A's rows are taken once and serve two column takes: whole rows
-    # copy as runs, where an index pair gathers element by element.
-    rows_a = m.take(a, axis=0)
-    v_ab = rows_a.take(b, axis=1)
+    v_ab = v.block(a, b)
     # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
     # Transposed views are column-major operands (see the module docstring).
-    la = np.linalg.cholesky(rows_a.take(a, axis=1).T)
-    # Freed here, the rows' pages serve the buffers below; held through the
-    # solves and the SVD, they cost ~2,500 fresh page faults per H(10,2) cut.
-    del rows_a
-    # Side B's rows would serve one take only, so V_BB is gathered by index
-    # pair, without the |B| x n rows.
-    lb = np.linalg.cholesky(m[b[:, None], b].T)
+    la = np.linalg.cholesky(v.block(a, a).T)
+    lb = np.linalg.cholesky(v.block(b, b).T)
     coupling = _solve_lower(lb, _solve_lower(la, v_ab).T).T
     sigma = np.linalg.svd(coupling, compute_uv=False)
     if sigma.size and sigma[0] >= 1.0:
@@ -456,7 +450,7 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
     root = _position_covariance(v, rows)
     # 4P_A from V_AA: halved, then quadrupled, in place.
-    p4 = v.matrix[rows[:, None], rows]
+    p4 = v.block(rows, rows)
     p4 /= 2.0
     p4 *= 4.0
     form = _stacked_forms(root[None], p4[None])[0]

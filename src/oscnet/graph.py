@@ -8,6 +8,7 @@ into distance shells around it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -77,10 +78,14 @@ class Graph:
                 "vertex count %d exceeds the supported maximum %d"
                 % (self.n, MAX_VERTICES)
             )
-        e = np.asarray(self.edges, dtype=np.int64)
+        e = np.asarray(self.edges)
         if e.ndim != 2 or e.shape[1] != 2:
             raise EdgeListError("edge array must have shape (m, 2)")
         if e.shape[0]:
+            # Refused rather than cast, as Bipartition refuses non-integer
+            # labels: a cast would truncate 0.7 to 0 and read True as 1.
+            if e.dtype.kind not in "iu":
+                raise EdgeListError("edge endpoints must be integers")
             if e.min() < 0 or e.max() >= self.n:
                 raise EdgeListError("edge endpoint out of range")
             loops = e[:, 0] == e[:, 1]
@@ -88,6 +93,7 @@ class Graph:
                 raise EdgeListError(
                     "self-loop on vertex %d" % e[loops.argmax(), 0]
                 )
+        e = e.astype(np.int64, copy=False)
         # Each edge becomes the key i n + j with i < j, which orders like the
         # pair.  On H(10,2), sorting the 1-D keys and dropping equal
         # neighbours took 26 us, a lexsort of the rows 120 us and np.unique
@@ -174,27 +180,40 @@ class Bipartition:
         return len(self.side_a) + len(self.side_b)
 
 
-def _lower_factor(a: np.ndarray, whole: bool = True):
-    """The lower Cholesky factor L of a symmetric a, read from its upper
-    triangle; np.linalg.LinAlgError if a is not positive definite.
+def _slices(a: np.ndarray):
+    """The reader of _lower_factor for an array: its views a[rows, cols]."""
+    return lambda rows, cols: a[rows, cols]
 
-    Up to CERTIFY_LEAF rows this is one np.linalg.cholesky of a^T, a
-    column-major view that LAPACK copies without transposing.  Above, a is
-    halved by the generalized Schur complement: a_11 = L_11 L_11^T,
-    W = L_11^{-1} a_12, and S = a_22 - W^T W is factored in turn, for a is
-    positive definite exactly when a_11 and S are.  With whole false only
-    that verdict is wanted, so no n x n L is assembled and the result is
-    None (or the leaf factor, when a is a leaf).
+
+def _lower_factor(read, n: int, whole: bool = True):
+    """The lower Cholesky factor L of a symmetric n x n matrix a, read from
+    its upper triangle; DefinitenessError if a is not positive definite.
+
+    read(rows, cols) returns a[rows, cols] for two slices, as a view of a or
+    as a fresh array, and is never written through.  Up to CERTIFY_LEAF rows
+    this is one np.linalg.cholesky of a^T, a column-major view that LAPACK
+    copies without transposing.  Above, a is halved by the generalized
+    Schur complement: a_11 = L_11 L_11^T, W = L_11^{-1} a_12, and
+    S = a_22 - W^T W is factored in turn, for a is positive definite
+    exactly when a_11 and S are.  Only the top level reads through read;
+    the recursion reads the arrays a_11 and S.  With whole false only that
+    verdict is wanted, so no n x n L is assembled and the result is None
+    (or the leaf factor, when a is a leaf).
     """
     # gaussian imports this module, so its solve is imported on use.
     from .gaussian import _solve_lower
 
-    n = a.shape[0]
     if n <= CERTIFY_LEAF:
-        return np.linalg.cholesky(a.T)
+        try:
+            return np.linalg.cholesky(read(slice(0, n), slice(0, n)).T)
+        except np.linalg.LinAlgError:
+            raise DefinitenessError(
+                "potential matrix is not positive definite"
+            ) from None
     h = n // 2
-    l11 = _lower_factor(a[:h, :h])
-    w = _solve_lower(l11, a[:h, h:])
+    top, bottom = slice(0, h), slice(h, n)
+    l11 = _lower_factor(_slices(read(top, top)), h)
+    w = _solve_lower(l11, read(top, bottom))
     out = None
     if whole:
         out = np.zeros((n, n))
@@ -205,20 +224,31 @@ def _lower_factor(a: np.ndarray, whole: bool = True):
     del l11
     s = w.T @ w
     del w
-    np.subtract(a[h:, h:], s, out=s)
-    l22 = _lower_factor(s, whole)
+    np.subtract(read(bottom, bottom), s, out=s)
+    l22 = _lower_factor(_slices(s), n - h, whole)
     if whole:
         out[h:, h:] = l22
     return out
 
 
-@dataclass(frozen=True, eq=False)
+def _positions(n: int, idx: np.ndarray) -> np.ndarray:
+    """The position of each vertex 0..n-1 in the index array idx, -1 for a
+    vertex not in it; an index array that repeats a vertex is refused."""
+    at = np.full(n, -1, dtype=np.intp)
+    at[idx] = np.arange(idx.size)
+    if np.count_nonzero(at >= 0) != idx.size:
+        raise ValueError("block indices must be distinct vertices")
+    return at
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PotentialMatrix:
     """Ground-state potential matrix V = I + 2g L, certified positive definite.
 
     The Gaussian ground state of the coupled-oscillator Hamiltonian has
     wavefunction proportional to exp(-x^T V x / 2); everything downstream
-    (entropy engines, censuses) consumes this object or its .matrix.
+    (entropy engines, censuses) consumes this object: block(rows, cols) for
+    the blocks each route reads, .matrix for all of V.
 
     profile is set only by potential_matrix on the hypercube H(d,2): the
     symmetric square root of the position covariance V^{-1}/2 at Hamming
@@ -226,21 +256,61 @@ class PotentialMatrix:
     does not take it, so it always belongs to the matrix.
 
     A float64 array given to the constructor is owned, not copied: .matrix
-    is that array, made read-only, so the caller's writes to it raise.
-    gamma_spectrum and entropy_oracle_symplectic copy raw arrays first.
+    is that array, made read-only, so the caller's writes to it raise, and
+    block gathers from it.  gamma_spectrum and entropy_oracle_symplectic
+    copy raw arrays first.
+
+    A V from potential_matrix holds its graph instead: the canonical edges,
+    V's diagonal 1 + 2g deg and the coupling 2g.  block writes each block
+    from them, and .matrix, all of V, is built on first read, made
+    read-only and kept.
     """
 
-    matrix: np.ndarray
-    profile: np.ndarray | None = field(default=None, init=False, repr=False)
+    n: int
+    profile: np.ndarray | None = field(default=None, repr=False)
+    _edges: np.ndarray | None = field(default=None, repr=False)
+    _diagonal: np.ndarray | None = field(default=None, repr=False)
+    _coupling: float = field(default=0.0, repr=False)
 
-    def __post_init__(self):
-        m = self.certify(self.matrix)
+    def __init__(self, matrix):
+        m = self.certify(matrix)
         m.setflags(write=False)
+        object.__setattr__(self, "n", m.shape[0])
         object.__setattr__(self, "matrix", m)
 
-    # The gate is a static method rather than a module function so that
-    # perfbench/tracer.py, which wraps module functions only, counts its time
-    # in the caller's layer.
+    @classmethod
+    def _from_graph(cls, edges, coupling, diagonal) -> "PotentialMatrix":
+        """V of canonical edges, the coupling 2g and the diagonal
+        1 + 2g deg, certified positive definite.
+
+        V is symmetric by construction, so no symmetry pass runs.  The
+        halving of _lower_factor reads V - EIG_FLOOR I through block: only
+        its top-level quarters are built, each shifted on its own diagonal,
+        and all of V never is.
+        """
+        v = cls.__new__(cls)
+        diagonal.setflags(write=False)
+        for name, value in (
+            ("n", diagonal.size),
+            ("_edges", edges),
+            ("_diagonal", diagonal),
+            ("_coupling", coupling),
+        ):
+            object.__setattr__(v, name, value)
+        every = np.arange(v.n)
+
+        def shifted(rows, cols):
+            out = v.block(every[rows], every[cols])
+            if rows == cols:
+                out[np.diag_indices_from(out)] -= EIG_FLOOR
+            return out
+
+        _lower_factor(shifted, v.n, whole=False)
+        return v
+
+    # The gate and the block reader are methods rather than module functions
+    # so that perfbench/tracer.py, which wraps module functions only, counts
+    # their time in the caller's layer.
 
     @staticmethod
     def certify(v) -> np.ndarray:
@@ -278,18 +348,46 @@ class PotentialMatrix:
         saved = work[diagonal]
         work[diagonal] = saved - EIG_FLOOR
         try:
-            _lower_factor(work, whole=False)
-        except np.linalg.LinAlgError:
-            raise DefinitenessError(
-                "potential matrix is not positive definite"
-            ) from None
+            _lower_factor(_slices(work), n, whole=False)
         finally:
             work[diagonal] = saved
         return m
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def block(self, rows, cols) -> np.ndarray:
+        """The block V[rows][:, cols] as a fresh C-ordered float64 array,
+        for 1-D integer index arrays rows and cols, each of distinct
+        vertices.
+
+        A V from potential_matrix writes the block from its graph in
+        O(|rows| |cols| + n + m): the signed zero 2g * -0.0 everywhere,
+        -2g on each edge with both ends in the block, 1 + 2g deg on the
+        diagonal.  These are the entries the dense V holds, signed zeros
+        included, so the block is bit for bit the slice of .matrix and
+        LAPACK sees the same buffer.  Any other V is gathered from .matrix.
+        """
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        at_row, at_col = _positions(self.n, rows), _positions(self.n, cols)
+        if self._edges is None:
+            return self.matrix[rows[:, None], cols]
+        c = self._coupling
+        out = np.full((rows.size, cols.size), c * -0.0)
+        ends = self._edges.T
+        for i, j in (ends, ends[::-1]):
+            p, q = at_row[i], at_col[j]
+            hit = (p >= 0) & (q >= 0)
+            out[p[hit], q[hit]] = -c
+        hit = (at_row >= 0) & (at_col >= 0)
+        out[at_row[hit], at_col[hit]] = self._diagonal[hit]
+        return out
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """All of V, read-only.  A V from potential_matrix builds it from
+        its graph on first read and keeps it."""
+        every = np.arange(self.n)
+        m = self.block(every, every)
+        m.setflags(write=False)
+        return m
 
 
 def _check_hypercube_dim(d):
@@ -423,13 +521,8 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
             "coupling g = %r is too strong for float64: 1 + 2g*%d rounds "
             "to 2g*%d, so V = I + 2gL is singular" % (g, deg_max, deg_max)
         )
-    # Off the diagonal V = c * -A, so a non-edge holds the signed zero c * -0.0.
-    v = np.full((graph.n, graph.n), c * -0.0)
-    i, j = graph.edges[:, 0], graph.edges[:, 1]
-    v[i, j] = v[j, i] = -c
-    v[np.diag_indices(graph.n)] = c * degrees + 1.0
     try:
-        out = PotentialMatrix(v)
+        out = PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0)
     except DefinitenessError as exc:
         # For g >= 0, V is positive definite in exact arithmetic; only
         # rounding at strong coupling can fail the gate.

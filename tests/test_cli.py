@@ -355,6 +355,56 @@ def test_analytic_spectrum_and_entropy_output_bytes_are_pinned(capsys):
         assert _stdout_sha256(capsys, argv) == digest, argv
 
 
+# sha256 of entropy's whole stdout, text and JSON, as printed while V was
+# built dense.  The JSON carries every float at full precision, so these pin
+# the bits of the engine and the oracle.  At n = 1024 BLAS rounds
+# differently on more threads, so the commands run in a child process with
+# one BLAS thread.
+PARITY_10 = ",".join(str(v) for v in range(1024) if bin(v).count("1") % 2 == 0)
+PARITY_6 = ",".join(str(v) for v in range(64) if bin(v).count("1") % 2 == 0)
+FULL_ENTROPY_DIGESTS = {
+    ("hypercube:10", PARITY_10, "0.5", "text"):
+        "dfdaf86519992e3b0e947b5793d398f26c43a2173dfad08c99f0694c3512c8b9",
+    ("hypercube:10", PARITY_10, "0.5", "json"):
+        "d0cb00deb5059145c2c812c543e6ac6762d3343dbd8c17c90293733c08154090",
+    ("hypercube:6", PARITY_6, "1e8", "text"):
+        "17361aa013535a8d424b044be302ce55c66b83f0c6a60a063400aae5d8a6b7f6",
+    ("hypercube:6", PARITY_6, "1e8", "json"):
+        "d95534679571800553898722080eb3899afe9e8d0bdd8ed78b504082aa8089f9",
+    ("file:chorded.txt", "1,4", "0.5", "text"):
+        "015227370e4ec161f92bf1086cc223a4310cd73d459ecf932fad1856653b3fb3",
+    ("file:chorded.txt", "1,4", "0.5", "json"):
+        "6605a4036a884285fbe664ab996f9defcf396e78e5352c9d063b1939a0503c29",
+}
+
+
+def test_entropy_output_bytes_are_pinned_at_full_precision(tmp_path):
+    (tmp_path / "chorded.txt").write_text(CHORDED_CYCLE)
+    argvs = [
+        ["entropy", "--graph", graph, "--subset", subset, "--g", g, "--format", fmt]
+        for graph, subset, g, fmt in FULL_ENTROPY_DIGESTS
+    ]
+    script = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from oscnet.cli import main\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        assert main(argv) == 0\n"
+        "    print(hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(oscnet.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(argvs), cwd=tmp_path,
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == list(FULL_ENTROPY_DIGESTS.values())
+
+
 def test_analytic_command(capsys):
     rc = main(["analytic", "--scheme", "half-strata", "--d", "3", "--g", "0.5"])
     out = capsys.readouterr().out

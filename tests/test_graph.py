@@ -102,6 +102,8 @@ def test_hypercube_automorphism_invariance():
         (3, [[0, 3]], EdgeListError, "out of range"),
         (3, [[-1, 2]], EdgeListError, "out of range"),
         (3, [[0, 1], [2, 2]], EdgeListError, "self-loop on vertex 2"),
+        (3, [[0.7, 2.2]], EdgeListError, "integers"),
+        (3, np.array([[True, False]]), EdgeListError, "integers"),
     ],
 )
 def test_graph_refuses_malformed_input(n, edges, error, message):
@@ -120,6 +122,9 @@ def test_graph_canonicalizes_its_edges():
     assert potential_matrix(doubled, 0.5).matrix.tolist() == [[2, -1], [-1, 2]]
     assert Graph(3, [[0, 1]]) != Graph(3, [[1, 2]])
     assert Graph(3, [[0, 1]]) != Graph(4, [[0, 1]])
+    # An empty edge array has no endpoint to refuse, whatever its dtype.
+    for dtype in (float, bool, np.uint8):
+        assert Graph(3, np.zeros((0, 2), dtype=dtype)).edges.dtype == np.int64
     # The caller's array is read, never reordered or frozen; the graph's own
     # edges are read-only.
     raw = hypercube_graph(3).edges[::-1, ::-1].copy()
@@ -334,6 +339,42 @@ def test_certify_never_factors_more_than_a_leaf(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * v.nbytes
+
+
+def test_a_graph_built_v_is_never_dense_on_the_cut_path(monkeypatch):
+    # Certification reads V's quarters from the graph, so it holds less
+    # than one n x n array; the engine and the table oracle read blocks.
+    graph = hypercube_graph(10)
+    potential_matrix(hypercube_graph(2), 0.5)
+    tracemalloc.start()
+    try:
+        v = potential_matrix(graph, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < graph.n**2 * 8
+
+    def refuse(self):
+        raise AssertionError("the dense V was built")
+
+    monkeypatch.setattr(PotentialMatrix, "matrix", property(refuse))
+    cut = named_bipartition(10, "parity")
+    gamma_spectrum(v, cut)
+    entropy_oracle_symplectic(v, cut.side_a)
+    monkeypatch.undo()
+    # Read at last, all of V is built once, read-only, and kept.
+    assert v.matrix is v.matrix and not v.matrix.flags.writeable
+    rows = np.array([5, 0, 3])
+    assert v.block(rows, rows).tobytes() == v.matrix[np.ix_(rows, rows)].tobytes()
+
+
+def test_blocks_refuse_a_repeated_vertex():
+    v = potential_matrix(hypercube_graph(2), 0.5)
+    for w in (v, PotentialMatrix(np.array(v.matrix))):
+        with pytest.raises(ValueError, match="distinct"):
+            w.block([0, 1, 0], [2])
+        with pytest.raises(ValueError, match="distinct"):
+            w.block([2], [3, 3])
 
 
 def test_potential_matrix_owns_its_array_and_the_engines_copy_first():

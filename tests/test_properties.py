@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oscnet import (
     Bipartition,
     Graph,
+    PotentialMatrix,
     entropy_census,
     entropy_of_bipartition,
     entropy_oracle_symplectic,
@@ -101,6 +102,37 @@ def test_a_graph_is_its_edge_set(graph, g, rnd):
         potential_matrix(other, g).matrix.tobytes()
         == potential_matrix(graph, g).matrix.tobytes()
     )
+
+
+@PROPERTY
+@given(
+    graphs(st.integers(1, 10)),
+    st.sampled_from([0.5, 1e8, -1.0]),
+    st.randoms(use_true_random=False),
+)
+def test_blocks_are_the_slices_of_v(graph, g, rnd):
+    # A graph-built V writes its blocks from the edges; they must be the
+    # bits of the dense V, signed zeros included.  Symmetric by
+    # construction, it runs no symmetry pass, so this is that check.
+    if g < 0:
+        # |2gL| <= 4g deg_max < 1/2, so V stays definite.
+        g /= 8 * max(1, int(graph.degrees().max()))
+    v = potential_matrix(graph, g)
+    # Entry by entry, V = I + 2g L is 2g * -A off the diagonal, so a
+    # non-edge holds the signed zero 2g * -0.0.
+    dense = 2.0 * g * -graph.adjacency_matrix()
+    dense[np.diag_indices(graph.n)] = 2.0 * g * graph.degrees() + 1.0
+    assert v.matrix.tobytes() == dense.tobytes()
+    for w in (v, PotentialMatrix(dense)):
+        for _ in range(3):
+            r, c = (
+                np.array(rnd.sample(range(graph.n), rnd.randint(0, graph.n)), dtype=int)
+                for _ in range(2)
+            )
+            block = w.block(r, c)
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            assert block.tobytes() == w.matrix[np.ix_(r, c)].tobytes()
+            assert block.tobytes() == w.block(c, r).T.tobytes()
 
 
 @PROPERTY
