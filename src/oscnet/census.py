@@ -13,9 +13,10 @@ deduplicated and sorted, so the rows strictly increase either way.  Graph
 caps n at 4096, so int16 holds every label.  The kernel takes consecutive
 rows in chunks: one np.take of their factor columns and one flat take of
 their 4P blocks on the linear indices a_i * n + a_j, at most STACK_BYTES
-together, feed one stacked QR and congruence (gaussian._stacked_forms);
-then each partition makes one gaussian._entropy_from_cov call, which is one
-eigvalsh and one entropy_from_nu per nu.
+together, feed one stacked QR (gaussian._stacked_triangles) and one
+stacked congruence (gaussian._stacked_forms), the kernel of the single
+cut; then each partition makes one gaussian._entropy_from_cov call, which
+is one eigvalsh and one entropy_from_nu per nu.
 Grouping is array work too: since a row's index orders it like the row,
 a stable argsort of -entropy orders the rows, a class breaks where
 consecutive values differ by more than the tolerance, and a 2-key lexsort
@@ -48,6 +49,7 @@ from .gaussian import (
     _norm_log_base,
     _position_covariance,
     _stacked_forms,
+    _stacked_triangles,
 )
 from .graph import Graph, potential_matrix
 
@@ -211,7 +213,7 @@ def _entropies(
     root_t is the transpose of the position-covariance factor F, C-ordered
     so that its rows are F's columns, and p4 is the n x n matrix 4P, whose
     blocks are gathered by one flat take on the linear indices
-    a_i * n + a_j.  Consecutive rows go to
+    a_i * n + a_j.  Consecutive rows go to _stacked_triangles and
     _stacked_forms in chunks whose gathered columns and blocks take at most
     STACK_BYTES together (one row if a single row is larger); each form is
     then summed on its own.
@@ -224,9 +226,11 @@ def _entropies(
     for lo in range(0, k, step):
         # As int16, a_i * n would overflow.
         a = side_a[lo : lo + step].astype(np.intp)
+        # Both gathers precede the QR.  Freeing the columns right after it
+        # let glibc trim the heap top and fault it back in every chunk.
         cols = np.take(root_t, a, axis=0).swapaxes(1, 2)
         blocks = np.take(p4, a[:, :, None] * n + a[:, None, :])
-        forms = _stacked_forms(cols, blocks)
+        forms = _stacked_forms(_stacked_triangles(cols), blocks)
         out[lo : lo + len(a)] = [_entropy_from_cov(form, base) for form in forms]
     return out
 

@@ -15,11 +15,12 @@ two independent ways:
   eigenvalues of the reduced state.  The position covariance enters through
   a factor: gathered from the exact table that potential_matrix attaches on
   H(d,2), or, for any V without one, solved from the Cholesky factor of all
-  of V, never from the cut's blocks.  The oracle's kernel is stacked:
-  _stacked_forms takes k cuts' factor columns and 4P blocks and returns
-  their forms R 4P_A R^T from one stacked QR and one stacked matmul; the
-  census feeds it chunks of partitions, the single cut k = 1.  Each form
-  then takes exactly one eigvalsh (_symplectic_nus) and one entropy_from_nu
+  of V, never from the cut's blocks.  The oracle's kernel is stacked, in
+  two steps: _stacked_triangles reduces k cuts' factor columns F[:, A] to
+  triangles R by one stacked QR, and _stacked_forms takes those and the
+  4P blocks to the forms R 4P_A R^T by one stacked matmul; the census
+  feeds it chunks of partitions, the single cut k = 1.  Each form then
+  takes exactly one eigvalsh (_symplectic_nus) and one entropy_from_nu
   per nu, summed as a list (_entropy_from_cov): the per-cut path holds
   those calls and nothing more.
 
@@ -53,6 +54,15 @@ same buffer and returns the same bits as from the row-major array; a raw
 array that is only symmetric within SYMMETRY_TOL has its upper triangle
 factored.  The engine and the oracle read V through PotentialMatrix.block;
 only the oracle's Cholesky route reads all of V.
+
+On a single cut each (n/2) x (n/2) block lives only from its write to its
+last read.  _solve_lower overwrites its right-hand side, so the fresh V_AB
+is solved where it was gathered.  The engine drops L_A before it factors
+V_BB, keeps one transposed copy of L_A^{-1} V_AB for the second solve,
+and drops L_B before the SVD: at most three blocks are alive at once.  The
+oracle drops F[:, A] after its QR and only then gathers 4P_A.  What is
+left of the single cut's peak is that QR: numpy holds F[:, A], its own
+copy of it and LAPACK's buffer at once, two blocks each.
 """
 
 from __future__ import annotations
@@ -299,10 +309,18 @@ def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     backward stable, as substitution is (Skeel, Math. Comp. 35, 817 (1980);
     Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     chs. 8 and 12).
+
+    The solve overwrites b, a float64 array, and returns it; a caller that
+    reads B afterwards passes a copy.  The engine and certification hand it
+    fresh C-ordered blocks that nothing reads again, so no block is held
+    twice.  Any other layout is solved in a C-ordered buffer and written
+    back, so its bits are those of a solve of a C-ordered copy.
     """
-    x = np.array(b, dtype=float, order="C")
+    x = np.ascontiguousarray(b)
     _substitute(l, x)
-    return x
+    if x is not b:
+        b[...] = x
+    return b
 
 
 def _substitute(l: np.ndarray, x: np.ndarray) -> None:
@@ -335,12 +353,17 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
         raise ValueError("bipartition size does not match matrix")
     a = np.asarray(cut.side_a, dtype=np.intp)
     b = np.asarray(cut.side_b, dtype=np.intp)
-    v_ab = v.block(a, b)
     # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
     # Transposed views are column-major operands (see the module docstring).
+    # Each block is dropped after its last read, so at most three are alive
+    # at once.
     la = np.linalg.cholesky(v.block(a, a).T)
+    w = _solve_lower(la, v.block(a, b))
+    del la
     lb = np.linalg.cholesky(v.block(b, b).T)
-    coupling = _solve_lower(lb, _solve_lower(la, v_ab).T).T
+    w = np.array(w.T, order="C")
+    coupling = _solve_lower(lb, w).T
+    del lb
     sigma = np.linalg.svd(coupling, compute_uv=False)
     if sigma.size and sigma[0] >= 1.0:
         raise DefinitenessError(
@@ -388,19 +411,28 @@ def _position_covariance(v: PotentialMatrix, rows=None) -> np.ndarray:
     return np.divide(root, math.sqrt(2.0), out=np.empty(root.shape, order="F"))
 
 
-def _stacked_forms(cols: np.ndarray, p4: np.ndarray) -> np.ndarray:
-    """The symmetric forms R 4P_A R^T of k cuts at once, shape (k, m, m).
+def _stacked_triangles(cols: np.ndarray) -> np.ndarray:
+    """The triangles R of k cuts at once, shape (k, m, m), from one stacked
+    QR.
 
     cols is a (k, n, m) stack of tall blocks F[:, A] of a factor of the
-    position covariance, F^T F = X, and p4 the (k, m, m) stack of the
-    blocks 4 P_A.  Any square R with R^T R = X_A gives
-    nu^2 = eig(R 4P_A R^T), which is similar to 4 X_A P_A but manifestly
-    symmetric.  One stacked QR reduces every tall block to such a triangle
-    and one stacked matmul forms every congruence; LAPACK and BLAS still
-    see each cut on its own, so a form has the same bits whatever else
-    shares its stack.
+    position covariance, F^T F = X, and each R has R^T R = X_A.  LAPACK
+    still sees each cut on its own, so a triangle has the same bits
+    whatever else shares its stack.
     """
-    r = np.linalg.qr(cols, mode="r")
+    return np.linalg.qr(cols, mode="r")
+
+
+def _stacked_forms(r: np.ndarray, p4: np.ndarray) -> np.ndarray:
+    """The symmetric forms R 4P_A R^T of k cuts at once, shape (k, m, m).
+
+    r is a (k, m, m) stack of triangles from _stacked_triangles and p4 the
+    stack of the blocks 4 P_A.  Any square R with R^T R = X_A gives
+    nu^2 = eig(R 4P_A R^T), which is similar to 4 X_A P_A but manifestly
+    symmetric.  One stacked matmul forms every congruence, each cut's on
+    its own.  The QR and the congruence are two steps so that a caller can
+    drop F[:, A] before it gathers 4 P_A.
+    """
     return r @ p4 @ r.swapaxes(-1, -2)
 
 
@@ -448,10 +480,11 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     base = _norm_log_base(log_base)
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
-    root = _position_covariance(v, rows)
-    # 4P_A from V_AA: halved, then quadrupled, in place.
+    r = _stacked_triangles(_position_covariance(v, rows)[None])
+    # 4P_A from V_AA, gathered once F[:, A] is dropped: halved, then
+    # quadrupled, in place.
     p4 = v.block(rows, rows)
     p4 /= 2.0
     p4 *= 4.0
-    form = _stacked_forms(root[None], p4[None])[0]
+    form = _stacked_forms(r, p4[None])[0]
     return _entropy_from_cov(form, base)

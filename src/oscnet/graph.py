@@ -190,9 +190,11 @@ def _lower_factor(read, n: int, whole: bool = True):
     its upper triangle; DefinitenessError if a is not positive definite.
 
     read(rows, cols) returns a[rows, cols] for two slices, as a view of a or
-    as a fresh array, and is never written through.  Up to CERTIFY_LEAF rows
-    this is one np.linalg.cholesky of a^T, a column-major view that LAPACK
-    copies without transposing.  Above, a is halved by the generalized
+    as a fresh array.  A fresh a_12, one that owns its data, is solved in
+    place; a view is copied first, so no array a caller passed to certify
+    is ever written.  Up to CERTIFY_LEAF rows this is one
+    np.linalg.cholesky of a^T, a column-major view that LAPACK copies
+    without transposing.  Above, a is halved by the generalized
     Schur complement: a_11 = L_11 L_11^T, W = L_11^{-1} a_12, and
     S = a_22 - W^T W is factored in turn, for a is positive definite
     exactly when a_11 and S are.  Only the top level reads through read;
@@ -213,7 +215,8 @@ def _lower_factor(read, n: int, whole: bool = True):
     h = n // 2
     top, bottom = slice(0, h), slice(h, n)
     l11 = _lower_factor(_slices(read(top, top)), h)
-    w = _solve_lower(l11, read(top, bottom))
+    w = read(top, bottom)
+    w = _solve_lower(l11, w if w.flags.owndata else w.copy())
     out = None
     if whole:
         out = np.zeros((n, n))
@@ -233,7 +236,10 @@ def _lower_factor(read, n: int, whole: bool = True):
 
 def _positions(n: int, idx: np.ndarray) -> np.ndarray:
     """The position of each vertex 0..n-1 in the index array idx, -1 for a
-    vertex not in it; an index array that repeats a vertex is refused."""
+    vertex not in it; an index array that holds a label outside 0..n-1 or
+    repeats a vertex is refused."""
+    if idx.size and not (0 <= idx.min() and idx.max() < n):
+        raise ValueError("block indices must be vertices 0..%d" % (n - 1))
     at = np.full(n, -1, dtype=np.intp)
     at[idx] = np.arange(idx.size)
     if np.count_nonzero(at >= 0) != idx.size:

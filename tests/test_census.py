@@ -418,14 +418,22 @@ def test_census_entropies_do_not_depend_on_the_stack_size(monkeypatch):
 
 
 def test_no_stack_gathers_more_than_the_budget(monkeypatch):
+    # Each chunk's factor columns reach the QR, then its 4P blocks the
+    # congruence; together they stay within the budget.
     chunks = []
-    step = census._stacked_forms
+    triangles, forms = census._stacked_triangles, census._stacked_forms
 
-    def record(cols, p4):
-        chunks.append((cols.shape[0], cols.nbytes + p4.nbytes))
-        return step(cols, p4)
+    def record_cols(cols):
+        chunks.append((cols.shape[0], cols.nbytes))
+        return triangles(cols)
 
-    monkeypatch.setattr(census, "_stacked_forms", record)
+    def record_blocks(r, p4):
+        k, nbytes = chunks[-1]
+        chunks[-1] = (k, nbytes + p4.nbytes)
+        return forms(r, p4)
+
+    monkeypatch.setattr(census, "_stacked_triangles", record_cols)
+    monkeypatch.setattr(census, "_stacked_forms", record_blocks)
     for d in (3, 4):
         chunks.clear()
         entropy_census(hypercube_graph(d), 0.5)
