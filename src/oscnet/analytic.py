@@ -43,7 +43,7 @@ import math
 
 from .errors import DomainError, SchemeError
 from .gaussian import ModeSpectrum, _mode
-from .graph import cut_name
+from .graph import _integer, cut_name
 from .stratify import MAX_DIMENSION, block_table, hypercube_spectrum
 
 
@@ -64,7 +64,7 @@ def _q_ratio(n: int, x: float, d_block: int) -> float:
 
 
 def _check_dg(d: int, g: float):
-    if not isinstance(d, int) or d < 1:
+    if (d := _integer(d)) is None or d < 1:
         raise DomainError("dimension must be a positive integer")
     if d > MAX_DIMENSION:
         raise DomainError(
@@ -82,7 +82,7 @@ def _check_dg(d: int, g: float):
             % (g, d)
         )
     # Adding 0.0 turns -0.0 into 0.0, so no mode reports a gamma of -0.
-    return g + 0.0
+    return d, g + 0.0
 
 
 def gamma_identity_cut(d: int, g: float) -> ModeSpectrum:
@@ -92,7 +92,7 @@ def gamma_identity_cut(d: int, g: float) -> ModeSpectrum:
     degeneracy binomial(d-1, i): gamma_i = 2g / (1 + 2g(d - lambda_i)).
     Mode count is 2^(d-1); none are zero for g > 0.
     """
-    g = _check_dg(d, g)
+    d, g = _check_dg(d, g)
     modes = []
     for i in range(d):
         # d - lambda_i = 1 + 2i, so 1 - gamma_i = (1 + 4gi) / (1 + 2g + 4gi).
@@ -109,7 +109,7 @@ def gamma_parity_cut(d: int, g: float) -> ModeSpectrum:
     degeneracy binomial(d, i): gamma_i = 2g lambda_i / (1 + 2gd).  Even d
     adds binomial(d, d/2)/2 zero modes, so the count is 2^(d-1).
     """
-    g = _check_dg(d, g)
+    d, g = _check_dg(d, g)
     den = 1.0 + 2.0 * g * d
     pref = 2.0 * g / den
     # Each eigenvalue pair +-lambda is one singular value lambda of A_eo; the
@@ -136,7 +136,7 @@ def gamma_half_strata(d: int, g: float) -> ModeSpectrum:
     at x = d + 1/(2g).  Decoupled zero modes are not listed, so the count
     equals binomial(d, (d-1)/2).
     """
-    g = _check_dg(d, g)
+    d, g = _check_dg(d, g)
     if d % 2 == 0:
         raise SchemeError("half_strata spectrum is defined only for odd d")
     modes = []

@@ -51,7 +51,7 @@ from .gaussian import (
     _stacked_forms,
     _stacked_triangles,
 )
-from .graph import Graph, potential_matrix
+from .graph import Graph, _integer, potential_matrix
 
 REPRESENTATIVE_CAP = 16
 # Most partitions one census enumerates or samples: n = 26 (5,200,300) fits
@@ -319,12 +319,12 @@ def entropy_census(
     tolerance = float(tolerance)
     if not (tolerance > 0.0 and math.isfinite(tolerance)):
         raise ValueError("tolerance must be positive and finite")
-    if not isinstance(threads, int) or threads < 1:
+    if (threads := _integer(threads)) is None or threads < 1:
         raise ValueError("threads must be a positive integer")
     base = _norm_log_base(log_base)
-    if sample is not None and (not isinstance(sample, int) or sample < 1):
+    if sample is not None and ((sample := _integer(sample)) is None or sample < 1):
         raise ValueError("sample must be a positive integer")
-    if not isinstance(seed, int):
+    if (seed := _integer(seed)) is None:
         raise ValueError("seed must be an integer")
     count = math.comb(n - 1, n // 2 - 1) if sample is None else sample
     if count > MAX_CENSUS_PARTITIONS:

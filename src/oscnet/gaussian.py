@@ -78,7 +78,7 @@ from .errors import (
     DomainError,
     SingularityError,
 )
-from .graph import Bipartition, PotentialMatrix, hamming_weights
+from .graph import Bipartition, PotentialMatrix, _integer, hamming_weights
 
 # Coupling ratios below this are exact zero modes (nu = 1, no entropy).
 GAMMA_ZERO = 1e-12
@@ -182,8 +182,9 @@ class Mode:
                 "mode parameters must be finite, got gamma = %r, nu = %r"
                 % (self.gamma, self.nu)
             )
-        if not isinstance(self.degeneracy, int) or self.degeneracy < 1:
+        if (degeneracy := _integer(self.degeneracy)) is None or degeneracy < 1:
             raise ValueError("degeneracy must be a positive integer")
+        object.__setattr__(self, "degeneracy", degeneracy)
         if self.gamma < 0.0:
             raise ValueError("gamma is reported as a non-negative ratio")
         if self.nu < 1.0:
@@ -275,7 +276,7 @@ class SchmidtSpectrum:
 
 def schmidt_spectrum(nu: float, n_max: int) -> SchmidtSpectrum:
     """Schmidt coefficients of one mode up to occupation number n_max."""
-    if not isinstance(n_max, int) or n_max < 1:
+    if (n_max := _integer(n_max)) is None or n_max < 1:
         raise ValueError("n_max must be a positive integer")
     nu = float(nu)
     if not 1.0 - NU_SLACK <= nu < math.inf:

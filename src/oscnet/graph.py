@@ -71,8 +71,9 @@ class Graph:
     edges: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if (n := _integer(self.n)) is None or n < 1:
             raise GraphSizeError("vertex count must be a positive integer")
+        object.__setattr__(self, "n", n)
         if self.n > MAX_VERTICES:
             raise GraphSizeError(
                 "vertex count %d exceeds the supported maximum %d"
@@ -134,13 +135,22 @@ class Graph:
         return a
 
 
+def _integer(x) -> int | None:
+    """x as an int if it is a Python or numpy integer but not a bool, else None."""
+    ok = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return int(x) if ok else None
+
+
 def _vertex_labels(side) -> list:
-    """The labels of one side as ints; non-integer labels are refused rather
-    than truncated."""
+    """The labels of one side as ints, non-integers and bools refused; a type
+    scan and operator.index take a quarter of the time of _integer per label."""
     try:
-        return [operator.index(v) for v in side]
+        side = list(side)
+        if bool not in map(type, side):
+            return [operator.index(v) for v in side]
     except TypeError:
-        raise ValueError("vertex labels must be integers") from None
+        pass
+    raise ValueError("vertex labels must be integers")
 
 
 @dataclass(frozen=True)
@@ -180,41 +190,40 @@ class Bipartition:
         return len(self.side_a) + len(self.side_b)
 
 
-def _slices(a: np.ndarray):
-    """The reader of _lower_factor for an array: its views a[rows, cols]."""
-    return lambda rows, cols: a[rows, cols]
+def _lower_factor(a, n: int, whole: bool = True):
+    """The lower Cholesky factor L of a - EIG_FLOOR I for a symmetric n x n
+    matrix a, read from its upper triangle; DefinitenessError if it is not
+    positive definite.
 
-
-def _lower_factor(read, n: int, whole: bool = True):
-    """The lower Cholesky factor L of a symmetric n x n matrix a, read from
-    its upper triangle; DefinitenessError if a is not positive definite.
-
-    read(rows, cols) returns a[rows, cols] for two slices, as a view of a or
-    as a fresh array.  A fresh a_12, one that owns its data, is solved in
-    place; a view is copied first, so no array a caller passed to certify
-    is ever written.  Up to CERTIFY_LEAF rows this is one
-    np.linalg.cholesky of a^T, a column-major view that LAPACK copies
-    without transposing.  Above, a is halved by the generalized
-    Schur complement: a_11 = L_11 L_11^T, W = L_11^{-1} a_12, and
-    S = a_22 - W^T W is factored in turn, for a is positive definite
-    exactly when a_11 and S are.  Only the top level reads through read;
-    the recursion reads the arrays a_11 and S.  With whole false only that
-    verdict is wanted, so no n x n L is assembled and the result is None
-    (or the leaf factor, when a is a leaf).
+    a is an array, or a reader a(rows, cols) that returns a[rows, cols] for
+    two slices as a view or a fresh array.  A leaf, of at most CERTIFY_LEAF
+    rows, is the one place EIG_FLOOR is subtracted, from its diagonal: in
+    place if the leaf is writeable, else on a copy.  It is factored by one
+    np.linalg.cholesky of its transpose, a column-major view that LAPACK
+    copies without transposing.  Above, a is halved by the generalized
+    Schur complement: L_11 factors a_11, W = L_11^{-1} a_12 (in place if
+    a_12 owns its data) and S = a_22 - W^T W is factored in turn, for
+    a - EIG_FLOOR I is positive definite exactly when a_11 and S are, less
+    the floor.  With whole false only that verdict is wanted: no n x n L is
+    assembled and the result is None (or a leaf's factor).
     """
     # gaussian imports this module, so its solve is imported on use.
     from .gaussian import _solve_lower
 
+    read = a if callable(a) else lambda rows, cols: a[rows, cols]
     if n <= CERTIFY_LEAF:
+        leaf = read(slice(0, n), slice(0, n))
+        leaf = leaf if leaf.flags.writeable else leaf.copy()
+        leaf[np.diag_indices(n)] -= EIG_FLOOR
         try:
-            return np.linalg.cholesky(read(slice(0, n), slice(0, n)).T)
+            return np.linalg.cholesky(leaf.T)
         except np.linalg.LinAlgError:
             raise DefinitenessError(
                 "potential matrix is not positive definite"
             ) from None
     h = n // 2
     top, bottom = slice(0, h), slice(h, n)
-    l11 = _lower_factor(_slices(read(top, top)), h)
+    l11 = _lower_factor(read(top, top), h)
     w = read(top, bottom)
     w = _solve_lower(l11, w if w.flags.owndata else w.copy())
     out = None
@@ -228,23 +237,26 @@ def _lower_factor(read, n: int, whole: bool = True):
     s = w.T @ w
     del w
     np.subtract(read(bottom, bottom), s, out=s)
-    l22 = _lower_factor(_slices(s), n - h, whole)
+    l22 = _lower_factor(s, n - h, whole)
     if whole:
         out[h:, h:] = l22
     return out
 
 
-def _positions(n: int, idx: np.ndarray) -> np.ndarray:
-    """The position of each vertex 0..n-1 in the index array idx, -1 for a
-    vertex not in it; an index array that holds a label outside 0..n-1 or
-    repeats a vertex is refused."""
+def _positions(n: int, idx) -> tuple:
+    """idx as an intp array, and each vertex's position in it or -1; idx must
+    be a 1-D integer array of distinct vertices 0..n-1, or empty."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise ValueError("block indices must be 1-D integer arrays")
     if idx.size and not (0 <= idx.min() and idx.max() < n):
         raise ValueError("block indices must be vertices 0..%d" % (n - 1))
+    idx = idx.astype(np.intp, copy=False)
     at = np.full(n, -1, dtype=np.intp)
     at[idx] = np.arange(idx.size)
     if np.count_nonzero(at >= 0) != idx.size:
         raise ValueError("block indices must be distinct vertices")
-    return at
+    return idx, at
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -289,10 +301,9 @@ class PotentialMatrix:
         """V of canonical edges, the coupling 2g and the diagonal
         1 + 2g deg, certified positive definite.
 
-        V is symmetric by construction, so no symmetry pass runs.  The
-        halving of _lower_factor reads V - EIG_FLOOR I through block: only
-        its top-level quarters are built, each shifted on its own diagonal,
-        and all of V never is.
+        V is symmetric by construction, so no symmetry pass runs.
+        _lower_factor reads V through block, so only its top-level quarters
+        are built, and subtracts the floor at its leaves, in place.
         """
         v = cls.__new__(cls)
         diagonal.setflags(write=False)
@@ -304,14 +315,7 @@ class PotentialMatrix:
         ):
             object.__setattr__(v, name, value)
         every = np.arange(v.n)
-
-        def shifted(rows, cols):
-            out = v.block(every[rows], every[cols])
-            if rows == cols:
-                out[np.diag_indices_from(out)] -= EIG_FLOOR
-            return out
-
-        _lower_factor(shifted, v.n, whole=False)
+        _lower_factor(lambda r, c: v.block(every[r], every[c]), v.n, whole=False)
         return v
 
     # The gate and the block reader are methods rather than module functions
@@ -325,14 +329,11 @@ class PotentialMatrix:
 
         Symmetry is one pass over pairs of square tiles, each compared with
         the transpose of its mirror; NaN and inf never pass.  Definiteness
-        is a Cholesky factorization of v - EIG_FLOOR I: one np.linalg.cholesky
-        call up to CERTIFY_LEAF rows, and above that block Cholesky by
-        halves (_lower_factor), which never allocates a factor of all of v.
-        By Cauchy interlacing every principal block of v then clears the
-        floor too.  Only the upper triangle of v is read.  The shift is made
-        on v's own diagonal, which is restored from a saved copy whether or
-        not the factorization succeeds, so v ends bit-identical; only a
-        read-only v is copied first.
+        is block Cholesky by halves of v - EIG_FLOOR I (_lower_factor),
+        which reads only the upper triangle of v, through a read-only view:
+        the floor is subtracted on copies of its leaves, so v is never
+        written, nor copied whole.  By Cauchy interlacing every principal
+        block of v then clears the floor too.
         """
         m = np.asarray(v, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -349,14 +350,9 @@ class PotentialMatrix:
                             "matrix must be finite and symmetric within %g"
                             % SYMMETRY_TOL
                         )
-        work = m if m.flags.writeable else m.copy()
-        diagonal = np.diag_indices_from(work)
-        saved = work[diagonal]
-        work[diagonal] = saved - EIG_FLOOR
-        try:
-            _lower_factor(_slices(work), n, whole=False)
-        finally:
-            work[diagonal] = saved
+        frozen = m.view()
+        frozen.setflags(write=False)
+        _lower_factor(frozen, n, whole=False)
         return m
 
     def block(self, rows, cols) -> np.ndarray:
@@ -371,8 +367,8 @@ class PotentialMatrix:
         included, so the block is bit for bit the slice of .matrix and
         LAPACK sees the same buffer.  Any other V is gathered from .matrix.
         """
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        at_row, at_col = _positions(self.n, rows), _positions(self.n, cols)
+        rows, at_row = _positions(self.n, rows)
+        cols, at_col = _positions(self.n, cols)
         if self._edges is None:
             return self.matrix[rows[:, None], cols]
         c = self._coupling
@@ -396,17 +392,18 @@ class PotentialMatrix:
         return m
 
 
-def _check_hypercube_dim(d):
-    if not isinstance(d, int) or not 1 <= d <= MAX_HYPERCUBE_DIM:
+def _check_hypercube_dim(d) -> int:
+    if (d := _integer(d)) is None or not 1 <= d <= MAX_HYPERCUBE_DIM:
         raise GraphSizeError(
             "hypercube dimension must be an integer in 1..%d" % MAX_HYPERCUBE_DIM
         )
+    return d
 
 
 def hypercube_graph(d: int) -> Graph:
     """The binary hypercube H(d,2): 2^d vertices, edges between labels at
     Hamming distance 1."""
-    _check_hypercube_dim(d)
+    d = _check_hypercube_dim(d)
     n = 1 << d
     idx = np.arange(n, dtype=np.int64)
     blocks = []
@@ -542,7 +539,7 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
 
 def hamming_weights(d: int) -> np.ndarray:
     """Hamming weight of every d-bit label 0..2^d-1."""
-    _check_hypercube_dim(d)
+    d = _check_hypercube_dim(d)
     idx = np.arange(1 << d, dtype=np.int64)
     w = np.zeros(1 << d, dtype=np.int64)
     for a in range(d):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import GraphSizeError
-from .graph import _check_hypercube_dim
+from .graph import _check_hypercube_dim, _integer
 
 
 def spin_x_block(block_dim: int) -> np.ndarray:
@@ -25,7 +25,7 @@ def spin_x_block(block_dim: int) -> np.ndarray:
     k = 1..m, which is 2 S_x in the spin-m/2 representation.  Its spectrum is
     {-m, -m + 2, ..., m}, each eigenvalue simple.
     """
-    if not isinstance(block_dim, int) or block_dim < 1:
+    if (block_dim := _integer(block_dim)) is None or block_dim < 1:
         raise ValueError("block dimension must be a positive integer")
     m = block_dim - 1
     block = np.zeros((block_dim, block_dim))
@@ -42,9 +42,10 @@ def spin_x_block(block_dim: int) -> np.ndarray:
 MAX_DIMENSION = 1029
 
 
-def _check_dimension(d) -> None:
-    if not isinstance(d, int) or not 1 <= d <= MAX_DIMENSION:
+def _check_dimension(d) -> int:
+    if (d := _integer(d)) is None or not 1 <= d <= MAX_DIMENSION:
         raise GraphSizeError("dimension must be an integer in 1..%d" % MAX_DIMENSION)
+    return d
 
 
 def block_table(d: int) -> list:
@@ -54,7 +55,7 @@ def block_table(d: int) -> list:
     degeneracy binomial(d,k) - binomial(d,k-1), k = 0..floor(d/2).  Block k
     spans strata k..d-k.  Dimensions times degeneracies sum to 2^d.
     """
-    _check_dimension(d)
+    d = _check_dimension(d)
     table = []
     for k in range(d // 2 + 1):
         deg = math.comb(d, k) - (math.comb(d, k - 1) if k >= 1 else 0)
@@ -70,7 +71,7 @@ def stratified_adjacency(d: int) -> np.ndarray:
     orthogonally similar to the vertex-basis adjacency of H(d,2), so both
     have identical spectra.
     """
-    _check_hypercube_dim(d)
+    d = _check_hypercube_dim(d)
     n = 1 << d
     out = np.zeros((n, n))
     pos = 0
@@ -90,11 +91,11 @@ def krawtchouk(l: int, x: int, d: int) -> int:
     hypercube eigenvalues; evaluating at stratum index x gives the
     eigenvector profile across strata.
     """
-    if not isinstance(d, int) or d < 0:
+    if (d := _integer(d)) is None or d < 0:
         raise ValueError("d must be a non-negative integer")
-    if not isinstance(l, int) or not 0 <= l <= d:
+    if (l := _integer(l)) is None or not 0 <= l <= d:
         raise ValueError("polynomial index l must satisfy 0 <= l <= d")
-    if not isinstance(x, int) or not 0 <= x <= d:
+    if (x := _integer(x)) is None or not 0 <= x <= d:
         raise ValueError("argument x must satisfy 0 <= x <= d")
     total = 0
     for i in range(l + 1):
@@ -108,5 +109,5 @@ def hypercube_spectrum(d: int) -> list:
     Returns [(d - 2i, binomial(d,i))] for i = 0..d, largest eigenvalue
     first.  Multiplicities sum to 2^d and the spectrum is symmetric about 0.
     """
-    _check_dimension(d)
+    d = _check_dimension(d)
     return [(d - 2 * i, math.comb(d, i)) for i in range(d + 1)]

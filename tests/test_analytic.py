@@ -416,6 +416,15 @@ def test_analytic_domain_checks():
         analytic_entropy("diagonal", 3, 0.5)
 
 
+def test_closed_forms_take_numpy_integers_and_refuse_bool():
+    for closed_form in (gamma_identity_cut, gamma_parity_cut, gamma_half_strata):
+        for d in (np.int64(3), np.uint8(3)):
+            assert closed_form(d, 0.5) == closed_form(3, 0.5)
+        for bad in (True, np.True_):
+            with pytest.raises(DomainError, match="positive integer"):
+                closed_form(bad, 0.5)
+
+
 def test_dimension_cap_keeps_degeneracies_in_float_range():
     # C(d, d // 2) bounds every closed form's degeneracies
     assert math.comb(MAX_DIMENSION, MAX_DIMENSION // 2) <= sys.float_info.max

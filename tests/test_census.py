@@ -243,6 +243,18 @@ def test_census_validation():
         entropy_census("hypercube:3", 0.5)
 
 
+def test_census_takes_numpy_integers_and_refuses_bool():
+    g = hypercube_graph(3)
+    want = entropy_census(g, 0.5, sample=20, seed=7).to_dict()
+    for kind in (np.int64, np.uint8):
+        got = entropy_census(g, 0.5, threads=kind(1), sample=kind(20), seed=kind(7))
+        assert got.to_dict() == want
+    for name in ("threads", "sample", "seed"):
+        for bad in (True, np.True_):
+            with pytest.raises(ValueError, match=name):
+                entropy_census(g, 0.5, **{"sample": 4, name: bad})
+
+
 def test_census_refuses_too_many_partitions(monkeypatch):
     # The cube's 35 partitions, or a sample of them, against a cap on either
     # side of 35.

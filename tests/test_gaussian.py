@@ -216,6 +216,21 @@ def test_schmidt_spectrum_domain():
         schmidt_spectrum(1.5, 0)
 
 
+def test_integer_arguments_take_numpy_integers_and_refuse_bool():
+    for n_max in (np.int64(4), np.uint8(4)):
+        s = schmidt_spectrum(1.5, n_max)
+        assert type(s.n_max) is int
+        want = schmidt_spectrum(1.5, 4).probabilities
+        assert s.probabilities.tobytes() == want.tobytes()
+        mode = Mode(gamma=0.5, nu=nu_from_gamma(0.5), degeneracy=n_max)
+        assert type(mode.degeneracy) is int and mode.degeneracy == 4
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="n_max"):
+            schmidt_spectrum(1.5, bad)
+        with pytest.raises(ValueError, match="degeneracy"):
+            Mode(gamma=0.5, nu=nu_from_gamma(0.5), degeneracy=bad)
+
+
 def test_gamma_spectrum_block_diagonal_is_product_state():
     v = np.diag([1.0, 2.0, 3.0, 4.0])
     cut = Bipartition.from_side_a(4, [0, 2])

@@ -252,13 +252,19 @@ def test_certify_leaves_the_input_bit_identical():
 
 def _halved_certify_cases(n, rng):
     """Symmetric n x n matrices and the verdict each should get: smallest
-    eigenvalue well above EIG_FLOOR, below 0, and between 0 and EIG_FLOOR;
+    eigenvalue well above EIG_FLOOR, below 0, between 0 and EIG_FLOOR, and
+    twice EIG_FLOOR, where the shift leaves a margin of one EIG_FLOOR;
     one whose halves V_11 and V_22 are definite while the Schur complement
     V_22 - V_21 V_11^{-1} V_12 is not; and two with a diagonal entry on
     which the shift by EIG_FLOOR does not round-trip."""
     q = np.linalg.qr(rng.standard_normal((n, n)))[0]
     cases = []
-    for low, definite in ((1e-3, True), (-1e-3, False), (EIG_FLOOR / 2, False)):
+    for low, definite in (
+        (1e-3, True),
+        (-1e-3, False),
+        (EIG_FLOOR / 2, False),
+        (2 * EIG_FLOOR, True),
+    ):
         eigenvalues = np.concatenate([[low], rng.uniform(0.5, 1.5, n - 1)])
         v = (q * eigenvalues) @ q.T
         cases.append(((v + v.T) / 2, definite))
@@ -290,7 +296,7 @@ def _halved_certify_cases(n, rng):
     return cases
 
 
-@pytest.mark.parametrize("n", [1024, 2 * CERTIFY_LEAF + 3])
+@pytest.mark.parametrize("n", [1024, 2 * CERTIFY_LEAF + 3, CERTIFY_LEAF + 1])
 def test_certify_by_halves_gives_the_verdict_of_one_cholesky(n):
     rng = np.random.default_rng(n)
     for v, definite in _halved_certify_cases(n, rng):
@@ -335,6 +341,22 @@ def test_certify_never_factors_more_than_a_leaf(monkeypatch):
     tracemalloc.start()
     try:
         PotentialMatrix.certify(work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * v.nbytes
+
+
+def test_certify_holds_no_copy_of_a_read_only_v():
+    # The floor is subtracted on copies of the leaves, never on v, so a
+    # read-only v needs no copy: 5.13 MiB traced for this 8 MiB v, where
+    # copying all of it to shift its diagonal took 13.14 MiB.
+    v = potential_matrix(hypercube_graph(10), 0.5).matrix
+    assert not v.flags.writeable
+    PotentialMatrix.certify(v)
+    tracemalloc.start()
+    try:
+        assert PotentialMatrix.certify(v) is v
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,6 +413,49 @@ def test_blocks_refuse_a_label_outside_the_graph():
             w.block([4], [0])
         with pytest.raises(ValueError, match="vertices 0..3"):
             w.block([0], [1, 4])
+
+
+def test_blocks_take_only_one_dimensional_integer_index_arrays():
+    # A bool mask would select rows on the graph route and fail in numpy's
+    # indexing on the array route; a float or 2-D array fails on both.
+    v = potential_matrix(hypercube_graph(2), 0.5)
+    pair = np.array([0, 1])
+    bad = (np.ones(4, bool), np.array([True]), np.array([0.0, 1.0]), np.array([[0, 1]]))
+    for w in (v, PotentialMatrix(np.array(v.matrix))):
+        for idx in bad:
+            with pytest.raises(ValueError, match="1-D integer"):
+                w.block(idx, pair)
+            with pytest.raises(ValueError, match="1-D integer"):
+                w.block(pair, idx)
+        # An empty index array of any dtype is the empty set.
+        for empty in ([], np.array([], dtype=float), np.array([], dtype=bool)):
+            assert w.block(empty, pair).shape == (0, 2)
+            assert w.block(pair, empty).shape == (2, 0)
+        rows, cols = np.array([3], np.uint8), np.array([0, 3], np.int32)
+        assert w.block(rows, cols).tobytes() == w.matrix[[3]][:, [0, 3]].tobytes()
+
+
+def test_integer_arguments_take_numpy_integers_and_refuse_bool():
+    # np.uint8(12) is read as 12: a shift 1 << d in uint8 would wrap to 0.
+    assert hamming_weights(np.uint8(12)).size == 4096
+    for d in (np.int64(3), np.uint8(3)):
+        assert hypercube_graph(d) == hypercube_graph(3)
+        assert named_bipartition(d, "parity") == named_bipartition(3, "parity")
+    g = Graph(np.int64(4), np.array([[0, 1]]))
+    assert type(g.n) is int and g == Graph(4, np.array([[0, 1]]))
+    assert Bipartition.from_side_a(4, [np.int64(1)]) == Bipartition((1,), (0, 2, 3))
+    for bad in (True, False, np.True_):
+        with pytest.raises(GraphSizeError, match="integer in 1..12"):
+            hypercube_graph(bad)
+        with pytest.raises(GraphSizeError, match="integer in 1..12"):
+            named_bipartition(bad, "parity")
+        with pytest.raises(GraphSizeError, match="positive integer"):
+            Graph(bad, np.zeros((0, 2), dtype=np.int64))
+        # A bool label would read as vertex 0 or 1.
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Bipartition.from_side_a(2, [bad])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Bipartition((bad,), (2,))
 
 
 def test_potential_matrix_owns_its_array_and_the_engines_copy_first():

@@ -123,6 +123,28 @@ def test_krawtchouk_domain():
         krawtchouk(-1, 0, 3)
 
 
+def test_integer_arguments_take_numpy_integers_and_refuse_bool():
+    for d in (np.int64(5), np.uint8(5)):
+        assert block_table(d) == block_table(5)
+        assert all(type(x) is int for row in block_table(d) for x in row)
+        assert hypercube_spectrum(d) == hypercube_spectrum(5)
+        assert np.array_equal(spin_x_block(d), spin_x_block(5))
+        assert krawtchouk(np.int32(2), np.int16(1), d) == krawtchouk(2, 1, 5)
+    assert np.array_equal(stratified_adjacency(np.int64(3)), stratified_adjacency(3))
+    for bad in (True, np.True_):
+        for table in (block_table, hypercube_spectrum, stratified_adjacency):
+            with pytest.raises(GraphSizeError, match="must be an integer"):
+                table(bad)
+        with pytest.raises(ValueError, match="block dimension"):
+            spin_x_block(bad)
+        with pytest.raises(ValueError, match="d must be"):
+            krawtchouk(0, 0, bad)
+        with pytest.raises(ValueError, match="polynomial index"):
+            krawtchouk(bad, 0, 3)
+        with pytest.raises(ValueError, match="argument x"):
+            krawtchouk(0, bad, 3)
+
+
 def test_hypercube_spectrum_tables():
     assert hypercube_spectrum(1) == [(1, 1), (-1, 1)]
     assert hypercube_spectrum(3) == [(3, 1), (1, 3), (-1, 3), (-3, 1)]
