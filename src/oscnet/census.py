@@ -23,9 +23,11 @@ consecutive values differ by more than the tolerance, and a 2-key lexsort
 on (class, row index) picks representatives.  The report keeps the result
 as read-only arrays: class entropies, multiplicities, and the kept
 representative rows, int16, class after class, with a count per class.
-Its text, CSV and JSON renderings read the arrays and format every
-representative row in one pass; the EntropyClass objects of
-CensusReport.classes are built only when that attribute is first read.
+Its text and CSV renderings are line generators that read the arrays
+RENDER_CLASSES classes at a time, so rendering holds a bounded amount
+whatever the class count; the JSON rendering is one dict.  The
+EntropyClass objects of CensusReport.classes are built only when that
+attribute is first read.
 
 Results are deterministic: the same seed draws the same rows, the
 grouping equals a single descending sweep, and worker parallelism only
@@ -62,6 +64,9 @@ SAMPLE_CHUNK_KEYS = 1 << 16
 # Most bytes of factor columns and 4P blocks one stacked kernel step
 # gathers; a row larger than this goes alone.
 STACK_BYTES = 1 << 18
+# Classes the text and CSV renderings format per slice, with one gather of
+# their representative rows from a table of label strings.
+RENDER_CLASSES = 256
 
 
 @dataclass(frozen=True)
@@ -101,12 +106,14 @@ class CensusReport:
 
     def _columns(self):
         """(entropy, multiplicity, representative count) of each class, as
-        Python numbers."""
-        return zip(
-            self.entropies.tolist(),
-            self.multiplicities.tolist(),
-            self.representative_counts.tolist(),
-        )
+        Python numbers, converted RENDER_CLASSES classes at a time."""
+        for lo in range(0, self.entropies.size, RENDER_CLASSES):
+            hi = lo + RENDER_CLASSES
+            yield from zip(
+                self.entropies[lo:hi].tolist(),
+                self.multiplicities[lo:hi].tolist(),
+                self.representative_counts[lo:hi].tolist(),
+            )
 
     @functools.cached_property
     def classes(self) -> tuple:
@@ -122,16 +129,21 @@ class CensusReport:
             for entropy, size, count in self._columns()
         )
 
-    def joined_representatives(self, sep: str) -> list:
-        """Each class's representatives as one string: a row's labels
-        joined by sep, its rows by "|".  All rows are formatted in one
-        gather from a table of label strings."""
+    def joined_representatives(self, sep: str):
+        """Yield each class's representatives as one string: a row's labels
+        joined by sep, its rows by "|".  The rows of RENDER_CLASSES classes
+        at a time are formatted by one gather from a table of label
+        strings."""
         labels = np.array([str(i) for i in range(self.n)], dtype=object)
-        rows = iter([sep.join(r) for r in labels[self.representatives].tolist()])
-        return [
-            "|".join(itertools.islice(rows, count))
-            for count in self.representative_counts.tolist()
-        ]
+        start = 0
+        for lo in range(0, self.representative_counts.size, RENDER_CLASSES):
+            counts = self.representative_counts[lo : lo + RENDER_CLASSES].tolist()
+            stop = start + sum(counts)
+            picked = labels[self.representatives[start:stop]].tolist()
+            rows = iter([sep.join(r) for r in picked])
+            start = stop
+            for count in counts:
+                yield "|".join(itertools.islice(rows, count))
 
     def to_dict(self) -> dict:
         rows = iter(self.representatives.tolist())
@@ -155,13 +167,17 @@ class CensusReport:
             "warnings": list(self.warnings),
         }
 
-    def to_csv(self) -> str:
-        lines = ["class,entropy,multiplicity,capped,representatives"]
+    def csv_lines(self):
+        """Yield the CSV document's lines, without line ends: the header,
+        then one row per class."""
+        yield "class,entropy,multiplicity,capped,representatives"
         reps = self.joined_representatives(" ")
         for i, (entropy, size, count) in enumerate(self._columns()):
             capped = "true" if size > count else "false"
-            lines.append("%d,%.12g,%d,%s,%s" % (i, entropy, size, capped, reps[i]))
-        return "\n".join(lines) + "\n"
+            yield "%d,%.12g,%d,%s,%s" % (i, entropy, size, capped, next(reps))
+
+    def to_csv(self) -> str:
+        return "\n".join(self.csv_lines()) + "\n"
 
 
 def _side_a_subsets(n: int):

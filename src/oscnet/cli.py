@@ -18,8 +18,10 @@ work across processes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 
 from . import analytic, census, gaussian, stratify
@@ -34,6 +36,8 @@ from .graph import (
 )
 
 _FMT = "%.12g"
+# Lines per write of a report: 256 sampled H(6,2) census rows are ~25 kB.
+_CHUNK_LINES = 256
 # Spellings of the named cuts that --scheme accepts; graph.cut_name resolves
 # them like every other spelling.
 _CUT_CHOICES = ("half-strata", "identity-cut", "parity")
@@ -43,28 +47,46 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
+def _write_lines(handle, lines):
+    """Write each line and a line end, _CHUNK_LINES lines per write."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        handle.write("\n".join(chunk) + "\n")
+
+
 def _emit(args, config, text, doc=None, csv=None):
     """Write one report to --output or to stdout, in the requested --format.
 
     config lists the (key, value) pairs echoed in the text header and under
-    "config" in JSON.  text, doc and csv are zero-argument callables building
-    the text body lines, the JSON fields after "config" and the CSV document;
-    only the requested one is called.
+    "config" in JSON.  text and csv are zero-argument callables returning
+    the text body's and the CSV document's lines, without line ends; doc
+    one returning the JSON fields after "config".  Only the requested one
+    is called, and lines are written in chunks as they come, so no copy of
+    a whole text or CSV report is held.
     """
     fmt = getattr(args, "format", "text")
     if fmt == "json":
-        out = json.dumps({"config": dict(config), **doc()}, indent=2) + "\n"
+        lines = [json.dumps({"config": dict(config), **doc()}, indent=2)]
     elif fmt == "csv":
-        out = csv()
+        lines = csv()
     else:
-        lines = ["# oscnet %s" % args.command]
-        lines += ["# %s = %s" % pair for pair in config]
-        out = "\n".join(lines + text()) + "\n"
+        header = ["# oscnet %s" % args.command]
+        header += ["# %s = %s" % pair for pair in config]
+        lines = itertools.chain(header, text())
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(out)
-    else:
-        sys.stdout.write(out)
+            _write_lines(handle, lines)
+        return
+    try:
+        _write_lines(sys.stdout, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone, as under "| head": the rest of the report is
+        # dropped without an error, and stdout points at devnull so that
+        # the interpreter's last flush of what is still buffered succeeds.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_modes(args, config, spectrum, totals):
@@ -194,24 +216,26 @@ def _cmd_entropy(args) -> int:
     return 0
 
 
-def _census_lines(report) -> list:
-    entropies = report.entropies.tolist()
-    sizes = report.multiplicities.tolist()
-    counts = report.representative_counts.tolist()
-    lines = [
-        "%d classes / %d partitions" % (len(entropies), report.total_partitions),
-        "class entropy multiplicity representatives",
-    ]
-    for i, reps in enumerate(report.joined_representatives(",")):
-        if sizes[i] > counts[i]:
-            reps += "|..."
-        lines.append("%d %s %d %s" % (i, _fmt(entropies[i]), sizes[i], reps))
+def _census_lines(report):
+    """Yield the census text body's lines, one class row at a time."""
+    yield "%d classes / %d partitions" % (
+        report.entropies.size,
+        report.total_partitions,
+    )
+    yield "class entropy multiplicity representatives"
+    reps = report.joined_representatives(",")
+    for i, (entropy, size, count) in enumerate(report._columns()):
+        row = next(reps) + ("|..." if size > count else "")
+        yield "%d %s %d %s" % (i, _fmt(entropy), size, row)
     for label, index in (("min", report.min_class), ("max", report.max_class)):
-        lines.append(
-            "%s class = %d (entropy %s, multiplicity %d)"
-            % (label, index, _fmt(entropies[index]), sizes[index])
+        yield "%s class = %d (entropy %s, multiplicity %d)" % (
+            label,
+            index,
+            _fmt(report.entropies[index]),
+            report.multiplicities[index],
         )
-    return lines + ["warning: %s" % w for w in report.warnings]
+    for warning in report.warnings:
+        yield "warning: %s" % warning
 
 
 def _cmd_census(args) -> int:
@@ -235,7 +259,9 @@ def _cmd_census(args) -> int:
         ("sample", args.sample if args.sample is not None else "full"),
         ("seed", args.seed),
     ]
-    _emit(args, config, lambda: _census_lines(report), report.to_dict, report.to_csv)
+    _emit(
+        args, config, lambda: _census_lines(report), report.to_dict, report.csv_lines
+    )
     if args.output:
         print(
             "%d classes / %d partitions (min %s, max %s) -> %s"

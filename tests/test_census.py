@@ -290,6 +290,21 @@ def test_census_json_schema_and_csv_shape():
     assert len(csv) == 7
 
 
+def test_renderings_do_not_depend_on_the_slice_size(monkeypatch):
+    # The 55 classes of H(4,2) keep 1 to 16 representatives each, so the
+    # slices end at every kind of class boundary.
+    report = entropy_census(hypercube_graph(4), 0.5)
+    whole = report.to_csv()
+    joined = [
+        "|".join(",".join(map(str, row)) for row in c.representatives)
+        for c in report.classes
+    ]
+    for size in (1, 7, 54):
+        monkeypatch.setattr(census, "RENDER_CLASSES", size)
+        assert list(report.joined_representatives(",")) == joined
+        assert report.to_csv() == whole
+
+
 def test_entropy_is_automorphism_invariant():
     # relabeling by a hypercube automorphism cannot change any entropy
     rng = np.random.default_rng(17)

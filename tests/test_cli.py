@@ -6,8 +6,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 
+import numpy as np
 import pytest
 
 import oscnet
@@ -284,6 +286,96 @@ def test_census_output_bytes_are_pinned_and_build_no_entropy_class(
     assert capsys.readouterr().out == summary + " -> census.txt\n"
     text = (tmp_path / "census.txt").read_bytes()
     assert hashlib.sha256(text).hexdigest() == digests["text"]
+
+
+REPORT_ARGVS = [
+    ["census", "--graph", "hypercube:3", "--format", fmt] for fmt in ("text", "csv", "json")
+] + [
+    # 600 classes: more than one rendering slice and one written chunk.
+    ["census", "--graph", "hypercube:6", "--sample", "600", "--format", fmt]
+    for fmt in ("text", "csv")
+] + [
+    ["entropy", "--graph", "hypercube:2", "--subset", "0,1", "--format", fmt]
+    for fmt in ("text", "json")
+] + [
+    ["analytic", "--scheme", "parity", "--d", "4", "--format", fmt]
+    for fmt in ("text", "json")
+] + [
+    ["verify", "--scheme", "parity", "--d", "3"],
+    ["spectrum", "--d", "5", "--format", "text"],
+    ["spectrum", "--d", "5", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_ARGVS, ids=" ".join)
+def test_output_file_bytes_equal_stdout_bytes(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "report"
+    assert main(argv + ["--output", str(target)]) == 0
+    assert target.read_bytes() == out.encode()
+
+
+def _synthetic_report(classes):
+    """A census report of n = 64 with the given number of classes; every
+    eighth class is capped at 16 representatives, the others hold one."""
+    capped = np.arange(classes) % 8 == 0
+    counts = np.where(capped, census.REPRESENTATIVE_CAP, 1)
+    sizes = np.where(capped, 40, 1)
+    rows = int(counts.sum())
+    reps = (np.arange(rows)[:, None] * 7 + np.arange(32)) % 64
+    return census.CensusReport(
+        n=64, g=0.5, log_base="2", tolerance=1e-9,
+        total_partitions=int(sizes.sum()),
+        entropies=np.linspace(5.0, 3.0, classes), multiplicities=sizes,
+        representatives=reps.astype(np.int16), representative_counts=counts,
+        min_class=classes - 1, max_class=0, warnings=(),
+    )
+
+
+def test_census_rendering_memory_does_not_grow_with_the_class_count(
+    tmp_path, monkeypatch
+):
+    # The text and CSV reports are written in chunks of lines, formatted a
+    # slice of classes at a time: 0.87 MB traced at 5,000 and at 50,000
+    # classes, graph and parser included.  Building each report whole took
+    # 8 MB and 81 MB.
+    target = tmp_path / "census.out"
+    for classes in (5_000, 50_000):
+        report = _synthetic_report(classes)
+        monkeypatch.setattr(census, "entropy_census", lambda *a, **k: report)
+        for fmt in ("text", "csv"):
+            argv = ["census", "--graph", "hypercube:6", "--format", fmt]
+            argv += ["--output", str(target)]
+            # A warm-up call, so first-use allocations stay out of the peak.
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, (classes, fmt, peak)
+        assert target.read_text() == report.to_csv()
+
+
+def test_census_to_a_closed_pipe_exits_0_quietly():
+    # The reader takes the first line and closes the pipe while the 0.5 MB
+    # report is still being written; the rest is dropped without an error.
+    src = os.path.dirname(os.path.dirname(oscnet.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    argv = ["census", "--graph", "hypercube:6", "--sample", "5000", "--seed", "1"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "oscnet.cli"] + argv,
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        rc = proc.wait(timeout=60)
+    assert first == b"# oscnet census\n"
+    assert (rc, err) == (0, b"")
 
 
 # sha256 of the stdout of analytic (every scheme, both log bases, text and

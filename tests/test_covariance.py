@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import oscnet.graph
 from oscnet import (
     DefinitenessError,
     DomainError,
@@ -119,8 +120,23 @@ def test_profile_only_on_the_hypercube_potential():
     # a 4-cycle labeled around the ring is not H(2,2) as labeled
     ring = Graph(4, np.array([(0, 1), (0, 3), (1, 2), (2, 3)]))
     assert potential_matrix(ring, 0.5).profile is None
+    # every edge one bit apart, but one edge short of the cube
+    assert potential_matrix(Graph(8, cube.edges[1:]), 0.5).profile is None
     with pytest.raises(TypeError):
         PotentialMatrix(np.eye(2), np.zeros(2))
+
+
+def test_profile_is_read_only_and_computed_once_per_cube_and_coupling(monkeypatch):
+    # The cube is recognized from its own edges, without building another.
+    def refuse(d):
+        raise AssertionError("hypercube_graph called")
+
+    cube = hypercube_graph(4)
+    monkeypatch.setattr(oscnet.graph, "hypercube_graph", refuse)
+    profile = potential_matrix(cube, 0.375).profile
+    assert not profile.flags.writeable
+    assert potential_matrix(cube, 0.375).profile is profile
+    assert potential_matrix(cube, 0.25).profile is not profile
 
 
 def test_oracle_takes_cholesky_route_without_the_table():

@@ -444,6 +444,15 @@ def test_integer_arguments_take_numpy_integers_and_refuse_bool():
     g = Graph(np.int64(4), np.array([[0, 1]]))
     assert type(g.n) is int and g == Graph(4, np.array([[0, 1]]))
     assert Bipartition.from_side_a(4, [np.int64(1)]) == Bipartition((1,), (0, 2, 3))
+    assert Bipartition.from_side_a(np.int64(2), [0]) == Bipartition((0,), (1,))
+    axis_one = named_bipartition(3, "identity-cut", axis=1)
+    assert named_bipartition(3, "identity-cut", axis=np.uint8(1)) == axis_one
+    for bad in (True, np.True_, 1.0, "1"):
+        with pytest.raises(SchemeError, match="axis must be an integer"):
+            named_bipartition(3, "identity-cut", axis=bad)
+    for bad in (True, np.True_, 2.5, "2"):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Bipartition.from_side_a(bad, [0])
     for bad in (True, False, np.True_):
         with pytest.raises(GraphSizeError, match="integer in 1..12"):
             hypercube_graph(bad)
