@@ -76,7 +76,13 @@ def _emit(args, config, text, doc=None, csv=None):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             _write_lines(handle, lines)
-        return
+    else:
+        _write_stdout(lines)
+
+
+def _write_stdout(lines):
+    """Write lines to stdout and flush them; a reader that has gone is no
+    error."""
     try:
         _write_lines(sys.stdout, lines)
         sys.stdout.flush()
@@ -263,15 +269,17 @@ def _cmd_census(args) -> int:
         args, config, lambda: _census_lines(report), report.to_dict, report.csv_lines
     )
     if args.output:
-        print(
-            "%d classes / %d partitions (min %s, max %s) -> %s"
-            % (
-                len(report.entropies),
-                report.total_partitions,
-                _fmt(report.entropies[report.min_class]),
-                _fmt(report.entropies[report.max_class]),
-                args.output,
-            )
+        _write_stdout(
+            [
+                "%d classes / %d partitions (min %s, max %s) -> %s"
+                % (
+                    len(report.entropies),
+                    report.total_partitions,
+                    _fmt(report.entropies[report.min_class]),
+                    _fmt(report.entropies[report.max_class]),
+                    args.output,
+                )
+            ]
         )
     return 0
 

@@ -378,6 +378,35 @@ def test_census_to_a_closed_pipe_exits_0_quietly():
     assert (rc, err) == (0, b"")
 
 
+@pytest.mark.parametrize("unbuffered", [None, "1"])
+def test_census_summary_to_a_closed_pipe_exits_0_quietly(tmp_path, unbuffered):
+    # With --output the report goes to the file and a one-line summary to
+    # stdout, here a pipe whose reader is gone before the census starts.
+    # Buffered, the summary's write fails in the interpreter's last flush
+    # (exit 120); unbuffered, in the command (exit 2).
+    src = os.path.dirname(os.path.dirname(oscnet.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    target = tmp_path / "report.txt"
+    argv = ["census", "--graph", "hypercube:3"]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "oscnet.cli"] + argv + ["--output", str(target)],
+            env=env, stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (0, b"")
+    want = tmp_path / "want.txt"
+    assert main(argv + ["--output", str(want)]) == 0
+    assert target.read_bytes() == want.read_bytes()
+
+
 # sha256 of the stdout of analytic (every scheme, both log bases, text and
 # JSON) and of spectrum, as printed while spectra carried a log base.
 ANALYTIC_DIGESTS = {
@@ -449,20 +478,22 @@ def test_analytic_spectrum_and_entropy_output_bytes_are_pinned(capsys):
 
 # sha256 of entropy's whole stdout, text and JSON, as printed while V was
 # built dense.  The JSON carries every float at full precision, so these pin
-# the bits of the engine and the oracle.  At n = 1024 BLAS rounds
-# differently on more threads, so the commands run in a child process with
-# one BLAS thread.
+# the bits of the engine and the oracle.  The parity cuts' entries were
+# pinned again when the engine split coset-union cuts of H(d,2) into
+# translation sectors; the text changed only in its difference line.  At
+# n = 1024 BLAS rounds differently on more threads, so the commands run in
+# a child process with one BLAS thread.
 PARITY_10 = ",".join(str(v) for v in range(1024) if bin(v).count("1") % 2 == 0)
 PARITY_6 = ",".join(str(v) for v in range(64) if bin(v).count("1") % 2 == 0)
 FULL_ENTROPY_DIGESTS = {
     ("hypercube:10", PARITY_10, "0.5", "text"):
-        "dfdaf86519992e3b0e947b5793d398f26c43a2173dfad08c99f0694c3512c8b9",
+        "ee052cfbb18063d96a48725c8cb77a7ba4996b01b1e37f688cd17db4636a61f7",
     ("hypercube:10", PARITY_10, "0.5", "json"):
-        "d0cb00deb5059145c2c812c543e6ac6762d3343dbd8c17c90293733c08154090",
+        "a8088faeaacab0a085d428e038dd05e2379d90ce44eb6220b05ecd5e242db926",
     ("hypercube:6", PARITY_6, "1e8", "text"):
-        "17361aa013535a8d424b044be302ce55c66b83f0c6a60a063400aae5d8a6b7f6",
+        "e69d03db492fb1609efcb3647a275045176774783da200fce107a02e9f678de5",
     ("hypercube:6", PARITY_6, "1e8", "json"):
-        "d95534679571800553898722080eb3899afe9e8d0bdd8ed78b504082aa8089f9",
+        "205632a3282c8c99d850053bc9f7841dd08fce2314156d4340483eb7c9c1a54f",
     ("file:chorded.txt", "1,4", "0.5", "text"):
         "015227370e4ec161f92bf1086cc223a4310cd73d459ecf932fad1856653b3fb3",
     ("file:chorded.txt", "1,4", "0.5", "json"):

@@ -615,20 +615,26 @@ def _traced_peak_in_blocks(call, n):
 
 def test_single_cut_holds_few_blocks_at_once():
     # On the H(10,2) parity cut every block is dropped after its last read.
-    # The engine solves V_AB in place and holds at most three blocks (3.00
-    # measured; a copied right-hand side takes it to 3.5).  The oracle's
-    # peak is its QR of the two-block F[:, A] (5.16 measured; gathering
-    # 4P_A before the QR takes it to 6.16).  numpy's LAPACK work buffers
-    # are not traced.
+    # The dense engine, on a V without a table, solves V_AB in place and
+    # holds at most three blocks (3.00 measured; a copied right-hand side
+    # takes it to 3.5).  The oracle's peak is its QR of the two-block
+    # F[:, A] (5.16 measured; gathering 4P_A before the QR takes it to
+    # 6.16).  numpy's LAPACK work buffers are not traced.
     v = potential_matrix(hypercube_graph(10), 0.5)
+    plain = PotentialMatrix(v.matrix)
     cut = named_bipartition(10, "parity")
-    engine = lambda: gamma_spectrum(v, cut)  # noqa: E731
+    engine = lambda: gamma_spectrum(plain, cut)  # noqa: E731
     oracle = lambda: entropy_oracle_symplectic(v, cut.side_a)  # noqa: E731
+    # On v the cut splits into 2 x 2 translation sectors, and the route
+    # holds its modes and a few label-sized arrays (0.059 blocks measured).
+    sectors = lambda: gamma_spectrum(v, cut)  # noqa: E731
     # Warm-up calls, so first-use allocations stay out of the peaks.
     engine()
     oracle()
+    sectors()
     assert _traced_peak_in_blocks(engine, v.n) <= 3.25
     assert _traced_peak_in_blocks(oracle, v.n) <= 5.5
+    assert _traced_peak_in_blocks(sectors, v.n) <= 0.1
 
 
 def test_no_dense_solve_on_the_cut_path(monkeypatch):
@@ -646,7 +652,7 @@ def test_no_dense_solve_on_the_cut_path(monkeypatch):
     cut = named_bipartition(8, "identity_cut")
     plain = PotentialMatrix(v.matrix)
     monkeypatch.setattr(np.linalg, "solve", recording)
-    gamma_spectrum(v, cut)
+    gamma_spectrum(plain, cut)
     engine_calls = len(orders)
     entropy_oracle_symplectic(plain, cut.side_a)
     assert 0 < engine_calls < len(orders)
@@ -689,13 +695,14 @@ def test_dense_factorizations_get_column_major_operands(monkeypatch):
         return recording
 
     # Built before the spies, so its constructor's Cholesky goes unrecorded;
-    # v's certification below is recorded.
+    # v's certification below is recorded.  plain, a V without a table,
+    # takes the dense engine and the oracle's Cholesky route.
     plain = PotentialMatrix(potential_matrix(hypercube_graph(6), 0.5).matrix)
     monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky))
     monkeypatch.setattr(np.linalg, "qr", spy(qr))
     v = potential_matrix(hypercube_graph(6), 0.5)
     cut = named_bipartition(6, "parity")
-    gamma_spectrum(v, cut)
+    gamma_spectrum(plain, cut)
     entropy_oracle_symplectic(v, cut.side_a)
     entropy_oracle_symplectic(plain, cut.side_a)
     names = [name for name, _, _ in seen]

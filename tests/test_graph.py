@@ -1,5 +1,6 @@
 """Graph construction, potential matrices, named bipartitions."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from oscnet import (
     potential_matrix,
     stratified_adjacency,
 )
+from oscnet.gaussian import _translation_stabiliser
 from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR
 
 
@@ -382,9 +384,21 @@ def test_a_graph_built_v_is_never_dense_on_the_cut_path(monkeypatch):
     def refuse(self):
         raise AssertionError("the dense V was built")
 
-    monkeypatch.setattr(PotentialMatrix, "matrix", property(refuse))
+    # A non-data descriptor, like the one it replaces: a V built from an
+    # array, such as a translation sector's block, keeps its own matrix.
+    refusing = functools.cached_property(refuse)
+    refusing.__set_name__(PotentialMatrix, "matrix")
+    monkeypatch.setattr(PotentialMatrix, "matrix", refusing)
     cut = named_bipartition(10, "parity")
     gamma_spectrum(v, cut)
+    # One vertex swapped across the parity cut leaves no translation that
+    # maps side A onto itself, so the engine whitens v's blocks.
+    a, b = list(cut.side_a), list(cut.side_b)
+    a[0], b[0] = b[0], a[0]
+    in_a = np.zeros(graph.n, dtype=bool)
+    in_a[a] = True
+    assert _translation_stabiliser(10, in_a) == []
+    gamma_spectrum(v, Bipartition(a, b))
     entropy_oracle_symplectic(v, cut.side_a)
     monkeypatch.undo()
     # Read at last, all of V is built once, read-only, and kept.

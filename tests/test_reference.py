@@ -27,9 +27,11 @@ from oscnet import (
 CENSUS_BOUND = {0.5: 1e-14, 1e4: 5e-14, 1e8: 3e-12}
 ORACLE_BOUND = {0.5: 3e-14, 1e4: 1.5e-13, 1e8: 3e-12}
 CHOLESKY_ORACLE_BOUND = {0.5: 3e-14, 1e4: 2e-12, 1e8: 1e-9}
-# The engine's worst at the same g: 2.5e-15, 1.0e-12 (1.7e-12 with
+# The dense engine's worst at the same g: 2.5e-15, 1.0e-12 (1.7e-12 with
 # LU-solved leaves), 1.2e-8.  At g = 1e8 its largest singular values sit
 # ~1e-9 below 1, where a few ulps of sigma move the entropy by ~1e-8 relative.
+# On the parity and identity cuts the table-carrying V takes translation
+# sectors instead: worst 2.9e-15, 1.0e-12, 3.9e-9 over all named cuts.
 ENGINE_BOUND = {0.5: 5e-15, 1e4: 3.5e-12, 1e8: 2.5e-8}
 
 
@@ -105,3 +107,5 @@ def test_oracle_on_named_cuts_against_mpmath(d, g):
         assert _relative(solved, exact) <= CHOLESKY_ORACLE_BOUND[g], (scheme, solved)
         engine = entropy_of_bipartition(v, cut)
         assert _relative(engine, exact) <= ENGINE_BOUND[g], (scheme, engine)
+        dense = entropy_of_bipartition(plain, cut)
+        assert _relative(dense, exact) <= ENGINE_BOUND[g], (scheme, dense)
