@@ -12,6 +12,7 @@ all equal bipartitions of small graphs.
 from .analytic import (
     analytic_entropy,
     gamma_half_strata,
+    gamma_hyperplane_cut,
     gamma_identity_cut,
     gamma_parity_cut,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "entropy_of_bipartition",
     "entropy_oracle_symplectic",
     "gamma_half_strata",
+    "gamma_hyperplane_cut",
     "gamma_identity_cut",
     "gamma_parity_cut",
     "gamma_spectrum",

@@ -1,18 +1,23 @@
 """Closed-form entanglement spectra for structured hypercube bipartitions.
 
-Three equal bipartitions of H(d,2) admit exact mode spectra:
+One family of equal bipartitions of H(d,2), and the half-strata cut, admit
+exact mode spectra:
 
-* identity_cut: the cut between two opposite facets (a coordinate cut).
-  Whitening is diagonal in the sub-cube eigenbasis, so each sub-cube
-  adjacency eigenvalue lambda gives one ratio gamma = 2g/(1+2g(d-lambda)).
+* hyperplane cuts: side A = {x : c.x = 0 mod 2}, the normal c of weight
+  1 <= w <= d.  w = 1 is the coordinate cut between two opposite facets
+  (identity_cut), w = d the even/odd Hamming-weight cut (parity_cut).
+  The Walsh characters chi_s are eigenvectors of V = I + 2gL, with
+  eigenvalues 1 + 4g|s|.  chi_s and chi_{s xor c} agree on A and are
+  opposite on B, so each pair spans one sector [[a, b], [b, a]] of the
+  cut, whose ratio is |b|/a.  With p bits of s off c and q on it,
 
-* parity_cut: even versus odd Hamming weight.  Every edge of H(d,2) joins
-  adjacent strata, so it crosses the cut: V_AA = V_BB = (1 + 2gd) I and
-  V_AB = -2g A_eo, and the ratios are 2g/(1+2gd) times the singular values
-  of A_eo.  The adjacency [[0, A_eo], [A_eo^T, 0]] has eigenvalues +-s for
-  each singular value s, so these are the positive hypercube eigenvalues
-  d - 2i (i < d/2) with multiplicity binomial(d, i); even d adds
-  binomial(d, d/2)/2 zero modes.
+      gamma     = 2g(w - 2q) / (1 + 2g(w + 2p)),
+      1 - gamma = (1 + 4g(p + q)) / (1 + 2g(w + 2p)),
+
+  for p = 0..d-w and q = 0..w/2.  s xor c has w - q bits on c, so the
+  binomial(d-w, p) binomial(w, q) characters of (p, q) pair off with those
+  of (p, w - q), one sector each; at 2q = w, the zero modes of even w,
+  they pair among themselves, half as many.
 
 * half_strata (odd d only): lower half of the distance shells versus the
   upper half.  Eliminating the strata away from the cut telescopes into a
@@ -23,8 +28,7 @@ Three equal bipartitions of H(d,2) admit exact mode spectra:
   from a recursion for the ratio itself, which stays finite where Q_n
   overflows.
 
-The identity and parity forms also know 1 - gamma as a ratio,
-(1 + 4gi)/(1 + 2g + 4gi) and (1 + 4gi)/(1 + 2gd), and take
+The hyperplane form knows 1 - gamma as the ratio above and takes
 nu = 1/sqrt((1 - gamma)(1 + gamma)) from it for every gamma above 1/2: at
 strong coupling the float difference 1.0 - gamma would keep only a few of
 its digits.
@@ -33,8 +37,8 @@ Each builder returns a ModeSpectrum, which sorts its modes by descending
 gamma and carries no log base; analytic_entropy, like
 ModeSpectrum.total_entropy, takes the base of the entropy it returns.
 
-All three agree with the numerical engines to near machine precision; the
-tests enforce 1e-9.
+All of them agree with the numerical engines to near machine precision;
+the tests enforce 1e-9.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import math
 from .errors import DomainError, SchemeError
 from .gaussian import ModeSpectrum, _mode
 from .graph import _integer, cut_name
-from .stratify import MAX_DIMENSION, block_table, hypercube_spectrum
+from .stratify import MAX_DIMENSION, block_table
 
 
 def _q_ratio(n: int, x: float, d_block: int) -> float:
@@ -85,46 +89,36 @@ def _check_dg(d: int, g: float):
     return d, g + 0.0
 
 
-def gamma_identity_cut(d: int, g: float) -> ModeSpectrum:
-    """Exact spectrum of the coordinate (facet-to-facet) cut of H(d,2).
-
-    One mode per sub-cube adjacency eigenvalue lambda_i = (d-1) - 2i with
-    degeneracy binomial(d-1, i): gamma_i = 2g / (1 + 2g(d - lambda_i)).
-    Mode count is 2^(d-1); none are zero for g > 0.
+def gamma_hyperplane_cut(d: int, w: int, g: float) -> ModeSpectrum:
+    """Exact spectrum of a hyperplane cut {x : c.x = 0} of H(d,2) whose
+    normal c has weight w in 1..d, derived in the module docstring: one
+    mode per p = 0..d-w and q = 0..w/2, 2^(d-1) with degeneracies.
     """
     d, g = _check_dg(d, g)
+    if (w := _integer(w)) is None or not 1 <= w <= d:
+        raise DomainError("hyperplane weight must be an integer in 1..%d" % d)
     modes = []
-    for i in range(d):
-        # d - lambda_i = 1 + 2i, so 1 - gamma_i = (1 + 4gi) / (1 + 2g + 4gi).
-        den = 1.0 + 2.0 * g * (1 + 2 * i)
-        gap = (1.0 + 4.0 * g * i) / den
-        modes.append(_mode(2.0 * g / den, math.comb(d - 1, i), gap))
+    for p in range(d - w + 1):
+        den = 1.0 + 2.0 * g * (w + 2 * p)
+        pref = 2.0 * g / den
+        for q in range(w // 2 + 1):
+            # At 2q = w the characters pair among themselves.
+            degeneracy = math.comb(d - w, p) * math.comb(w, q) // (1 + (2 * q == w))
+            gap = (1.0 + 4.0 * g * (p + q)) / den
+            modes.append(_mode(pref * (w - 2 * q), degeneracy, gap))
     return ModeSpectrum(modes)
+
+
+def gamma_identity_cut(d: int, g: float) -> ModeSpectrum:
+    """Exact spectrum of the coordinate (facet-to-facet) cut of H(d,2), the
+    hyperplane cut of weight 1."""
+    return gamma_hyperplane_cut(d, 1, g)
 
 
 def gamma_parity_cut(d: int, g: float) -> ModeSpectrum:
-    """Exact spectrum of the even/odd Hamming-weight cut of H(d,2).
-
-    One mode per positive adjacency eigenvalue lambda_i = d - 2i with
-    degeneracy binomial(d, i): gamma_i = 2g lambda_i / (1 + 2gd).  Even d
-    adds binomial(d, d/2)/2 zero modes, so the count is 2^(d-1).
-    """
-    d, g = _check_dg(d, g)
-    den = 1.0 + 2.0 * g * d
-    pref = 2.0 * g / den
-    # Each eigenvalue pair +-lambda is one singular value lambda of A_eo; the
-    # kernel of the adjacency (lambda = 0, even d) splits evenly between the
-    # two sides.  With lambda = d - 2i, 1 - gamma = (1 + 4gi) / (1 + 2gd).
-    modes = [
-        _mode(
-            pref * lam,
-            mult if lam else mult // 2,
-            (1.0 + 2.0 * g * (d - lam)) / den,
-        )
-        for lam, mult in hypercube_spectrum(d)
-        if lam >= 0
-    ]
-    return ModeSpectrum(modes)
+    """Exact spectrum of the even/odd Hamming-weight cut of H(d,2), the
+    hyperplane cut of weight d."""
+    return gamma_hyperplane_cut(d, d, g)
 
 
 def gamma_half_strata(d: int, g: float) -> ModeSpectrum:

@@ -89,7 +89,6 @@ import numpy as np
 
 from .errors import (
     ConsistencyError,
-    DefinitenessError,
     DomainError,
     SingularityError,
 )
@@ -356,9 +355,10 @@ def _substitute(l: np.ndarray, x: np.ndarray) -> None:
 
 def _whitened_couplings(v: PotentialMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Singular values, descending, of L_A^{-1} V_AB L_B^{-T} for the sides
-    a and b of v, with V_AA = L_A L_A^T and V_BB = L_B L_B^T; a value at or
-    above 1 is a DefinitenessError.  The dense whitening of both routes of
-    gamma_spectrum.
+    a and b of v, with V_AA = L_A L_A^T and V_BB = L_B L_B^T.  The dense
+    whitening of both routes of gamma_spectrum.  V is certified, so a value
+    at or near 1 is a mode rounding has made non-normalizable, which
+    nu_from_gamma refuses as a SingularityError.
     """
     # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
     # Transposed views are column-major operands (see the module docstring).
@@ -371,13 +371,7 @@ def _whitened_couplings(v: PotentialMatrix, a: np.ndarray, b: np.ndarray) -> np.
     w = np.array(w.T, order="C")
     coupling = _solve_lower(lb, w).T
     del lb
-    sigma = np.linalg.svd(coupling, compute_uv=False)
-    if sigma.size and sigma[0] >= 1.0:
-        raise DefinitenessError(
-            "whitened coupling has singular value %.17g >= 1; "
-            "the matrix is not positive definite" % sigma[0]
-        )
-    return sigma
+    return np.linalg.svd(coupling, compute_uv=False)
 
 
 def _translation_stabiliser(d: int, in_a: np.ndarray) -> list:

@@ -568,6 +568,12 @@ def cut_name(name: str) -> str:
         ) from None
 
 
+def _hyperplane_cut(d: int, normal: int) -> Bipartition:
+    """The cut of H(d,2) whose side A is {x : normal.x = 0 mod 2}."""
+    side_a = hamming_weights(d)[np.arange(1 << d) & normal] % 2 == 0
+    return Bipartition.from_side_a(1 << d, np.flatnonzero(side_a).tolist())
+
+
 def named_bipartition(d: int, scheme: str, axis: int | None = None) -> Bipartition:
     """One of the structured equal bipartitions of H(d,2).
 
@@ -578,26 +584,25 @@ def named_bipartition(d: int, scheme: str, axis: int | None = None) -> Bipartiti
                  this is the cut between two opposite facets.
     half_strata  side A = strata 0..(d-1)/2, defined only for odd d.
 
-    axis is refused with any scheme but identity_cut.
+    The first two are hyperplane cuts.  axis is refused with any scheme but
+    identity_cut.
     """
     scheme = cut_name(scheme)
     if axis is not None and scheme != "identity_cut":
         raise SchemeError("axis applies only to the coordinate cut, not %s" % scheme)
-    w = hamming_weights(d)
-    n = 1 << d
-    if scheme == "parity_cut":
-        side_a = np.flatnonzero(w % 2 == 0)
-    elif scheme == "identity_cut":
+    d = _check_hypercube_dim(d)
+    if scheme == "half_strata":
+        if d % 2 == 0:
+            raise SchemeError("half_strata is defined only for odd d")
+        side_a = np.flatnonzero(hamming_weights(d) <= (d - 1) // 2)
+        return Bipartition.from_side_a(1 << d, side_a.tolist())
+    normal = (1 << d) - 1
+    if scheme == "identity_cut":
         if axis is None:
             axis = 0
         elif (axis := _integer(axis)) is None:
             raise SchemeError("coordinate axis must be an integer")
         if not 0 <= axis < d:
             raise SchemeError("coordinate axis %r out of range for d=%d" % (axis, d))
-        idx = np.arange(n, dtype=np.int64)
-        side_a = np.flatnonzero((idx >> axis) & 1 == 0)
-    else:
-        if d % 2 == 0:
-            raise SchemeError("half_strata is defined only for odd d")
-        side_a = np.flatnonzero(w <= (d - 1) // 2)
-    return Bipartition.from_side_a(n, side_a.tolist())
+        normal = 1 << axis
+    return _hyperplane_cut(d, normal)

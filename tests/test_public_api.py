@@ -28,6 +28,7 @@ PUBLIC_NAMES = [
     "entropy_of_bipartition",
     "entropy_oracle_symplectic",
     "gamma_half_strata",
+    "gamma_hyperplane_cut",
     "gamma_identity_cut",
     "gamma_parity_cut",
     "gamma_spectrum",

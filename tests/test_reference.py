@@ -2,8 +2,9 @@
 
 The absolute 1e-9 agreement checks elsewhere say nothing about small or
 large entropies; these bound the relative error on H(3,2), H(4,2) and
-H(5,2) cuts over the coupling range.  Each bound is about twice the worst
-case measured on x86-64 with OpenBLAS.
+H(5,2) cuts over the coupling range, and on the closed forms of the
+hyperplane cuts up to H(20,2).  Each bound is about twice the worst case
+measured on x86-64 with OpenBLAS.
 """
 
 import math
@@ -16,10 +17,12 @@ from oscnet import (
     entropy_census,
     entropy_of_bipartition,
     entropy_oracle_symplectic,
+    gamma_hyperplane_cut,
     hypercube_graph,
     named_bipartition,
     potential_matrix,
 )
+from oscnet.graph import _hyperplane_cut
 
 # Worst measured relative errors at g = 0.5, 1e4, 1e8: census classes
 # 5.1e-15, 2.1e-14, 1.4e-12; the oracle on the root table 1.2e-14,
@@ -109,3 +112,49 @@ def test_oracle_on_named_cuts_against_mpmath(d, g):
         assert _relative(engine, exact) <= ENGINE_BOUND[g], (scheme, engine)
         dense = entropy_of_bipartition(plain, cut)
         assert _relative(dense, exact) <= ENGINE_BOUND[g], (scheme, dense)
+
+
+def _mp_hyperplane_entropy(d, w, g):
+    """Entropy in bits of the hyperplane cut of H(d,2) with a normal c of
+    weight w, from V's eigenvalues alone: the Walsh characters s and
+    s xor c, with eigenvalues e = 1 + 4g|s| and f = 1 + 4g|s xor c|, span
+    one sector of the cut, whose nu is (e + f) / (2 sqrt(e f)).  Summed
+    over every s, so each sector twice."""
+    with mpmath.workdps(50):
+        four_g = 4 * mpmath.mpf(g)
+        total = mpmath.mpf(0)
+        for p in range(d - w + 1):
+            for q in range(w + 1):
+                e, f = 1 + four_g * (p + q), 1 + four_g * (p + w - q)
+                nu = (e + f) / (2 * mpmath.sqrt(e * f))
+                up, dn = (nu + 1) / 2, (nu - 1) / 2
+                entropy = up * mpmath.log(up, 2)
+                if dn > 0:
+                    entropy -= dn * mpmath.log(dn, 2)
+                total += math.comb(d - w, p) * math.comb(w, q) * entropy / 2
+        return total
+
+
+# Worst measured relative errors of the middle weights 1 < w < d over
+# d = 3..20: 1.3e-14 at g = 0.5 (d = 20, w = 3) and 1.4e-12 at g = 1e8
+# (d = 5, w = 4).  Weak coupling is left out: at g = 1e-8 the closed form
+# is 0.11 off at d = 9, w = 3, and the float nu - 1 of a nu near 1 is
+# what loses those digits.
+HYPERPLANE_BOUND = {0.5: 3e-14, 1e8: 3e-12}
+
+
+@pytest.mark.parametrize("g", sorted(HYPERPLANE_BOUND))
+def test_middle_weight_hyperplanes_against_mpmath(g):
+    # The eigenvalue reference is the whole-V one on the cuts it can reach.
+    cov = _mp_covariances(4, g)
+    for w in (2, 3):
+        exact = _mp_entropy(cov, _hyperplane_cut(4, (1 << w) - 1).side_a)
+        with mpmath.workdps(50):
+            assert abs(_mp_hyperplane_entropy(4, w, g) - exact) <= 1e-40 * exact
+    worst = 0.0
+    for d in range(3, 21):
+        for w in range(2, d):
+            exact = _mp_hyperplane_entropy(d, w, g)
+            got = gamma_hyperplane_cut(d, w, g).total_entropy()
+            worst = max(worst, _relative(got, exact))
+    assert worst <= HYPERPLANE_BOUND[g], worst
