@@ -15,9 +15,9 @@ two independent ways:
   (_translation_stabiliser, _sector_couplings; Serre, Linear
   Representations of Finite Groups, sec. 2.6).  Each distinct sector is
   written from V's diagonal and coupling, certified, and whitened like a
-  small V; the H(10,2) parity cut becomes ten distinct 2 x 2 blocks.  Every other
-  input is whitened whole (_whitened_couplings).  Both routes return one
-  mode per singular value, min(|A|, |B|) of them.
+  small V; the H(10,2) parity cut becomes ten distinct 2 x 2 blocks.
+  Every other input is whitened whole (_whitened_couplings).  Both routes
+  return one mode per singular value, min(|A|, |B|) of them.
 
 * entropy_oracle_symplectic: reduce the ground-state covariance matrices
   (positions V^{-1}/2, momenta V/2) to one side and read off the symplectic
@@ -31,42 +31,53 @@ two independent ways:
   feeds it chunks of partitions, the single cut k = 1.  Each form then
   takes exactly one eigvalsh (_symplectic_nus) and one entropy_from_nu
   per nu, summed as a list (_entropy_from_cov): the per-cut path holds
-  those calls and nothing more.
+  those calls and nothing more.  On a table-carrying V, a cut that the
+  engine splits into translation sectors is split by the oracle too
+  (_sector_entropy): it writes each distinct sector's factor F_chi and
+  4P_chi by character sums over T, from the root table and V's distance
+  profile, and runs the same stacked kernel on them, one form per distinct
+  sector; the H(10,2) parity cut becomes ten 1 x 1 forms.
 
 Both must agree to near machine precision on any positive definite V; the
-oracle is the assumption-free reference path.  It takes no sectors: it
-stays on the dense table or Cholesky route, so that the engine-oracle
-difference compares two independent reductions of the cut, not two uses
-of one symmetry.  The engine and the oracle's Cholesky route share one
-primitive, the triangular solve _solve_lower, and nothing else.
-Certification (graph._lower_factor) also calls it, to halve V by Schur
-complements, but certification is the gate before both routes and neither
-reads its result, so they stay independent.  _solve_lower halves a
-triangle down to leaves of at most SOLVE_LEAF rows, applies each leaf's
-inverse by matmul and refines the result once in working precision, so
-nearly all of its flops are matmul flops.
+oracle is the assumption-free reference path.  On a coset-union cut both
+use one symmetry, but they share only its combinatorics, the translations
+T (_translation_stabiliser) and the list of T's distinct sectors with
+their counts (_sector_characters).  Each builds its own blocks from its own
+inputs and reduces them its own way: the engine whitens V_chi, the oracle
+takes the QR of F_chi's columns and never reads V_chi, a whitening or a
+certification result.  It also checks each translation itself.  So the
+engine-oracle difference still compares two independent constructions and
+two independent reductions of every sector.  The engine and the oracle's
+Cholesky route share one primitive, the triangular solve _solve_lower, and
+nothing else.  Certification (graph._lower_factor) also calls it, to halve
+V by Schur complements, but certification is the gate before both routes
+and neither reads its result, so they stay independent.  _solve_lower
+halves a triangle down to leaves of at most SOLVE_LEAF rows, applies each
+leaf's inverse by matmul and refines the result once in working precision,
+so nearly all of its flops are matmul flops.
 
 A spectrum carries no log base: bits or nats change the unit of an
 entropy, not the gammas and nus it is summed from.  So gamma_spectrum, like
 the gamma_* closed forms in analytic, takes none, and
 ModeSpectrum.entropies alone turns modes into entropies; total_entropy sums
-its values.  Those two methods and every function that returns an entropy
-(entropy_from_nu, entropy_of_bipartition, entropy_oracle_symplectic) take
-log_base, 2 or "e".
+its values by math.fsum.  Those two methods and every function that returns
+an entropy (entropy_from_nu, entropy_of_bipartition,
+entropy_oracle_symplectic) take log_base, 2 or "e".
 
 Every dense factorization gets a column-major operand.  numpy's linalg
 copies each operand into a Fortran-order buffer for LAPACK, and from a
 row-major array that copy is a strided transpose.  So the Cholesky calls
-factor transposed views (V^T, V_AA^T, V_BB^T), and the QR gets F[:, A]
-column-major from either route.  np.linalg.cholesky reads the lower
-triangle of its operand, which for a transposed view is the upper triangle
-of V or of the block.  Every block that potential_matrix's V writes is
-exactly that of a symmetric V, signed zeros included, so LAPACK sees the
-same buffer and returns the same bits as from the row-major array; a raw
-array that is only symmetric within SYMMETRY_TOL has its upper triangle
-factored.  The engine's dense route and the oracle read V through
+factor transposed views (V^T, V_AA^T, V_BB^T), and the QR gets F[:, A],
+or each sector's F_chi[:, A], column-major from every route.
+np.linalg.cholesky reads the lower triangle of its operand, which for a
+transposed view is the upper triangle of V or of the block.  Every block
+that potential_matrix's V writes is exactly that of a symmetric V, signed
+zeros included, so LAPACK sees the same buffer and returns the same bits as
+from the row-major array; a raw array that is only symmetric within
+SYMMETRY_TOL has its upper triangle factored.  The engine's dense route and the oracle read V through
 PotentialMatrix.block; only the oracle's Cholesky route reads all of V.
-The sector route reads neither V's blocks nor its root table.
+The engine's sector route reads neither V's blocks nor its root table, and
+the oracle's reads the root table and none of V's blocks.
 
 On a single cut each (n/2) x (n/2) block of the dense routes lives only
 from its write to its last read.  _solve_lower overwrites its right-hand
@@ -75,14 +86,15 @@ V_BB, keeps one transposed copy of L_A^{-1} V_AB for the second solve,
 and drops L_B before the SVD: at most three blocks are alive at once.  The
 oracle drops F[:, A] after its QR and only then gathers 4P_A.  What is
 left of the single cut's peak is that QR: numpy holds F[:, A], its own
-copy of it and LAPACK's buffer at once, two blocks each.
+copy of it and LAPACK's buffer at once, two blocks each.  Both sector
+routes hold a few label-sized arrays on the H(10,2) parity cut, and on a
+cut with one translation the oracle's stacked F_chi[:, A] make one block.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,9 +270,11 @@ class ModeSpectrum:
         return [entropy_from_nu(m.nu, base) for m in self.modes]
 
     def total_entropy(self, log_base=2) -> float:
-        """Sum of degeneracy * S(nu) over all modes."""
-        return float(
-            sum(m.degeneracy * s for m, s in zip(self.modes, self.entropies(log_base)))
+        """Sum of degeneracy * S(nu) over all modes, correctly rounded
+        (math.fsum): a plain sum over the 2048 modes of the H(12,2) parity
+        cut at g = 100 was 6.9e-14 from the exact total, the fsum 1.0e-16."""
+        return math.fsum(
+            m.degeneracy * s for m, s in zip(self.modes, self.entropies(log_base))
         )
 
 
@@ -412,71 +426,110 @@ def _translation_stabiliser(d: int, in_a: np.ndarray) -> list:
     ]
 
 
+def _sector_characters(d: int, stabiliser) -> tuple:
+    """The coset representatives of the translations T of
+    _translation_stabiliser on H(d,2), and one character of each distinct
+    sector of T.
+
+    Returns (reps, offsets, characters).  reps holds the m = 2^(d-k) labels
+    that vanish on T's pivots; bit j of a representative's slot c is its
+    j-th highest free bit, a bit that is no pivot.  offsets holds, per basis
+    vector (f, t), the slot of t xor e_f: the pivot f moves r_c to the
+    coset of r_c xor e_f, whose representative is r_c xor e_f xor t, in
+    slot c xor offset.  characters lists (signs, count): signs holds
+    chi(t) = +-1 per basis vector and count the number of characters whose
+    sector equals that of chi.
+
+    V holds 1 + 2gd on its diagonal and -2g between neighbours, so V_chi is
+    fixed by the free bits' moves, the same in every sector, and by the
+    signs of the pivots' moves.  Where n basis vectors share an offset, only
+    the number s of their signs that are -1 matters, and comb(n, s) sign
+    choices give it: each choice of s per offset is one distinct sector,
+    shared by the product of those counts of characters.  Its character
+    sets the first s of those basis vectors to -1.  X^{1/2} is a function of
+    V, so its sectors are equal where V's are.
+    """
+    pivots = [f for f, _ in stabiliser]
+    free = [bit for bit in reversed(range(d)) if bit not in pivots]
+    slots = np.arange(1 << len(free))
+    reps = np.zeros(slots.size, dtype=np.int64)
+    for j, bit in enumerate(free):
+        reps |= ((slots >> j) & 1) << bit
+    offsets = [
+        sum(1 << j for j, bit in enumerate(free) if (t ^ 1 << f) >> bit & 1)
+        for f, t in stabiliser
+    ]
+    shared = {}
+    for i, offset in enumerate(offsets):
+        shared.setdefault(offset, []).append(i)
+    characters = []
+    for flips in itertools.product(*(range(len(g) + 1) for g in shared.values())):
+        signs = [1] * len(offsets)
+        for group, minus in zip(shared.values(), flips):
+            for i in group[:minus]:
+                signs[i] = -1
+        count = math.prod(map(math.comb, map(len, shared.values()), flips))
+        characters.append((signs, count))
+    return reps, offsets, characters
+
+
 def _sector_couplings(v: PotentialMatrix, in_a: np.ndarray, stabiliser) -> np.ndarray:
     """The values of _whitened_couplings, descending, for a cut of H(d,2)
     whose side A, given by its indicator, is a union of cosets of the
-    translations T of _translation_stabiliser: one block per character of
-    T, read from V's diagonal and coupling alone.
+    translations T of _translation_stabiliser: one block per distinct
+    sector of T (_sector_characters), read from V's diagonal and coupling
+    alone.
 
     V[x, y] depends on x xor y alone, so every translation in T commutes
     with V.  For a character chi of T, the vectors sum_t chi(t) e_{r xor t},
     one per coset representative r, span one sector: they are real,
     orthogonal and each lies inside one side, so the sectors split the cut
-    into independent ones with the same modes.  The representatives are the
-    m = 2^(d-k) labels that vanish on T's pivots, and the sector's block is
-    V_chi[c, c'] = sum_t chi(t) V[r_c, r_c' xor t].  V holds 1 + 2gd on its
-    diagonal and -2g between neighbours, so V_chi is written in O(m d): a
-    free bit i, one that is no pivot, moves r_c to the representative
-    r_c xor e_i with weight 1, and the pivot f of a basis vector t moves it
-    to r_c xor e_f xor t with weight chi(t) = +-1.
+    into independent ones with the same modes.  The sector's block is
+    V_chi[c, c'] = sum_t chi(t) V[r_c, r_c' xor t], written in O(m d): a
+    free bit moves r_c to the representative r_c xor e_i with weight 1, and
+    the pivot f of a basis vector t moves it to r_c xor e_f xor t with
+    weight chi(t).  Each distinct block is certified by PotentialMatrix and
+    whitened once, with no pass over the 2^k characters.  Neither V's
+    blocks, its certification nor its root table are read.
 
-    A character is a choice of sign per basis vector.  Where n basis
-    vectors move r_c by the same offset, the offset's weight is n - 2s when
-    s of their signs are -1, which comb(n, s) of their sign choices give.
-    So each choice of s per offset is one distinct block, shared by the
-    product of those counts of characters, and it is certified by
-    PotentialMatrix and whitened once, with no pass over the 2^k
-    characters.  Neither V's blocks, its certification nor its root table
-    are read.
-
-    Bit j of a representative's slot c is its j-th highest free bit.  The
-    slot order sets the rounding of each block's whitening, not its
+    The slot order sets the rounding of each block's whitening, not its
     accuracy: on 240 random sectors at g = 1e4..1e8, ascending, descending
-    and this order all left the largest gamma 1.1 ulp from the exact one
-    on average.
+    and _sector_characters' order all left the largest gamma 1.1 ulp from
+    the exact one on average.
     """
     d = in_a.size.bit_length() - 1
-    pivots = [f for f, _ in stabiliser]
-    free = [bit for bit in reversed(range(d)) if bit not in pivots]
-    m = 1 << len(free)
+    reps, offsets, characters = _sector_characters(d, stabiliser)
+    m = reps.size
     slots = np.arange(m)
-    reps = np.zeros(m, dtype=np.int64)
-    for j, bit in enumerate(free):
-        reps |= ((slots >> j) & 1) << bit
-
-    def slot(label):
-        return sum(1 << j for j, bit in enumerate(free) if label >> bit & 1)
-
-    moves = Counter(slot(t ^ (1 << f)) for f, t in stabiliser)
     a = np.flatnonzero(in_a[reps])
     b = np.flatnonzero(~in_a[reps])
     # The free bits' moves, the same in every sector.
     steps = np.zeros((m, m), dtype=np.int64)
-    for j in range(len(free)):
+    for j in range(m.bit_length() - 1):
         steps[slots, slots ^ (1 << j)] = 1
     diagonal, coupling = v._diagonal[0], v._coupling
     parts = []
-    for flips in itertools.product(*(range(n + 1) for n in moves.values())):
+    for signs, count in characters:
         # Integer weights times one coupling: the block is exactly symmetric.
         hops = steps.copy()
-        for (offset, n), minus in zip(moves.items(), flips):
-            hops[slots, slots ^ offset] += n - 2 * minus
+        for offset, sign in zip(offsets, signs):
+            hops[slots, slots ^ offset] += sign
         block = hops * -coupling
         block[slots, slots] += diagonal
         sigma = _whitened_couplings(PotentialMatrix(block), a, b)
-        count = math.prod(map(math.comb, moves.values(), flips))
         parts.append(np.tile(sigma, count))
     return np.sort(np.concatenate(parts))[::-1]
+
+
+def _cut_stabiliser(v: PotentialMatrix, a: np.ndarray) -> tuple:
+    """Side A's indicator over v's labels and the basis of its translations
+    T (_translation_stabiliser) when v carries the H(d,2) table; (None, [])
+    on any other V."""
+    if v.profile is None:
+        return None, []
+    in_a = np.zeros(v.n, dtype=bool)
+    in_a[a] = True
+    return in_a, _translation_stabiliser(v.profile.size - 1, in_a)
 
 
 def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
@@ -497,11 +550,7 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     if cut.n != v.n:
         raise ValueError("bipartition size does not match matrix")
     a = np.asarray(cut.side_a, dtype=np.intp)
-    stabiliser = []
-    if v.profile is not None:
-        in_a = np.zeros(v.n, dtype=bool)
-        in_a[a] = True
-        stabiliser = _translation_stabiliser(v.profile.size - 1, in_a)
+    in_a, stabiliser = _cut_stabiliser(v, a)
     if stabiliser:
         sigma = _sector_couplings(v, in_a, stabiliser)
     else:
@@ -597,6 +646,93 @@ def _entropy_from_cov(form: np.ndarray, base: str) -> float:
     return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(form)])
 
 
+def _character_sums(table: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """sum_t chi(t) table[t] for each character chi, shape (len(signs), m).
+
+    Row j of the (2^k, m) table belongs to the element of T that sums the
+    basis vectors of j's set bits, and signs holds chi's value on each
+    basis vector, one row per character.  The sum folds out one basis
+    vector at a time, the highest first, as a Walsh-Hadamard transform over
+    T would, but keeps only the rows that some character needs: characters
+    that agree on the vectors folded so far share a row, so no pass holds
+    more than 2^k m values, whatever the number of characters.
+
+    Each addition's rounding error, found exactly by Knuth's TwoSum, is
+    carried in a second array and added once at the end (Ogita, Rump and
+    Oishi, SIAM J. Sci. Comput. 26, 1955 (2005), Sum2).  The sums cancel:
+    at g = 1e8 every entry of the root table is near 2^-d / sqrt(2), which
+    no character but the trivial one keeps.  Summed plainly, the oracle on
+    the H(8,2) parity cut was 2.8e-12 from the exact entropy; with the
+    carried errors it is as close as with exactly rounded sums (1.8e-14).
+    """
+    total = table[None]
+    error = np.zeros_like(total)
+    rows = np.zeros(len(signs), dtype=np.intp)
+    for i in reversed(range(signs.shape[1])):
+        # Each kept row and the sign of basis vector i: bit 0 set for -1.
+        folds, rows = np.unique(2 * rows + (signs[:, i] < 0), return_inverse=True)
+        parent = folds >> 1
+        sign = np.where(folds & 1, -1.0, 1.0)[:, None, None]
+        half = total.shape[1] // 2
+        low, high = total[parent, :half], sign * total[parent, half:]
+        total = low + high
+        shift = total - low
+        error = error[parent, :half] + sign * error[parent, half:]
+        error += (low - (total - shift)) + (high - shift)
+    return total[rows, 0] + error[rows, 0]
+
+
+def _sector_entropy(v: PotentialMatrix, in_a: np.ndarray, stabiliser, base) -> float:
+    """The oracle's entropy of a cut of H(d,2) whose side A, given by its
+    indicator, is a union of cosets of the translations T: one reduced state
+    per distinct sector of T, weighted by its count of characters.
+
+    The translation x -> x xor t commutes with X^{1/2} and with V, whose
+    entries depend on x xor y alone, so in the basis of _sector_couplings
+    each splits into one block per character chi of T, and the block of
+    X^{1/2} squares to that of X.  The blocks depend on the slot difference
+    alone: F_chi[c, c'] = f_chi(c xor c') with
+    f_chi(e) = sum_t chi(t) F(|r_e xor t|) from the root table, and
+    4P_chi[c, c'] = 2 p_chi(c xor c') with p_chi summed the same way from
+    V's distance profile: 1 + 2gd at distance 0, -2g at distance 1 and the
+    signed zero 2g * -0.0 beyond, as the dense V holds them.  Each sector
+    then takes the dense route's algebra: F_chi's columns on A's cosets
+    through _stacked_triangles and _stacked_forms, and its form through
+    _entropy_from_cov.  The sectors share only _sector_characters with the
+    engine; no whitening, certification or block of the engine reaches
+    them.  Each basis vector of T is checked to map A onto itself.
+    """
+    d = v.profile.size - 1
+    labels = np.arange(v.n)
+    for _, t in stabiliser:
+        if not np.array_equal(in_a[labels ^ t], in_a):
+            raise ConsistencyError(
+                "translation by %d does not map side A onto itself" % t
+            )
+    reps, _, characters = _sector_characters(d, stabiliser)
+    span = np.zeros(1, dtype=np.int64)
+    for _, t in stabiliser:
+        span = np.concatenate((span, span ^ t))
+    weights = hamming_weights(d)[span[:, None] ^ reps]
+    signs = np.array([chi for chi, _ in characters])
+    row = np.full(d + 1, v._coupling * -0.0)
+    row[:2] = v._diagonal[0], -v._coupling
+    f = _character_sums(v.profile[weights], signs)
+    p = _character_sums(row[weights], signs)
+    a = np.flatnonzero(in_a[reps])
+    slots = np.arange(reps.size)
+    # take writes a C-ordered stack of F_chi[A, :], so each sector's
+    # F_chi[:, A] is column-major.
+    r = _stacked_triangles(np.take(f, a[:, None] ^ slots, axis=1).swapaxes(1, 2))
+    p4 = np.take(p, a[:, None] ^ a, axis=1)
+    p4 *= 2.0
+    forms = _stacked_forms(r, p4)
+    return math.fsum(
+        count * _entropy_from_cov(form, base)
+        for form, (_, count) in zip(forms, characters)
+    )
+
+
 def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     """Reference entropy of the ground state reduced to an index subset.
 
@@ -611,11 +747,16 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     is solved from the Cholesky factor of V against the subset's unit
     columns.  A raw array or PotentialMatrix(array) carries no table, so it
     takes the Cholesky route on H(d,2) too, a route that knows nothing of
-    hypercube harmonic analysis.
+    hypercube harmonic analysis.  With the table, a side A that some
+    translation maps onto itself is reduced per translation sector
+    (_sector_entropy), and the sectors' entropies are summed by math.fsum.
     """
     base = _norm_log_base(log_base)
     v = _as_potential(v)
     rows = np.asarray(Bipartition.from_side_a(v.n, subset).side_a)
+    in_a, stabiliser = _cut_stabiliser(v, rows)
+    if stabiliser:
+        return _sector_entropy(v, in_a, stabiliser, base)
     r = _stacked_triangles(_position_covariance(v, rows)[None])
     # 4P_A from V_AA, gathered once F[:, A] is dropped: halved, then
     # quadrupled, in place.

@@ -26,9 +26,11 @@ from oscnet import (
     potential_matrix,
     schmidt_spectrum,
 )
+from oscnet import gaussian
 from oscnet.gaussian import (
     NU_SLACK,
     SOLVE_LEAF,
+    _cut_stabiliser,
     _entropy_from_cov,
     _norm_log_base,
     _position_covariance,
@@ -613,28 +615,48 @@ def _traced_peak_in_blocks(call, n):
     return peak / ((n // 2) ** 2 * 8)
 
 
-def test_single_cut_holds_few_blocks_at_once():
+def test_single_cut_holds_few_blocks_at_once(monkeypatch):
     # On the H(10,2) parity cut every block is dropped after its last read.
     # The dense engine, on a V without a table, solves V_AB in place and
     # holds at most three blocks (3.00 measured; a copied right-hand side
-    # takes it to 3.5).  The oracle's peak is its QR of the two-block
+    # takes it to 3.5).  The dense oracle's peak is its QR of the two-block
     # F[:, A] (5.16 measured; gathering 4P_A before the QR takes it to
-    # 6.16).  numpy's LAPACK work buffers are not traced.
+    # 6.16); it runs on the parity cut with one vertex swapped, which no
+    # translation maps onto itself.  numpy's LAPACK work buffers are not
+    # traced.
     v = potential_matrix(hypercube_graph(10), 0.5)
     plain = PotentialMatrix(v.matrix)
     cut = named_bipartition(10, "parity")
+    a = list(cut.side_a)
+    a[0] = cut.side_b[0]
+    assert _cut_stabiliser(v, a)[1] == []
     engine = lambda: gamma_spectrum(plain, cut)  # noqa: E731
-    oracle = lambda: entropy_oracle_symplectic(v, cut.side_a)  # noqa: E731
-    # On v the cut splits into 2 x 2 translation sectors, and the route
-    # holds its modes and a few label-sized arrays (0.059 blocks measured).
+    oracle = lambda: entropy_oracle_symplectic(v, a)  # noqa: E731
+    # On v the parity cut splits into translation sectors, and both routes
+    # hold their results and a few label-sized arrays (0.048 blocks measured
+    # for the engine, 0.065 for the oracle).
     sectors = lambda: gamma_spectrum(v, cut)  # noqa: E731
+    sector_oracle = lambda: entropy_oracle_symplectic(v, cut.side_a)  # noqa: E731
+    # Half of the cosets {x, x xor t} of one translation t: two sectors of
+    # 512 x 256 columns F_chi[:, A], one block in all.
+    t = 0b1011001110
+    lows = np.array([x for x in range(v.n) if x < x ^ t])
+    picked = np.random.default_rng(10).choice(lows, size=v.n // 4, replace=False)
+    one = np.sort(np.concatenate((picked, picked ^ t)))
+    assert [u for _, u in _cut_stabiliser(v, one)[1]] == [t]
+    coset_oracle = lambda: entropy_oracle_symplectic(v, one)  # noqa: E731
     # Warm-up calls, so first-use allocations stay out of the peaks.
-    engine()
-    oracle()
-    sectors()
+    for call in (engine, oracle, sectors, sector_oracle, coset_oracle):
+        call()
     assert _traced_peak_in_blocks(engine, v.n) <= 3.25
     assert _traced_peak_in_blocks(oracle, v.n) <= 5.5
     assert _traced_peak_in_blocks(sectors, v.n) <= 0.1
+    assert _traced_peak_in_blocks(sector_oracle, v.n) <= 0.1
+    # On the coset cut the sector oracle held 2.59 blocks (the stack, numpy's
+    # copy of it and the triangles), the dense table route 5.16.
+    sector_peak = _traced_peak_in_blocks(coset_oracle, v.n)
+    monkeypatch.setattr(gaussian, "_translation_stabiliser", lambda d, in_a: [])
+    assert sector_peak <= _traced_peak_in_blocks(coset_oracle, v.n)
 
 
 def test_no_dense_solve_on_the_cut_path(monkeypatch):

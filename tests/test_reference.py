@@ -27,6 +27,9 @@ from oscnet.graph import _hyperplane_cut
 # Worst measured relative errors at g = 0.5, 1e4, 1e8: census classes
 # 5.1e-15, 2.1e-14, 1.4e-12; the oracle on the root table 1.2e-14,
 # 6.2e-14, 1.4e-12; the oracle's Cholesky route 1.1e-14, 8.5e-13, 3.7e-10.
+# On the parity and identity cuts the table oracle takes translation
+# sectors: worst 6.0e-15, 2.3e-14, 3.8e-13 (the dense table route 4.5e-15,
+# 1.0e-14, 8.0e-13 there).
 CENSUS_BOUND = {0.5: 1e-14, 1e4: 5e-14, 1e8: 3e-12}
 ORACLE_BOUND = {0.5: 3e-14, 1e4: 1.5e-13, 1e8: 3e-12}
 CHOLESKY_ORACLE_BOUND = {0.5: 3e-14, 1e4: 2e-12, 1e8: 1e-9}

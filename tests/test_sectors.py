@@ -1,4 +1,5 @@
-"""The engine's translation-sector route on coset-union cuts of H(d,2)."""
+"""The translation-sector routes of the engine and the oracle on
+coset-union cuts of H(d,2)."""
 
 import hashlib
 
@@ -7,8 +8,10 @@ import pytest
 
 from oscnet import (
     Bipartition,
+    ConsistencyError,
     PotentialMatrix,
     SingularityError,
+    entropy_oracle_symplectic,
     gamma_hyperplane_cut,
     gamma_spectrum,
     hypercube_graph,
@@ -16,7 +19,7 @@ from oscnet import (
     potential_matrix,
 )
 from oscnet import gaussian
-from oscnet.gaussian import _translation_stabiliser
+from oscnet.gaussian import _sector_characters, _translation_stabiliser
 from oscnet.graph import _hyperplane_cut
 
 
@@ -82,8 +85,8 @@ def _block_orders(monkeypatch):
     return orders
 
 
-# Measured worst on these cuts: gammas 2.6e-15 apart, totals 1.7e-14
-# relative.
+# Measured worst on these cuts: gammas 2.6e-15 apart, totals 3.0e-14
+# relative, summed plainly or by fsum.
 SECTOR_GAMMA_TOL = 5e-15
 SECTOR_TOTAL_TOL = 4e-14
 
@@ -110,10 +113,59 @@ def test_sector_route_matches_the_dense_engine(monkeypatch, d):
             assert abs(sectors.total_entropy() - total) <= SECTOR_TOTAL_TOL * total
 
 
+def _oracle_sectors(monkeypatch):
+    """The stacks of 4P blocks that the oracle's forms take, recorded as it
+    runs, with its dense factor route refused."""
+    stacks = []
+    forms = gaussian._stacked_forms
+
+    def recording(r, p4):
+        stacks.append(p4.copy())
+        return forms(r, p4)
+
+    def refusing(*args):
+        raise AssertionError("the oracle took its dense factor route")
+
+    monkeypatch.setattr(gaussian, "_stacked_forms", recording)
+    monkeypatch.setattr(gaussian, "_position_covariance", refusing)
+    return stacks
+
+
+# Measured worst relative difference on these cuts: 1.2e-12, 1.2e-14 and
+# 2.9e-14 at g = 0.01, 0.5 and 100.  At g = 0.01 the nu sit near 1, where
+# S(nu) magnifies their rounding: on the worst cut, at d = 3, 50-digit
+# mpmath puts the sector oracle 4.5e-13 and the Cholesky oracle 7.3e-13
+# off, on opposite sides.
+SECTOR_ORACLE_TOL = {0.01: 2.5e-12, 0.5: 3e-14, 100: 6e-14}
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 8, 10])
+def test_sector_oracle_matches_the_cholesky_oracle(monkeypatch, d):
+    # The same cuts as test_sector_route_matches_the_dense_engine.
+    rng = np.random.default_rng(d)
+    for k in sorted({1, d // 2, d - 1}):
+        side_a, _ = _coset_union(rng, d, k)
+        found = _translation_stabiliser(d, _indicator(1 << d, side_a))
+        distinct = len(_sector_characters(d, found)[2])
+        for g in sorted(SECTOR_ORACLE_TOL):
+            v = potential_matrix(hypercube_graph(d), g)
+            dense = entropy_oracle_symplectic(PotentialMatrix(v.matrix), side_a)
+            stacks = _oracle_sectors(monkeypatch)
+            sectors = entropy_oracle_symplectic(v, side_a)
+            monkeypatch.undo()
+            # One stacked kernel call, one form per distinct sector.
+            assert [len(p4) for p4 in stacks] == [distinct]
+            assert abs(sectors - dense) <= SECTOR_ORACLE_TOL[g] * dense, (k, g)
+
+
 # Measured worst over every weight at d = 1..12: gammas 2.2e-16 apart,
-# totals 6.8e-14 relative, the rounding of a sum of up to 2048 modes.
+# totals 1.2e-14 relative.  Summed plainly, the totals of up to 2048 modes
+# were 6.8e-14 apart; ModeSpectrum.total_entropy sums by fsum.
 CLOSED_GAMMA_TOL = 5e-16
-CLOSED_TOTAL_TOL = 1.5e-13
+CLOSED_TOTAL_TOL = 3e-14
+# The oracle's sectors against the same totals: worst 6.2e-13, 9.6e-15 and
+# 2.3e-14 relative at g = 0.01, 0.5 and 100.
+CLOSED_ORACLE_TOL = {0.01: 1.5e-12, 0.5: 2e-14, 100: 5e-14}
 
 
 @pytest.mark.parametrize("g", [0.01, 0.5, 100])
@@ -126,16 +178,65 @@ def test_sector_route_matches_the_closed_forms(monkeypatch, g):
             cut = _hyperplane_cut(d, (1 << w) - 1)
             orders = _block_orders(monkeypatch)
             spectrum = gamma_spectrum(v, cut)
+            stacks = _oracle_sectors(monkeypatch) if d > 1 else []
+            oracle = entropy_oracle_symplectic(v, cut.side_a)
             monkeypatch.undo()
             # A hyperplane is its own translation group, of index 2: every
-            # sector is 2 x 2.
+            # sector is 2 x 2, and the oracle's forms are 1 x 1.  At d = 1
+            # that group is {0}, and the oracle stays dense.
             assert set(orders) == {2}
+            assert [p4.shape[1:] for p4 in stacks] == [(1, 1)] * (d > 1)
             closed = gamma_hyperplane_cut(d, w, g)
             assert spectrum.mode_count() == closed.mode_count() == 1 << (d - 1)
             gap = np.abs(spectrum.expanded_gammas() - closed.expanded_gammas()).max()
             assert gap <= CLOSED_GAMMA_TOL, (d, w, gap)
             total = closed.total_entropy()
             assert abs(spectrum.total_entropy() - total) <= CLOSED_TOTAL_TOL * total
+            assert abs(oracle - total) <= CLOSED_ORACLE_TOL[g] * total, (d, w)
+
+
+def test_oracle_refuses_a_translation_that_moves_side_a(monkeypatch):
+    v = potential_matrix(hypercube_graph(4), 0.5)
+    side_a = named_bipartition(4, "parity").side_a
+    basis = _translation_stabiliser(4, _indicator(16, side_a))
+    # x -> x xor 1 swaps the parity cut's sides; so does any odd t.
+    (f, t), rest = basis[-1], basis[:-1]
+    for wrong in ([(0, 1)], rest + [(f, t ^ 1)]):
+        monkeypatch.setattr(gaussian, "_translation_stabiliser", lambda d, a: wrong)
+        with pytest.raises(ConsistencyError):
+            entropy_oracle_symplectic(v, side_a)
+    monkeypatch.undo()
+    assert entropy_oracle_symplectic(v, side_a) > 0
+
+
+def test_oracle_sectors_hold_the_engine_sectors_v(monkeypatch):
+    # The oracle sums its 4P_chi from V's distance profile over T; the
+    # engine writes V_chi from its hops.  On A's cosets 4P_chi / 2 is V_chi.
+    # Measured: bit for bit equal on all 405 sectors of these cuts.
+    rng = np.random.default_rng(28)
+    whiten = gaussian._whitened_couplings
+    for d in (3, 4, 6, 8, 10):
+        for k in sorted({1, d // 2, d - 1}):
+            side_a, _ = _coset_union(rng, d, k)
+            cut = Bipartition.from_side_a(1 << d, side_a)
+            for g in (0.01, 0.5, 100):
+                v = potential_matrix(hypercube_graph(d), g)
+                blocks = []
+
+                def recording(w, a, b):
+                    blocks.append(w.matrix[np.ix_(a, a)])
+                    return whiten(w, a, b)
+
+                monkeypatch.setattr(gaussian, "_whitened_couplings", recording)
+                gamma_spectrum(v, cut)
+                stacks = _oracle_sectors(monkeypatch)
+                entropy_oracle_symplectic(v, side_a)
+                monkeypatch.undo()
+                (p4,) = stacks
+                assert len(p4) == len(blocks)
+                for got, want in zip(p4 / 2, blocks):
+                    ulp = np.spacing(np.abs(want).max())
+                    assert np.abs(got - want).max() <= ulp, (d, k, g)
         assert _hyperplane_cut(d, 1) == named_bipartition(d, "identity_cut")
         assert _hyperplane_cut(d, (1 << d) - 1) == named_bipartition(d, "parity")
 
