@@ -50,8 +50,10 @@ engine-oracle difference still compares two independent constructions and
 two independent reductions of every sector.  The engine and the oracle's
 Cholesky route share one primitive, the triangular solve _solve_lower, and
 nothing else.  Certification (graph._lower_factor) also calls it, to halve
-V by Schur complements, but certification is the gate before both routes
-and neither reads its result, so they stay independent.  _solve_lower
+by Schur complements a V that is neither small nor a hypercube's (a V of
+H(d,2) is certified on the block of its low sub-cube, by one Cholesky of
+at most CERTIFY_LEAF rows), but certification is the gate before both
+routes and neither reads its result, so they stay independent.  _solve_lower
 halves a triangle down to leaves of at most SOLVE_LEAF rows, applies each
 leaf's inverse by matmul and refines the result once in working precision,
 so nearly all of its flops are matmul flops.

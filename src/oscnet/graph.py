@@ -36,7 +36,9 @@ EIG_FLOOR = 1e-12
 # Matrices of at most this order are certified by one Cholesky call; larger
 # ones are halved (see _lower_factor).  Leaves of 128, 256 and 512 rows
 # certified the n = 1024 V of H(10,2) in 16-17 ms against 24 ms for one
-# call; 256 was the fastest, and at n = 2048 too.
+# call; 256 was the fastest, and at n = 2048 too.  A V of H(d,2) is never
+# halved: it is certified on its low sub-cube of at most this many vertices
+# (PotentialMatrix._from_graph).
 CERTIFY_LEAF = 256
 # Side of the square tiles the symmetry check compares; a tile pair fits in
 # a core's L2 cache.
@@ -244,6 +246,19 @@ def _lower_factor(a, n: int, whole: bool = True):
     return out
 
 
+def _shifted_diagonal(diagonal: float, coupling: float, k: int) -> float:
+    """diagonal - |coupling| k, computed exactly and rounded to the nearest
+    float at or below it; -inf when a term is infinite or the difference is
+    below every float, as only a V with an infinite or hugely negative
+    diagonal gives."""
+    try:
+        exact = Fraction(diagonal) - abs(Fraction(coupling)) * k
+        out = float(exact)
+    except OverflowError:
+        return -math.inf
+    return math.nextafter(out, -math.inf) if Fraction(out) > exact else out
+
+
 def _positions(n: int, idx) -> tuple:
     """idx as an intp array, and each vertex's position in it or -1; idx must
     be a 1-D integer array of distinct vertices 0..n-1, or empty."""
@@ -298,13 +313,29 @@ class PotentialMatrix:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _from_graph(cls, edges, coupling, diagonal) -> "PotentialMatrix":
+    def _from_graph(cls, edges, coupling, diagonal, cube) -> "PotentialMatrix":
         """V of canonical edges, the coupling 2g and the diagonal
-        1 + 2g deg, certified positive definite.
+        1 + 2g deg, certified positive definite; cube is d when the edges
+        are those of H(d,2), else None.
 
-        V is symmetric by construction, so no symmetry pass runs.
-        _lower_factor reads V through block, so only its top-level quarters
-        are built, and subtracts the floor at its leaves, in place.
+        V is symmetric by construction, so no symmetry pass runs.  Any
+        graph but a hypercube goes to _lower_factor, which reads V through
+        block, so only its top-level quarters are built, and subtracts the
+        floor at its leaves, in place.
+
+        H(d,2) is H(d-k,2) x H(k,2), so with m = 2^(d-k) the V it has here,
+        D I - c A for the float diagonal D and coupling c, is
+        I (x) V[:m, :m] - c A_{H(k)} (x) I over labels read as k high and
+        d-k low bits.  Its eigenvalues are every sum of one of the low
+        sub-cube's block V[:m, :m] and one of -c A_{H(k)}, -c(k - 2s) for
+        s = 0..k (Cvetkovic, Doob and Sachs, Spectra of Graphs, 2.5).  So
+        lambda_min(V) is exactly lambda_min(V[:m, :m]) - |c| k, and V is
+        certified by the one leaf V[:m, :m] - |c| k I, with
+        k = d - log2 CERTIFY_LEAF when positive.  Its diagonal is the float
+        at or below D - |c| k (_shifted_diagonal), so rounding never makes
+        the leaf more definite than V.  For d up to log2 CERTIFY_LEAF, k = 0
+        and this is the one Cholesky of all of V that _lower_factor makes
+        there, bit for bit.
         """
         v = cls.__new__(cls)
         diagonal.setflags(write=False)
@@ -315,8 +346,18 @@ class PotentialMatrix:
             ("_coupling", coupling),
         ):
             object.__setattr__(v, name, value)
-        every = np.arange(v.n)
-        _lower_factor(lambda r, c: v.block(every[r], every[c]), v.n, whole=False)
+        if cube is None:
+            every = np.arange(v.n)
+            _lower_factor(lambda r, c: v.block(every[r], every[c]), v.n, whole=False)
+            return v
+        k = max(0, cube - (CERTIFY_LEAF.bit_length() - 1))
+        low = np.arange(v.n >> k)
+        leaf = v.block(low, low)
+        if k:
+            leaf[np.diag_indices(low.size)] = _shifted_diagonal(
+                float(diagonal[0]), coupling, k
+            )
+        _lower_factor(leaf, low.size, whole=False)
         return v
 
     # The gate and the block reader are methods rather than module functions
@@ -507,6 +548,20 @@ def _root_profile(d: int, g: float) -> np.ndarray:
     return profile
 
 
+def _hypercube_dim(graph: Graph) -> int | None:
+    """d if graph is H(d,2) with its bit-string labels, else None."""
+    # The canonical edges are distinct, so d 2^(d-1) of them that each join
+    # labels one bit apart are every edge of H(d,2).
+    d = graph.n.bit_length() - 1
+    if d >= 1 and graph.n == 1 << d and graph.num_edges == d << (d - 1):
+        bits = graph.edges[:, 0] ^ graph.edges[:, 1]
+        # Reduced as bools: .any() of the int64 array raised the peak RSS of
+        # a fresh process's H(10,2) cut by ~0.1 MB.
+        if np.all(bits & (bits - 1) == 0):
+            return d
+    return None
+
+
 def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     """V = I + 2 g L for the graph Laplacian L.
 
@@ -529,22 +584,16 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
             "coupling g = %r is too strong for float64: 1 + 2g*%d rounds "
             "to 2g*%d, so V = I + 2gL is singular" % (g, deg_max, deg_max)
         )
+    d = _hypercube_dim(graph)
     try:
-        out = PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0)
+        out = PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0, d)
     except DefinitenessError as exc:
         # For g >= 0, V is positive definite in exact arithmetic; only
         # rounding at strong coupling can fail the gate.
         hint = "g too negative?" if g < 0 else "g = %r too strong for float64?" % g
         raise DefinitenessError("%s (%s)" % (exc, hint)) from None
-    # The canonical edges are distinct, so d 2^(d-1) of them that each join
-    # labels one bit apart are every edge of H(d,2).
-    d = graph.n.bit_length() - 1
-    if d >= 1 and graph.n == 1 << d and graph.num_edges == d << (d - 1):
-        bits = graph.edges[:, 0] ^ graph.edges[:, 1]
-        # Reduced as bools: .any() of the int64 array raised the peak RSS of
-        # a fresh process's H(10,2) cut by ~0.1 MB.
-        if np.all(bits & (bits - 1) == 0):
-            object.__setattr__(out, "profile", _root_profile(d, g))
+    if d is not None:
+        object.__setattr__(out, "profile", _root_profile(d, g))
     return out
 
 

@@ -1,7 +1,9 @@
 """Graph construction, potential matrices, named bipartitions."""
 
 import functools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from oscnet import (
     stratified_adjacency,
 )
 from oscnet.gaussian import _translation_stabiliser
-from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR
+from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR, _shifted_diagonal
 
 
 def test_hypercube_small_cases():
@@ -324,18 +326,25 @@ def test_certify_by_halves_gives_the_verdict_of_one_cholesky(n):
         assert frozen.tobytes() == before
 
 
-def test_certify_never_factors_more_than_a_leaf(monkeypatch):
+def _spy_on_cholesky(monkeypatch):
+    """A list that records the shape, column-major flag and diagonal of
+    every operand np.linalg.cholesky is given from now on."""
     factored = []
     cholesky = np.linalg.cholesky
 
     def spy(a):
-        factored.append(a.shape[0])
+        factored.append((a.shape, a.flags.f_contiguous, a.diagonal().copy()))
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return factored
+
+
+def test_certify_never_factors_more_than_a_leaf(monkeypatch):
+    factored = _spy_on_cholesky(monkeypatch)
     v = potential_matrix(hypercube_graph(10), 0.5).matrix
     monkeypatch.undo()
-    assert factored and max(factored) <= CERTIFY_LEAF
+    assert factored and max(shape[0] for shape, _, _ in factored) <= CERTIFY_LEAF
     # One factor of all of V would be as large as V; certification by
     # halves holds blocks of at most half its order at a time.  numpy's
     # own LAPACK work buffers are not traced.
@@ -347,6 +356,111 @@ def test_certify_never_factors_more_than_a_leaf(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * v.nbytes
+
+
+def test_a_hypercube_is_certified_by_one_leaf_of_its_low_sub_cube(monkeypatch):
+    factored = _spy_on_cholesky(monkeypatch)
+    for d in (8, 10, 12):
+        factored.clear()
+        potential_matrix(hypercube_graph(d), 0.5)
+        m = min(1 << d, CERTIFY_LEAF)
+        assert [(shape, f) for shape, f, _ in factored] == [((m, m), True)]
+    # One H(10,2) edge short, the graph is no hypercube: it is certified by
+    # halves, four leaves, and gets no root table.
+    cube = hypercube_graph(10)
+    near = Graph(cube.n, cube.edges[1:])
+    factored.clear()
+    assert potential_matrix(near, 0.5).profile is None
+    assert [shape for shape, _, _ in factored] == [(CERTIFY_LEAF, CERTIFY_LEAF)] * 4
+    monkeypatch.undo()
+    # Halving solves its fresh top-level a_12 in place: 2.51 blocks of
+    # (n/2) x (n/2) measured, where solving a copy of it took 3.51.
+    tracemalloc.start()
+    try:
+        potential_matrix(near, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (near.n // 2) ** 2 * 8
+    # The sub-cube certificate of H(12,2) holds one 256 x 256 leaf and the
+    # block writer's index vectors: 1.40 MiB traced, where halving all of
+    # its V took 85 MiB.
+    cube = hypercube_graph(12)
+    potential_matrix(cube, 0.5)
+    tracemalloc.start()
+    try:
+        potential_matrix(cube, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+def _dense_potential(graph, g):
+    """V = I + 2g L of graph written densely from its adjacency matrix,
+    entry by entry as potential_matrix writes it."""
+    c = 2.0 * g
+    v = np.where(graph.adjacency_matrix() == 1.0, -c, c * -0.0)
+    v[np.diag_indices(graph.n)] = c * graph.degrees() + 1.0
+    return v
+
+
+@pytest.mark.parametrize("d", [9, 10, 11])
+def test_a_hypercube_certificate_gives_the_verdict_of_all_of_v(d):
+    graph = hypercube_graph(d)
+    assert np.array_equal(
+        _dense_potential(graph, 0.5), potential_matrix(graph, 0.5).matrix
+    )
+    # For g < 0, lambda_min(V) = 1 - 4|g| d crosses EIG_FLOOR at g = -1/(4d).
+    edge = -1.0 / (4 * d)
+    couplings = [
+        sign * g
+        for g in (0.0, 1e-8, 0.5, 100.0, 1e8, 1e12, 1e13, 1e14, 4e14, -0.01)
+        for sign in (1.0, -1.0)
+    ]
+    couplings += [edge * (1 + s * delta) for delta in (1e-9, 1e-12) for s in (1, -1)]
+    couplings.append(edge)
+    verdicts = []
+    for g in couplings:
+        v = _dense_potential(graph, g)
+        v[np.diag_indices(graph.n)] -= EIG_FLOOR
+        try:
+            np.linalg.cholesky(v)
+            whole = True
+        except np.linalg.LinAlgError:
+            whole = False
+        del v
+        try:
+            potential_matrix(graph, g)
+            certified = True
+        except DefinitenessError:
+            certified = False
+        assert certified == whole, g
+        verdicts.append(certified)
+    assert set(verdicts) == {True, False}
+
+
+def test_a_hypercube_leaf_diagonal_never_rounds_above_the_exact_shift(monkeypatch):
+    # On H(10,2) at g = 0.1, k = 2 and the float nearest the exact
+    # D - |c| k lies above it, so the leaf's diagonal steps down one ulp.
+    d, g = 10, 0.1
+    k = d - (CERTIFY_LEAF.bit_length() - 1)
+    c = 2.0 * g
+    diagonal = c * d + 1.0
+    exact = Fraction(diagonal) - abs(Fraction(c)) * k
+    assert Fraction(float(exact)) > exact
+    shifted = _shifted_diagonal(diagonal, c, k)
+    assert shifted == math.nextafter(float(exact), -math.inf)
+    assert Fraction(shifted) <= exact
+    factored = _spy_on_cholesky(monkeypatch)
+    potential_matrix(hypercube_graph(d), g)
+    ((_, _, leaf),) = factored
+    # The leaf is factored less EIG_FLOOR.
+    assert np.all(leaf == shifted - EIG_FLOOR)
+    assert all(Fraction(x) <= exact for x in leaf)
+    # A term too large for a float leaves a V that is not definite.
+    assert _shifted_diagonal(-math.inf, -math.inf, k) == -math.inf
+    assert _shifted_diagonal(-1.7e308, -1.7e308, k) == -math.inf
 
 
 def test_certify_holds_no_copy_of_a_read_only_v():
@@ -366,7 +480,7 @@ def test_certify_holds_no_copy_of_a_read_only_v():
 
 
 def test_a_graph_built_v_is_never_dense_on_the_cut_path(monkeypatch):
-    # Certification reads V's quarters from the graph, so it holds less
+    # Certification reads one leaf of V from the graph, so it holds less
     # than one n x n array; the engine and the table oracle read blocks.
     graph = hypercube_graph(10)
     potential_matrix(hypercube_graph(2), 0.5)
@@ -377,8 +491,6 @@ def test_a_graph_built_v_is_never_dense_on_the_cut_path(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < graph.n**2 * 8
-    # Certification solves its fresh top-level a_12 in place: 2.51 blocks
-    # of (n/2) x (n/2) measured, where solving a copy of it took 3.51.
     assert peak <= 3 * (graph.n // 2) ** 2 * 8
 
     def refuse(self):
