@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
+    STACK_BYTES,
     _entropy_from_cov,
     _norm_log_base,
     _position_covariance,
@@ -61,9 +62,6 @@ REPRESENTATIVE_CAP = 16
 MAX_CENSUS_PARTITIONS = 10**7
 # Most random keys the sampler holds at once.
 SAMPLE_CHUNK_KEYS = 1 << 16
-# Most bytes of factor columns and 4P blocks one stacked kernel step
-# gathers; a row larger than this goes alone.
-STACK_BYTES = 1 << 18
 # Classes the text and CSV renderings format per slice, with one gather of
 # their representative rows from a table of label strings.
 RENDER_CLASSES = 256

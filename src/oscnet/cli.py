@@ -107,8 +107,9 @@ def _emit_modes(args, config, spectrum, totals):
 
     def text():
         lines = ["gamma nu degeneracy entropy"]
-        for g, nu, deg, s in rows:
-            lines.append("%s %s %d %s" % (_fmt(g), _fmt(nu), deg, _fmt(s)))
+        for (g, nu, deg, s), run in itertools.groupby(rows):
+            line = "%s %s %d %s" % (_fmt(g), _fmt(nu), deg, _fmt(s))
+            lines += [line] * sum(1 for _ in run)
         return lines + ["%s = %s" % (label, _fmt(value)) for label, _, value in totals]
 
     def doc():

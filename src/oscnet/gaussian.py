@@ -8,89 +8,72 @@ two independent ways:
 * gamma_spectrum / entropy_of_bipartition: whiten the two diagonal blocks of
   V with their Cholesky factors and take singular values gamma_i of the
   rescaled cross-coupling; each gamma maps to a thermal mode parameter
-  nu = 1/sqrt(1 - gamma^2).  The engine has two routes, chosen from its
-  inputs.  On a V that potential_matrix recognised as H(d,2), a cut whose
-  side A is mapped onto itself by k >= 1 translations x -> x xor t splits
-  into 2^k translation sectors of 2^(d-k) cosets each
+  nu = 1/sqrt(1 - gamma^2).  On a V that potential_matrix recognised as
+  H(d,2), a cut whose side A is mapped onto itself by k >= 1 translations
+  x -> x xor t splits into 2^k translation sectors of 2^(d-k) cosets each
   (_translation_stabiliser, _sector_couplings; Serre, Linear
-  Representations of Finite Groups, sec. 2.6).  Each distinct sector is
-  written from V's diagonal and coupling, certified, and whitened like a
-  small V; the H(10,2) parity cut becomes ten distinct 2 x 2 blocks.
-  Every other input is whitened whole (_whitened_couplings).  Both routes
-  return one mode per singular value, min(|A|, |B|) of them.
+  Representations of Finite Groups, sec. 2.6).  The distinct sectors are
+  written from V's diagonal and coupling into stacks, each certified and
+  whitened in one pass; the H(10,2) parity cut is one stack of ten 2 x 2
+  blocks.  Every other input is whitened whole (_whitened_couplings).  Both
+  give min(|A|, |B|) modes, one Mode object per distinct value.
 
 * entropy_oracle_symplectic: reduce the ground-state covariance matrices
   (positions V^{-1}/2, momenta V/2) to one side and read off the symplectic
   eigenvalues of the reduced state.  The position covariance enters through
   a factor: gathered from the exact table that potential_matrix attaches on
   H(d,2), or, for any V without one, solved from the Cholesky factor of all
-  of V, never from the cut's blocks.  The oracle's kernel is stacked, in
-  two steps: _stacked_triangles reduces k cuts' factor columns F[:, A] to
-  triangles R by one stacked QR, and _stacked_forms takes those and the
-  4P blocks to the forms R 4P_A R^T by one stacked matmul; the census
-  feeds it chunks of partitions, the single cut k = 1.  Each form then
-  takes exactly one eigvalsh (_symplectic_nus) and one entropy_from_nu
-  per nu, summed as a list (_entropy_from_cov): the per-cut path holds
-  those calls and nothing more.  On a table-carrying V, a cut that the
-  engine splits into translation sectors is split by the oracle too
-  (_sector_entropy): it writes each distinct sector's factor F_chi and
-  4P_chi by character sums over T, from the root table and V's distance
-  profile, and runs the same stacked kernel on them, one form per distinct
-  sector; the H(10,2) parity cut becomes ten 1 x 1 forms.
+  of V, never from the cut's blocks.  The kernel is stacked in two steps:
+  _stacked_triangles reduces k cuts' factor columns F[:, A] to triangles R
+  by one QR, _stacked_forms takes those and the 4P blocks to the forms
+  R 4P_A R^T by one matmul; the census feeds it chunks of partitions, the
+  single cut k = 1.  Each form then takes one eigvalsh (_symplectic_nus)
+  and one entropy_from_nu per nu (_entropy_from_cov).  On a table-carrying
+  V, a cut that the engine splits into sectors is split by the oracle too
+  (_sector_entropy): each distinct sector's F_chi and 4P_chi are character
+  sums over T of the root table and V's distance profile, run through the
+  same kernel; the H(10,2) parity cut becomes ten 1 x 1 forms.
 
 Both must agree to near machine precision on any positive definite V; the
-oracle is the assumption-free reference path.  On a coset-union cut both
-use one symmetry, but they share only its combinatorics, the translations
-T (_translation_stabiliser) and the list of T's distinct sectors with
-their counts (_sector_characters).  Each builds its own blocks from its own
-inputs and reduces them its own way: the engine whitens V_chi, the oracle
-takes the QR of F_chi's columns and never reads V_chi, a whitening or a
-certification result.  It also checks each translation itself.  So the
-engine-oracle difference still compares two independent constructions and
-two independent reductions of every sector.  The engine and the oracle's
-Cholesky route share one primitive, the triangular solve _solve_lower, and
-nothing else.  Certification (graph._lower_factor) also calls it, to halve
-by Schur complements a V that is neither small nor a hypercube's (a V of
-H(d,2) is certified on the block of its low sub-cube, by one Cholesky of
-at most CERTIFY_LEAF rows), but certification is the gate before both
-routes and neither reads its result, so they stay independent.  _solve_lower
-halves a triangle down to leaves of at most SOLVE_LEAF rows, applies each
-leaf's inverse by matmul and refines the result once in working precision,
-so nearly all of its flops are matmul flops.
+oracle is the assumption-free reference path.  On a coset-union cut they
+share only the symmetry's combinatorics, T (_translation_stabiliser) and
+its distinct sectors with their counts (_sector_characters).  Each builds
+and reduces its own blocks: the engine whitens V_chi, the oracle takes the
+QR of F_chi's columns, never reads V_chi, a whitening or a certificate, and
+checks each translation itself.  The engine and the oracle's Cholesky route
+share one primitive, the triangular solve _solve_lower, and nothing else.
+Certification (graph._lower_factor) also calls it, to halve by Schur
+complements a V that is neither small nor a hypercube's (H(d,2) is
+certified on its low sub-cube's block), but it is the gate before both
+routes and neither reads its result.  _solve_lower halves a triangle down
+to leaves of at most SOLVE_LEAF rows, applies each leaf's inverse by matmul
+and refines the result once in working precision, so nearly all its flops
+are matmul's.  Both, like _whitened_couplings, also take stacks.
 
-A spectrum carries no log base: bits or nats change the unit of an
-entropy, not the gammas and nus it is summed from.  So gamma_spectrum, like
-the gamma_* closed forms in analytic, takes none, and
-ModeSpectrum.entropies alone turns modes into entropies; total_entropy sums
-its values by math.fsum.  Those two methods and every function that returns
-an entropy (entropy_from_nu, entropy_of_bipartition,
-entropy_oracle_symplectic) take log_base, 2 or "e".
+A spectrum carries no log base, the unit of an entropy, not of its gammas
+and nus: gamma_spectrum and analytic's gamma_* closed forms take none;
+ModeSpectrum.entropies, total_entropy (a math.fsum) and every function
+that returns an entropy take log_base, 2 or "e".
 
-Every dense factorization gets a column-major operand.  numpy's linalg
+Every dense factorization gets a column-major operand: numpy's linalg
 copies each operand into a Fortran-order buffer for LAPACK, and from a
 row-major array that copy is a strided transpose.  So the Cholesky calls
-factor transposed views (V^T, V_AA^T, V_BB^T), and the QR gets F[:, A],
-or each sector's F_chi[:, A], column-major from every route.
-np.linalg.cholesky reads the lower triangle of its operand, which for a
-transposed view is the upper triangle of V or of the block.  Every block
-that potential_matrix's V writes is exactly that of a symmetric V, signed
-zeros included, so LAPACK sees the same buffer and returns the same bits as
-from the row-major array; a raw array that is only symmetric within
-SYMMETRY_TOL has its upper triangle factored.  The engine's dense route and the oracle read V through
-PotentialMatrix.block; only the oracle's Cholesky route reads all of V.
-The engine's sector route reads neither V's blocks nor its root table, and
-the oracle's reads the root table and none of V's blocks.
+factor transposed views, whose lower triangle is the upper one of V or a
+block, and the QR gets F[:, A], or each F_chi[:, A], column-major.  Every
+block potential_matrix's V writes is exactly that of a symmetric V, signed
+zeros included, so LAPACK returns the bits of the row-major array; a raw
+array symmetric only within SYMMETRY_TOL has its upper triangle factored.
+The engine's dense route and the oracle read V through PotentialMatrix.block,
+the oracle's Cholesky route all of V; the sector routes read none of V's
+blocks, and only the oracle's reads the root table.
 
-On a single cut each (n/2) x (n/2) block of the dense routes lives only
-from its write to its last read.  _solve_lower overwrites its right-hand
-side, so the fresh V_AB is solved where it was gathered.  The engine drops L_A before it factors
-V_BB, keeps one transposed copy of L_A^{-1} V_AB for the second solve,
-and drops L_B before the SVD: at most three blocks are alive at once.  The
-oracle drops F[:, A] after its QR and only then gathers 4P_A.  What is
-left of the single cut's peak is that QR: numpy holds F[:, A], its own
-copy of it and LAPACK's buffer at once, two blocks each.  Both sector
-routes hold a few label-sized arrays on the H(10,2) parity cut, and on a
-cut with one translation the oracle's stacked F_chi[:, A] make one block.
+On a single cut each (n/2) x (n/2) block of the dense routes lives from its
+write to its last read, and V_AB is solved where it was gathered: the
+engine holds at most three blocks at once.  The oracle gathers 4P_A only
+after the QR of F[:, A], its peak, where numpy holds F[:, A], a copy and
+LAPACK's buffer.  The sector routes hold a few label-sized arrays on the
+H(10,2) parity cut; the engine's stacks of V_chi, like the census's
+gathers, are held to STACK_BYTES.
 """
 
 from __future__ import annotations
@@ -106,6 +89,7 @@ from .errors import (
     DomainError,
     SingularityError,
 )
+from . import graph
 from .graph import Bipartition, PotentialMatrix, _integer, hamming_weights
 
 # Coupling ratios below this are exact zero modes (nu = 1, no entropy).
@@ -119,6 +103,10 @@ NU_SLACK = 1e-10
 # their inverse; larger ones are halved.  16 beat 32 and 64 on the whitening
 # solves of the H(10,2) parity cut.
 SOLVE_LEAF = 16
+# Most bytes of blocks one stacked step gathers: the census's factor columns
+# and 4P blocks, the engine's translation-sector blocks V_chi.  A block
+# larger than this goes alone.
+STACK_BYTES = 1 << 18
 # Rows of the covariance root table gathered per pass.  On the H(10,2)
 # parity cut, passes of 32 rows peak at 4.5 MB of numpy buffers, where one
 # pass over all 512 rows took 8 MB: its int64 labels and weights were each
@@ -267,9 +255,12 @@ class ModeSpectrum:
         return np.array(out)
 
     def entropies(self, log_base=2) -> list:
-        """S(nu) of one copy of each mode, in mode order."""
+        """S(nu) of one copy of each mode, in mode order; each distinct nu
+        is evaluated once."""
         base = _norm_log_base(log_base)
-        return [entropy_from_nu(m.nu, base) for m in self.modes]
+        nus = dict.fromkeys(m.nu for m in self.modes)
+        s = {nu: entropy_from_nu(nu, base) for nu in nus}
+        return [s[m.nu] for m in self.modes]
 
     def total_entropy(self, log_base=2) -> float:
         """Sum of degeneracy * S(nu) over all modes, correctly rounded
@@ -325,27 +316,26 @@ def schmidt_spectrum(nu: float, n_max: int) -> SchmidtSpectrum:
 
 
 def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^{-1} B for a lower-triangular L with a nonzero diagonal.
+    """L^{-1} B for a lower-triangular L with a nonzero diagonal, or for
+    each pair of a stack of them.
 
     numpy has no triangular solve, and np.linalg.solve would LU-factor L as
     if it were full.  Recursive halving costs one matmul per level instead:
     X_1 = L_11^{-1} B_1, then X_2 = L_22^{-1} (B_2 - L_21 X_1), down to
     leaves of order at most SOLVE_LEAF.  A leaf T = L^{-1} is solved once
-    against the identity and applied by matmul, Y = T X, then refined once
-    on the same rows, Y += T (X - L Y).  The inverse alone is not backward
-    stable: where the true solution has zeros it leaves rounding noise.  A
-    Cholesky factor of a block of V at g = 1e8, solved against the block's
-    own columns, then shows a componentwise backward error near 1.  One step
-    of fixed-precision iterative refinement makes the solve componentwise
-    backward stable, as substitution is (Skeel, Math. Comp. 35, 817 (1980);
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    chs. 8 and 12).
+    against the identity and applied by matmul, Y = T X, then refined once,
+    Y += T (X - L Y).  The inverse alone leaves rounding noise where the
+    true solution has zeros: a Cholesky factor of a block of V at g = 1e8,
+    solved against the block's own columns, showed a componentwise backward
+    error near 1.  One step of fixed-precision iterative refinement makes
+    the solve componentwise backward stable, as substitution is (Skeel,
+    Math. Comp. 35, 817 (1980); Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., chs. 8 and 12).
 
-    The solve overwrites b, a float64 array, and returns it; a caller that
-    reads B afterwards passes a copy.  The engine and certification hand it
-    fresh C-ordered blocks that nothing reads again, so no block is held
-    twice.  Any other layout is solved in a C-ordered buffer and written
-    back, so its bits are those of a solve of a C-ordered copy.
+    The solve overwrites b, a float64 array, and returns it.  The engine and
+    certification hand it fresh C-ordered blocks that nothing reads again.
+    Any other layout is solved in a C-ordered buffer and written back, with
+    the bits of a solve of a C-ordered copy.
     """
     x = np.ascontiguousarray(b)
     _substitute(l, x)
@@ -356,36 +346,34 @@ def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _substitute(l: np.ndarray, x: np.ndarray) -> None:
     """Overwrite the rows x with L^{-1} x, the recursion of _solve_lower."""
-    n = l.shape[0]
+    n = l.shape[-1]
     if n <= SOLVE_LEAF:
-        t = np.linalg.solve(l, np.eye(n))
+        t = np.linalg.solve(l, np.broadcast_to(np.eye(n), l.shape))
         y = t @ x
         y += t @ (x - l @ y)
         x[...] = y
         return
     h = n // 2
-    _substitute(l[:h, :h], x[:h])
-    x[h:] -= l[h:, :h] @ x[:h]
-    _substitute(l[h:, h:], x[h:])
+    _substitute(l[..., :h, :h], x[..., :h, :])
+    x[..., h:, :] -= l[..., h:, :h] @ x[..., :h, :]
+    _substitute(l[..., h:, h:], x[..., h:, :])
 
 
-def _whitened_couplings(v: PotentialMatrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _whitened_couplings(block, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Singular values, descending, of L_A^{-1} V_AB L_B^{-T} for the sides
-    a and b of v, with V_AA = L_A L_A^T and V_BB = L_B L_B^T.  The dense
-    whitening of both routes of gamma_spectrum.  V is certified, so a value
-    at or near 1 is a mode rounding has made non-normalizable, which
-    nu_from_gamma refuses as a SingularityError.
+    a and b of a V, or of each V of a stack, read as fresh C-ordered arrays
+    block(rows, cols) = V[..., rows, cols], with V_AA = L_A L_A^T and
+    V_BB = L_B L_B^T.  V is certified, so a value at or near 1 is a mode
+    rounding has made non-normalizable, which nu_from_gamma refuses.
     """
-    # V is certified above EIG_FLOOR, so by interlacing both blocks are too.
-    # Transposed views are column-major operands (see the module docstring).
-    # Each block is dropped after its last read, so at most three are alive
-    # at once.
-    la = np.linalg.cholesky(v.block(a, a).T)
-    w = _solve_lower(la, v.block(a, b))
+    # V is certified, so by interlacing both blocks are.  Transposed views
+    # are column-major operands; each block is dropped after its last read.
+    la = np.linalg.cholesky(block(a, a).swapaxes(-1, -2))
+    w = _solve_lower(la, block(a, b))
     del la
-    lb = np.linalg.cholesky(v.block(b, b).T)
-    w = np.array(w.T, order="C")
-    coupling = _solve_lower(lb, w).T
+    lb = np.linalg.cholesky(block(b, b).swapaxes(-1, -2))
+    w = np.array(w.swapaxes(-1, -2), order="C")
+    coupling = _solve_lower(lb, w).swapaxes(-1, -2)
     del lb
     return np.linalg.svd(coupling, compute_uv=False)
 
@@ -476,11 +464,11 @@ def _sector_characters(d: int, stabiliser) -> tuple:
 
 
 def _sector_couplings(v: PotentialMatrix, in_a: np.ndarray, stabiliser) -> np.ndarray:
-    """The values of _whitened_couplings, descending, for a cut of H(d,2)
+    """The values of _whitened_couplings, unsorted, for a cut of H(d,2)
     whose side A, given by its indicator, is a union of cosets of the
     translations T of _translation_stabiliser: one block per distinct
     sector of T (_sector_characters), read from V's diagonal and coupling
-    alone.
+    alone, its values repeated by the sector's count of characters.
 
     V[x, y] depends on x xor y alone, so every translation in T commutes
     with V.  For a character chi of T, the vectors sum_t chi(t) e_{r xor t},
@@ -490,9 +478,12 @@ def _sector_couplings(v: PotentialMatrix, in_a: np.ndarray, stabiliser) -> np.nd
     V_chi[c, c'] = sum_t chi(t) V[r_c, r_c' xor t], written in O(m d): a
     free bit moves r_c to the representative r_c xor e_i with weight 1, and
     the pivot f of a basis vector t moves it to r_c xor e_f xor t with
-    weight chi(t).  Each distinct block is certified by PotentialMatrix and
-    whitened once, with no pass over the 2^k characters.  Neither V's
-    blocks, its certification nor its root table are read.
+    weight chi(t).  Integer weights times one coupling make each block
+    exactly symmetric.  The blocks go in stacks of at most STACK_BYTES (a
+    larger block alone), each certified by one stacked _lower_factor and
+    whitened by one _whitened_couplings; LAPACK and matmul see each block
+    on its own, so its values have the bits of its whitening alone.
+    Neither V's blocks, its certification nor its root table are read.
 
     The slot order sets the rounding of each block's whitening, not its
     accuracy: on 240 random sectors at g = 1e4..1e8, ascending, descending
@@ -505,22 +496,28 @@ def _sector_couplings(v: PotentialMatrix, in_a: np.ndarray, stabiliser) -> np.nd
     slots = np.arange(m)
     a = np.flatnonzero(in_a[reps])
     b = np.flatnonzero(~in_a[reps])
-    # The free bits' moves, the same in every sector.
-    steps = np.zeros((m, m), dtype=np.int64)
-    for j in range(m.bit_length() - 1):
-        steps[slots, slots ^ (1 << j)] = 1
-    diagonal, coupling = v._diagonal[0], v._coupling
+    step = max(1, STACK_BYTES // (8 * m * m))
     parts = []
-    for signs, count in characters:
-        # Integer weights times one coupling: the block is exactly symmetric.
-        hops = steps.copy()
-        for offset, sign in zip(offsets, signs):
-            hops[slots, slots ^ offset] += sign
-        block = hops * -coupling
-        block[slots, slots] += diagonal
-        sigma = _whitened_couplings(PotentialMatrix(block), a, b)
-        parts.append(np.tile(sigma, count))
-    return np.sort(np.concatenate(parts))[::-1]
+    for lo in range(0, len(characters), step):
+        chunk = characters[lo : lo + step]
+        hops = np.zeros((len(chunk), m, m), dtype=np.int8)
+        # Free bits' moves, the same in every sector, then the pivots'.
+        for j in range(m.bit_length() - 1):
+            hops[:, slots, slots ^ (1 << j)] = 1
+        for offset, signs in zip(offsets, np.array([s for s, _ in chunk]).T):
+            hops[:, slots, slots ^ offset] += signs[:, None]
+        stack = hops * -v._coupling
+        stack[:, slots, slots] += v._diagonal[0]
+        # Read-only: the certificate subtracts its floor on copies.
+        stack.flags.writeable = False
+        # Called through graph, so perfbench's tracer times it in this layer.
+        graph._lower_factor(stack, m, whole=False)
+        flat = stack.reshape(len(chunk), m * m)
+        sigma = _whitened_couplings(
+            lambda rows, cols: np.take(flat, rows[:, None] * m + cols, axis=1), a, b
+        )
+        parts.append(np.repeat(sigma, [count for _, count in chunk], axis=0))
+    return np.concatenate(parts, axis=None)
 
 
 def _cut_stabiliser(v: PotentialMatrix, a: np.ndarray) -> tuple:
@@ -542,11 +539,13 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     L_A^{-1} V_AB L_B^{-T}, which are those of V_AA^{-1/2} V_AB V_BB^{-1/2};
     each singular value gamma < 1 is one entanglement mode.  min(|A|, |B|)
     modes are returned, sorted by descending gamma; ratios below 1e-12 are
-    exact zero modes, reported as gamma = 0.
+    exact zero modes, reported as gamma = 0.  Each distinct ratio becomes
+    one Mode, largest first, shared by its copies.
 
     On a V that potential_matrix recognised as H(d,2), a cut whose side A
-    some translation maps onto itself is split into translation sectors
-    (_sector_couplings); any other input is whitened whole.
+    some translation maps onto itself is split into translation sectors,
+    whitened as stacks (_sector_couplings); any other input is whitened
+    whole.
     """
     v = _as_potential(v)
     if cut.n != v.n:
@@ -556,8 +555,11 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     if stabiliser:
         sigma = _sector_couplings(v, in_a, stabiliser)
     else:
-        sigma = _whitened_couplings(v, a, np.asarray(cut.side_b, dtype=np.intp))
-    return ModeSpectrum(tuple(_mode(s) for s in sigma))
+        sigma = _whitened_couplings(v.block, a, np.asarray(cut.side_b, dtype=np.intp))
+    values, counts = np.unique(sigma, return_counts=True)
+    modes = [_mode(s) for s in values[::-1].tolist()]
+    runs = map(itertools.repeat, modes, counts[::-1].tolist())
+    return ModeSpectrum(tuple(itertools.chain.from_iterable(runs)))
 
 
 def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
@@ -700,9 +702,8 @@ def _sector_entropy(v: PotentialMatrix, in_a: np.ndarray, stabiliser, base) -> f
     signed zero 2g * -0.0 beyond, as the dense V holds them.  Each sector
     then takes the dense route's algebra: F_chi's columns on A's cosets
     through _stacked_triangles and _stacked_forms, and its form through
-    _entropy_from_cov.  The sectors share only _sector_characters with the
-    engine; no whitening, certification or block of the engine reaches
-    them.  Each basis vector of T is checked to map A onto itself.
+    _entropy_from_cov.  Each basis vector of T is checked to map A onto
+    itself.
     """
     d = v.profile.size - 1
     labels = np.arange(v.n)

@@ -195,31 +195,31 @@ class Bipartition:
 
 def _lower_factor(a, n: int, whole: bool = True):
     """The lower Cholesky factor L of a - EIG_FLOOR I for a symmetric n x n
-    matrix a, read from its upper triangle; DefinitenessError if it is not
-    positive definite.
+    matrix a, or for each of a stack of them, read from its upper triangle;
+    DefinitenessError if one is not positive definite.
 
-    a is an array, or a reader a(rows, cols) that returns a[rows, cols] for
-    two slices as a view or a fresh array.  A leaf, of at most CERTIFY_LEAF
-    rows, is the one place EIG_FLOOR is subtracted, from its diagonal: in
-    place if the leaf is writeable, else on a copy.  It is factored by one
-    np.linalg.cholesky of its transpose, a column-major view that LAPACK
-    copies without transposing.  Above, a is halved by the generalized
-    Schur complement: L_11 factors a_11, W = L_11^{-1} a_12 (in place if
-    a_12 owns its data) and S = a_22 - W^T W is factored in turn, for
-    a - EIG_FLOOR I is positive definite exactly when a_11 and S are, less
-    the floor.  With whole false only that verdict is wanted: no n x n L is
-    assembled and the result is None (or a leaf's factor).
+    a is an array, or a reader a(rows, cols) that returns a[..., rows, cols]
+    for two slices as a view or a fresh array.  A leaf, of at most
+    CERTIFY_LEAF rows, is the one place EIG_FLOOR is subtracted, from its
+    diagonal: in place if the leaf is writeable, else on a copy.  It is
+    factored by one np.linalg.cholesky of its transpose, a column-major view
+    that LAPACK copies without transposing.  Above, a is halved by the
+    generalized Schur complement: L_11 factors a_11, W = L_11^{-1} a_12 (in
+    place if a_12 owns its data) and S = a_22 - W^T W is factored in turn,
+    for a - EIG_FLOOR I is positive definite exactly when a_11 and S are,
+    less the floor.  With whole false only that verdict is wanted: no n x n
+    L is assembled and the result is None (or a leaf's factor).
     """
     # gaussian imports this module, so its solve is imported on use.
     from .gaussian import _solve_lower
 
-    read = a if callable(a) else lambda rows, cols: a[rows, cols]
+    read = a if callable(a) else lambda rows, cols: a[..., rows, cols]
     if n <= CERTIFY_LEAF:
         leaf = read(slice(0, n), slice(0, n))
         leaf = leaf if leaf.flags.writeable else leaf.copy()
-        leaf[np.diag_indices(n)] -= EIG_FLOOR
+        leaf[..., np.arange(n), np.arange(n)] -= EIG_FLOOR
         try:
-            return np.linalg.cholesky(leaf.T)
+            return np.linalg.cholesky(leaf.swapaxes(-1, -2))
         except np.linalg.LinAlgError:
             raise DefinitenessError(
                 "potential matrix is not positive definite"
@@ -231,18 +231,18 @@ def _lower_factor(a, n: int, whole: bool = True):
     w = _solve_lower(l11, w if w.flags.owndata else w.copy())
     out = None
     if whole:
-        out = np.zeros((n, n))
-        out[:h, :h] = l11
-        out[h:, :h] = w.T
+        out = np.zeros(w.shape[:-2] + (n, n))
+        out[..., :h, :h] = l11
+        out[..., h:, :h] = w.swapaxes(-1, -2)
     # Each block is dropped once read: a verdict on an n = 1024 matrix then
     # holds about 5 MB at its peak, where one factor of it took 8 MB.
     del l11
-    s = w.T @ w
+    s = w.swapaxes(-1, -2) @ w
     del w
     np.subtract(read(bottom, bottom), s, out=s)
     l22 = _lower_factor(s, n - h, whole)
     if whole:
-        out[h:, h:] = l22
+        out[..., h:, h:] = l22
     return out
 
 

@@ -28,7 +28,7 @@ from oscnet import (
     stratified_adjacency,
 )
 from oscnet.gaussian import _translation_stabiliser
-from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR, _shifted_diagonal
+from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR, _lower_factor, _shifted_diagonal
 
 
 def test_hypercube_small_cases():
@@ -324,6 +324,22 @@ def test_certify_by_halves_gives_the_verdict_of_one_cholesky(n):
                 PotentialMatrix(frozen)
         assert v.tobytes() == before
         assert frozen.tobytes() == before
+
+
+@pytest.mark.parametrize("n", [2 * CERTIFY_LEAF + 3, CERTIFY_LEAF + 1, 7])
+def test_a_stack_is_factored_as_each_of_its_matrices(n):
+    # Leaves and halves index the last two axes, so each factor of a stack
+    # has the bits of its matrix factored alone, and one matrix that is not
+    # definite refuses the stack.
+    rng = np.random.default_rng(n)
+    cases = _halved_certify_cases(n, rng)
+    definite = [v for v, ok in cases if ok]
+    alone = [_lower_factor(v.copy(), n) for v in definite]
+    assert _lower_factor(np.stack(definite), n).tobytes() == np.stack(alone).tobytes()
+    for v, ok in cases:
+        if not ok:
+            with pytest.raises(DefinitenessError):
+                _lower_factor(np.stack(definite + [v]), n, whole=False)
 
 
 def _spy_on_cholesky(monkeypatch):

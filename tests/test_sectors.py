@@ -77,9 +77,9 @@ def _block_orders(monkeypatch):
     orders = []
     whiten = gaussian._whitened_couplings
 
-    def recording(v, a, b):
-        orders.append(v.n)
-        return whiten(v, a, b)
+    def recording(block, a, b):
+        orders.append(a.size + b.size)
+        return whiten(block, a, b)
 
     monkeypatch.setattr(gaussian, "_whitened_couplings", recording)
     return orders
@@ -223,9 +223,9 @@ def test_oracle_sectors_hold_the_engine_sectors_v(monkeypatch):
                 v = potential_matrix(hypercube_graph(d), g)
                 blocks = []
 
-                def recording(w, a, b):
-                    blocks.append(w.matrix[np.ix_(a, a)])
-                    return whiten(w, a, b)
+                def recording(block, a, b):
+                    blocks.extend(block(a, a))
+                    return whiten(block, a, b)
 
                 monkeypatch.setattr(gaussian, "_whitened_couplings", recording)
                 gamma_spectrum(v, cut)
@@ -255,8 +255,8 @@ def test_sector_route_refuses_as_the_dense_engine_does(d, g, error):
             gamma_spectrum(w, cut)
 
 
-def _digest(spectrum):
-    rows = [(m.gamma, m.nu, float(m.degeneracy)) for m in spectrum.modes]
+def _digest(*spectra):
+    rows = [(m.gamma, m.nu, float(m.degeneracy)) for s in spectra for m in s.modes]
     return hashlib.sha256(np.array(rows).tobytes()).hexdigest()
 
 
@@ -282,3 +282,83 @@ def test_dense_route_keeps_its_bits():
         assert _digest(gamma_spectrum(v, trivial)) == DENSE_DIGESTS[g, "trivial"]
         for w in (PotentialMatrix(v.matrix), np.array(v.matrix)):
             assert _digest(gamma_spectrum(w, cut)) == DENSE_DIGESTS[g, "untabled"]
+
+
+# sha256 of the (gamma, nu, degeneracy) rows of sector-route spectra, as the
+# engine gave them when it whitened each sector on its own: per (d, g), the
+# spectra of _sector_cuts(d) one after another.
+SECTOR_DIGESTS = {
+    (4, 0.01): "d616e5057faf2e898514b7a79861c79f85f8ea946ec92051f08f520c837afcb4",
+    (4, 0.5): "aec469175019b33ba9c23e97bc4f6c05a2f603c5efcb3e91adc27b583adaffda",
+    (4, 100): "3ac7c3966aa28dcbdba86450573323fd21e1f8e29a3ce05d634d4911fbd330d8",
+    (4, 1e8): "7fd1193a72e483d20e82a11b6da5280483e8d6a190686308b1bd1b26c3907d71",
+    (6, 0.01): "8c5c779c8b1086cff22c57b25bc2c48ab19feab318488cb43c063c51bb20f3ed",
+    (6, 0.5): "077aadd3f202bca621b87dce37e576ce87ab74767ee1462686ef26e6a98356e0",
+    (6, 100): "c58d7e0ccb0b6a9046c07daa6a1041d2836b1856e6ccd9cc2259ee1a908e794f",
+    (6, 1e8): "1684ca2e4ae1935f8c1bd1b32d4219efdc256a91d5c8cd8168a0e1765ea062a4",
+    (8, 0.01): "e6941cc6ab30e930cb17d2744d6c4e9ff02705d01b6799a2f4c069dd1509dc53",
+    (8, 0.5): "aef0bbf378485b9ced3174fd01eb24d2a222f229219b8bb7d8411104aac4a7d0",
+    (8, 100): "646e4de45be882829f5f54dab9f37b595362112bc6b54d2e4c3c805a1af9331a",
+    (8, 1e8): "479d154a0f1a3456c87aecf9f14b13ecf74b0dee390008d3dc381565e8a09bc6",
+    (10, 0.01): "af0b7bf8975a9c778994c2c1f69997f04acad194e368aa4bd380c94f12109c87",
+    (10, 0.5): "3d6f050bd046a36e59a1ec24fa7e5047c5a50ba98b886c9cfa82642c90cccf71",
+    (10, 100): "0ce8bf76d5c06ec0e4061d4a4cd6056fa6b029434e5a24d0ff3caf967c4fd030",
+    (10, 1e8): "d940fe8fab30a663b9801b4ddcc7724fe527161bcd6a24430016f2f0df833223",
+}
+
+
+def _sector_cuts(d):
+    """Three random coset-union cuts of H(d,2), then the parity and the
+    identity cut."""
+    rng = np.random.default_rng(30 + d)
+    cuts = [
+        Bipartition.from_side_a(1 << d, _coset_union(rng, d, k)[0])
+        for k in sorted({1, d // 2, d - 1})
+    ]
+    return cuts + [named_bipartition(d, "parity"), named_bipartition(d, "identity_cut")]
+
+
+@pytest.mark.parametrize("d", [4, 6, 8, 10])
+def test_sector_route_keeps_its_bits_whatever_the_stack_size(monkeypatch, d):
+    cuts = _sector_cuts(d)
+    for g in (0.01, 0.5, 100, 1e8):
+        v = potential_matrix(hypercube_graph(d), g)
+        # The default budget, then one sector per stack.
+        for budget in (gaussian.STACK_BYTES, 1):
+            monkeypatch.setattr(gaussian, "STACK_BYTES", budget)
+            spectra = [gamma_spectrum(v, cut) for cut in cuts]
+            assert _digest(*spectra) == SECTOR_DIGESTS[d, g], (g, budget)
+        monkeypatch.undo()
+
+
+def test_parity_sectors_take_one_stack_and_one_mode_per_ratio(monkeypatch):
+    # The H(10,2) parity cut has ten distinct 2 x 2 sectors, all in one
+    # stack: one Cholesky certifies it, two whiten it and one SVD takes its
+    # values.  Each distinct ratio becomes one Mode, shared by its copies,
+    # and each run of equal nu one entropy_from_nu call.
+    v = potential_matrix(hypercube_graph(10), 0.5)
+    cut = named_bipartition(10, "parity")
+    calls = {}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((np.linalg, "svd"), (np.linalg, "cholesky"), (gaussian, "_mode")):
+        counting(owner, name)
+    spectrum = gamma_spectrum(v, cut)
+    counting(gaussian, "entropy_from_nu")
+    entropies = spectrum.entropies()
+    monkeypatch.undo()
+    distinct = len(set(spectrum.expanded_gammas().tolist()))
+    assert calls["svd"] == 1
+    assert calls["cholesky"] <= 3
+    assert calls["_mode"] <= distinct <= 10
+    assert calls["entropy_from_nu"] == len({m.nu for m in spectrum.modes})
+    assert spectrum.mode_count() == len(spectrum.modes) == len(entropies) == 512
+    assert len({id(m) for m in spectrum.modes}) == calls["_mode"]
