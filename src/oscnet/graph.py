@@ -144,10 +144,14 @@ def _integer(x) -> int | None:
 
 def _vertex_labels(side) -> list:
     """The labels of one side as ints, non-integers and bools refused; a type
-    scan and operator.index take a quarter of the time of _integer per label."""
+    scan and operator.index take a quarter of the time of _integer per label,
+    and a side of ints alone is returned as it is."""
     try:
         side = list(side)
-        if bool not in map(type, side):
+        types = set(map(type, side))
+        if types <= {int}:
+            return side
+        if bool not in types:
             return [operator.index(v) for v in side]
     except TypeError:
         pass
@@ -156,7 +160,12 @@ def _vertex_labels(side) -> list:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A two-sided split of vertices 0..n-1 into non-empty sides A and B."""
+    """A two-sided split of vertices 0..n-1 into non-empty sides A and B.
+
+    Side A's indicator over 0..n-1 and, for n = 2^d, the translations of
+    H(d,2) that map side A onto itself are computed on first read and kept
+    with the cut, so the engine and the oracle of one cut read one copy.
+    """
 
     side_a: tuple
     side_b: tuple
@@ -179,18 +188,55 @@ class Bipartition:
 
     @classmethod
     def from_side_a(cls, n: int, side_a) -> "Bipartition":
-        """Build a bipartition of 0..n-1 from one side."""
+        """Build a bipartition of 0..n-1 from one side.
+
+        The side is checked once, and both sides are read off one boolean
+        mask over 0..n-1, which the cut keeps as its indicator; the
+        complement is right by construction and is not checked again.
+        """
         if (n := _integer(n)) is None:
             raise ValueError("vertex count must be an integer")
         side_a = _vertex_labels(side_a)
-        if any(v < 0 or v >= n for v in side_a):
+        if side_a and (min(side_a) < 0 or max(side_a) >= n):
             raise ValueError("side A vertex out of range")
-        chosen = set(side_a)
-        return cls(side_a, [v for v in range(n) if v not in chosen])
+        in_a = np.zeros(max(n, 0), dtype=bool)
+        in_a[side_a] = True
+        a = np.flatnonzero(in_a)
+        # The checks of __post_init__, in its order, on the mask.
+        if not side_a or a.size == n:
+            raise ValueError("both sides of a bipartition must be non-empty")
+        if a.size != len(side_a):
+            raise ValueError("bipartition sides contain duplicate vertices")
+        cut = cls.__new__(cls)
+        object.__setattr__(cut, "side_a", tuple(a.tolist()))
+        object.__setattr__(cut, "side_b", tuple(np.flatnonzero(~in_a).tolist()))
+        in_a.setflags(write=False)
+        object.__setattr__(cut, "_indicator", in_a)
+        return cut
 
     @property
     def n(self) -> int:
         return len(self.side_a) + len(self.side_b)
+
+    @functools.cached_property
+    def _indicator(self) -> np.ndarray:
+        """Side A's indicator over 0..n-1, read-only."""
+        in_a = np.zeros(self.n, dtype=bool)
+        in_a[list(self.side_a)] = True
+        in_a.setflags(write=False)
+        return in_a
+
+    @functools.cached_property
+    def _translations(self) -> list:
+        """The basis of the translations x -> x xor t of H(d,2) that map
+        side A onto itself (gaussian._translation_stabiliser), for
+        n = 2^d."""
+        # gaussian imports this module, so it is imported on use.
+        from . import gaussian
+
+        return gaussian._translation_stabiliser(
+            self.n.bit_length() - 1, self._indicator
+        )
 
 
 def _lower_factor(a, n: int, whole: bool = True):
@@ -295,9 +341,9 @@ class PotentialMatrix:
     copy raw arrays first.
 
     A V from potential_matrix holds its graph instead: the canonical edges,
-    V's diagonal 1 + 2g deg and the coupling 2g.  block writes each block
-    from them, and .matrix, all of V, is built on first read, made
-    read-only and kept.
+    V's diagonal 1 + 2g deg, the coupling 2g and, on H(d,2), d.  block
+    writes each block from them, and .matrix, all of V, is built on first
+    read, made read-only and kept.
     """
 
     n: int
@@ -305,6 +351,7 @@ class PotentialMatrix:
     _edges: np.ndarray | None = field(default=None, repr=False)
     _diagonal: np.ndarray | None = field(default=None, repr=False)
     _coupling: float = field(default=0.0, repr=False)
+    _cube: int | None = field(default=None, repr=False)
 
     def __init__(self, matrix):
         m = self.certify(matrix)
@@ -344,6 +391,7 @@ class PotentialMatrix:
             ("_edges", edges),
             ("_diagonal", diagonal),
             ("_coupling", coupling),
+            ("_cube", cube),
         ):
             object.__setattr__(v, name, value)
         if cube is None:
@@ -402,10 +450,13 @@ class PotentialMatrix:
         for 1-D integer index arrays rows and cols, each of distinct
         vertices.
 
-        A V from potential_matrix writes the block from its graph in
-        O(|rows| |cols| + n + m): the signed zero 2g * -0.0 everywhere,
-        -2g on each edge with both ends in the block, 1 + 2g deg on the
-        diagonal.  These are the entries the dense V holds, signed zeros
+        A V from potential_matrix writes the block from its graph: the
+        signed zero 2g * -0.0 everywhere, -2g on each edge with both ends in
+        the block, 1 + 2g deg on the diagonal.  On H(d,2) the neighbours of
+        x are x xor 2^a, so the edges come from one gather of the rows'
+        labels' d neighbours, in O(|rows| d); on any other graph from a
+        scan of every edge, in O(m).  The block takes O(|rows| |cols| + n)
+        besides.  These are the entries the dense V holds, signed zeros
         included, so the block is bit for bit the slice of .matrix and
         LAPACK sees the same buffer.  Any other V is gathered from .matrix.
         """
@@ -415,13 +466,19 @@ class PotentialMatrix:
             return self.matrix[rows[:, None], cols]
         c = self._coupling
         out = np.full((rows.size, cols.size), c * -0.0)
-        ends = self._edges.T
-        for i, j in (ends, ends[::-1]):
-            p, q = at_row[i], at_col[j]
-            hit = (p >= 0) & (q >= 0)
-            out[p[hit], q[hit]] = -c
-        hit = (at_row >= 0) & (at_col >= 0)
-        out[at_row[hit], at_col[hit]] = self._diagonal[hit]
+        if self._cube is None:
+            ends = self._edges.T
+            for i, j in (ends, ends[::-1]):
+                p, q = at_row[i], at_col[j]
+                hit = (p >= 0) & (q >= 0)
+                out[p[hit], q[hit]] = -c
+        else:
+            q = at_col[rows[:, None] ^ (1 << np.arange(self._cube))]
+            hit = q >= 0
+            out[np.nonzero(hit)[0], q[hit]] = -c
+        q = at_col[rows]
+        hit = q >= 0
+        out[np.flatnonzero(hit), q[hit]] = self._diagonal[rows[hit]]
         return out
 
     @functools.cached_property

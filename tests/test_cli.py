@@ -14,7 +14,7 @@ import pytest
 
 import oscnet
 from oscnet import analytic_entropy, entropy_census, hypercube_graph, named_bipartition
-from oscnet import census
+from oscnet import census, cli, gaussian, graph
 from oscnet.cli import main
 
 
@@ -54,6 +54,48 @@ def test_entropy_parity_cut_at_n_1024(capsys):
     assert abs(doc["engineEntropy"] - closed) < 1e-9
     assert abs(doc["oracleEntropy"] - closed) < 1e-9
     assert sum(m["degeneracy"] for m in doc["modes"]) == 512
+
+
+def test_an_entropy_op_pays_each_fixed_cost_once(monkeypatch, capsys):
+    # On the H(6,2) parity cut: the translations T are computed once and
+    # read by both routes, side A's labels are checked once, and two main
+    # calls of one process build one parser.  The bytes are those of a
+    # fresh process.
+    calls = {}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in (
+        (gaussian, "_translation_stabiliser"),
+        (graph, "_vertex_labels"),
+        (cli, "build_parser"),
+    ):
+        counting(owner, name)
+    cli._parser.cache_clear()
+    argv = ["entropy", "--graph", "hypercube:6", "--subset", PARITY_6, "--format", "json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert calls == {"build_parser": 1, "_vertex_labels": 1, "_translation_stabiliser": 1}
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert calls["build_parser"] == 1
+    monkeypatch.undo()
+    src = os.path.dirname(os.path.dirname(oscnet.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "oscnet.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == first
 
 
 def test_entropy_json_format(capsys):

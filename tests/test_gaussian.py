@@ -425,6 +425,20 @@ def test_oracle_subset_validation():
     ) == entropy_oracle_symplectic(v, [0, 3])
 
 
+def test_oracle_takes_a_bipartition_as_its_subset():
+    # A cut's side A is taken as it is, with the bits of its labels; a cut
+    # of another vertex count is refused.
+    for d, g in ((3, 0.5), (6, 1e4)):
+        v = potential_matrix(hypercube_graph(d), g)
+        for name in ("parity", "half_strata" if d % 2 else "identity_cut"):
+            cut = named_bipartition(d, name)
+            for w in (v, PotentialMatrix(v.matrix)):
+                labels = entropy_oracle_symplectic(w, list(cut.side_a))
+                assert entropy_oracle_symplectic(w, cut) == labels
+    with pytest.raises(ValueError, match="does not match"):
+        entropy_oracle_symplectic(v, named_bipartition(3, "parity"))
+
+
 def _form(root, p_cov, subset):
     """One cut's form R 4P_A R^T from the stacked step with k = 1."""
     rows = np.asarray(subset)
@@ -639,7 +653,7 @@ def test_single_cut_holds_few_blocks_at_once(monkeypatch):
     cut = named_bipartition(10, "parity")
     a = list(cut.side_a)
     a[0] = cut.side_b[0]
-    assert _cut_stabiliser(v, a)[1] == []
+    assert _cut_stabiliser(v, Bipartition.from_side_a(v.n, a))[1] == []
     engine = lambda: gamma_spectrum(plain, cut)  # noqa: E731
     oracle = lambda: entropy_oracle_symplectic(v, a)  # noqa: E731
     # On v the parity cut splits into translation sectors, and both routes
@@ -653,9 +667,9 @@ def test_single_cut_holds_few_blocks_at_once(monkeypatch):
     lows = np.array([x for x in range(v.n) if x < x ^ t])
     picked = np.random.default_rng(10).choice(lows, size=v.n // 4, replace=False)
     one = np.sort(np.concatenate((picked, picked ^ t)))
-    assert [u for _, u in _cut_stabiliser(v, one)[1]] == [t]
-    coset_oracle = lambda: entropy_oracle_symplectic(v, one)  # noqa: E731
     coset_cut = Bipartition.from_side_a(v.n, one.tolist())
+    assert [u for _, u in _cut_stabiliser(v, coset_cut)[1]] == [t]
+    coset_oracle = lambda: entropy_oracle_symplectic(v, one)  # noqa: E731
     coset_engine = lambda: gamma_spectrum(v, coset_cut)  # noqa: E731
     # Warm-up calls, so first-use allocations stay out of the peaks.
     for call in (engine, oracle, sectors, sector_oracle, coset_oracle, coset_engine):

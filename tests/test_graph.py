@@ -399,8 +399,8 @@ def test_a_hypercube_is_certified_by_one_leaf_of_its_low_sub_cube(monkeypatch):
         tracemalloc.stop()
     assert peak <= 3 * (near.n // 2) ** 2 * 8
     # The sub-cube certificate of H(12,2) holds one 256 x 256 leaf and the
-    # block writer's index vectors: 1.40 MiB traced, where halving all of
-    # its V took 85 MiB.
+    # block writer's index vectors: 1.07 MiB traced, where halving all of
+    # its V took 85 MiB (1.40 MiB while the writer scanned every edge).
     cube = hypercube_graph(12)
     potential_matrix(cube, 0.5)
     tracemalloc.start()
@@ -409,7 +409,7 @@ def test_a_hypercube_is_certified_by_one_leaf_of_its_low_sub_cube(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 2**20
+    assert peak <= 1.2 * 2**20
 
 
 def _dense_potential(graph, g):
@@ -419,6 +419,56 @@ def _dense_potential(graph, g):
     v = np.where(graph.adjacency_matrix() == 1.0, -c, c * -0.0)
     v[np.diag_indices(graph.n)] = c * graph.degrees() + 1.0
     return v
+
+
+def _label_potential(d, g, rows, cols):
+    """V[rows][:, cols] of H(d,2) from the labels alone: 1 + 2gd where
+    x = y, -2g where x xor y is a power of two, the signed zero 2g * -0.0
+    elsewhere."""
+    c = 2.0 * g
+    x = rows[:, None] ^ cols
+    out = np.where(x & (x - 1) == 0, -c, c * -0.0)
+    out[x == 0] = c * d + 1.0
+    return out
+
+
+@pytest.mark.parametrize("g", [0.5, -0.01])
+def test_hypercube_blocks_are_written_from_labels(g):
+    # The neighbours of x are x xor 2^a, so no edge is read: with its edge
+    # list emptied, V still writes every block bit for bit, signed zeros
+    # included (2g * -0.0 is -0.0 for g > 0 and +0.0 for g < 0).
+    rng = np.random.default_rng(31)
+    for d in range(1, 13):
+        n = 1 << d
+        v = potential_matrix(hypercube_graph(d), g)
+        object.__setattr__(v, "_edges", np.empty((0, 2), dtype=np.int64))
+        for _ in range(3):
+            rows, cols = (
+                rng.choice(n, size=int(rng.integers(0, min(n, 300) + 1)), replace=False)
+                for _ in range(2)
+            )
+            block = v.block(rows, cols)
+            want = _label_potential(d, g, rows, cols)
+            assert np.array_equal(block, want), d
+            assert np.array_equal(np.signbit(block), np.signbit(want)), d
+        if d <= 8:
+            assert np.array_equal(v.matrix, _dense_potential(hypercube_graph(d), g))
+
+
+def test_a_hypercube_block_holds_little_beside_itself():
+    # The 256-row block of H(12,2): 0.64 MiB traced, the 0.5 MiB block, two
+    # 32 KiB position maps and the 256 x 12 neighbour labels, where a scan
+    # of all 24,576 edges held 1.34 MiB.
+    v = potential_matrix(hypercube_graph(12), 0.5)
+    low = np.arange(256)
+    v.block(low, low)
+    tracemalloc.start()
+    try:
+        v.block(low, low)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.7 * 2**20
 
 
 @pytest.mark.parametrize("d", [9, 10, 11])
@@ -717,3 +767,36 @@ def test_bipartition_validation():
     assert cut.side_a == (0, 2)
     assert cut.side_b == (1, 3)
     assert cut.n == 4
+
+
+def test_from_side_a_is_the_checked_cut_of_its_side():
+    # from_side_a checks side A once and reads both sides off one mask; the
+    # cut equals the one the checking constructor builds, and keeps the mask
+    # as its read-only indicator.
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        n = int(rng.integers(2, 70))
+        side = rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()
+        cut = Bipartition.from_side_a(n, side)
+        rest = sorted(set(range(n)) - set(side))
+        assert cut == Bipartition(side, rest)
+        assert type(cut.side_a) is tuple and type(cut.side_b) is tuple
+        assert all(type(v) is int for v in cut.side_a + cut.side_b)
+        assert cut._indicator.tolist() == [v in side for v in range(n)]
+        assert not cut._indicator.flags.writeable
+        built = Bipartition(cut.side_a, cut.side_b)._indicator
+        assert np.array_equal(built, cut._indicator) and not built.flags.writeable
+    for n, side, message in (
+        (4, [], "non-empty"),
+        (4, [3, 2, 1, 0], "non-empty"),
+        (4, [0, 1, 2, 3, 3], "non-empty"),
+        (4, [0, 0, 2], "duplicate"),
+        (4, [4], "out of range"),
+        (4, [-1, 0], "out of range"),
+        (4, [2**70], "out of range"),
+        (0, [], "non-empty"),
+        (-2, [], "non-empty"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Bipartition.from_side_a(n, side)
+

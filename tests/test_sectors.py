@@ -2,10 +2,15 @@
 coset-union cuts of H(d,2)."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import oscnet
 from oscnet import (
     Bipartition,
     ConsistencyError,
@@ -286,7 +291,10 @@ def test_dense_route_keeps_its_bits():
 
 # sha256 of the (gamma, nu, degeneracy) rows of sector-route spectra, as the
 # engine gave them when it whitened each sector on its own: per (d, g), the
-# spectra of _sector_cuts(d) one after another.
+# spectra of _sector_cuts(d) one after another, with one BLAS thread.  The
+# d = 10 entries were pinned at two threads first and pinned again at one;
+# only the spectrum of the cut with one translation, two 512 x 512
+# sectors, differs between the two.
 SECTOR_DIGESTS = {
     (4, 0.01): "d616e5057faf2e898514b7a79861c79f85f8ea946ec92051f08f520c837afcb4",
     (4, 0.5): "aec469175019b33ba9c23e97bc4f6c05a2f603c5efcb3e91adc27b583adaffda",
@@ -300,10 +308,10 @@ SECTOR_DIGESTS = {
     (8, 0.5): "aef0bbf378485b9ced3174fd01eb24d2a222f229219b8bb7d8411104aac4a7d0",
     (8, 100): "646e4de45be882829f5f54dab9f37b595362112bc6b54d2e4c3c805a1af9331a",
     (8, 1e8): "479d154a0f1a3456c87aecf9f14b13ecf74b0dee390008d3dc381565e8a09bc6",
-    (10, 0.01): "af0b7bf8975a9c778994c2c1f69997f04acad194e368aa4bd380c94f12109c87",
-    (10, 0.5): "3d6f050bd046a36e59a1ec24fa7e5047c5a50ba98b886c9cfa82642c90cccf71",
-    (10, 100): "0ce8bf76d5c06ec0e4061d4a4cd6056fa6b029434e5a24d0ff3caf967c4fd030",
-    (10, 1e8): "d940fe8fab30a663b9801b4ddcc7724fe527161bcd6a24430016f2f0df833223",
+    (10, 0.01): "9de66a7ef98fa72b4aa5eab08995c460efd1c2c25beecfd2818d0277522e1a6b",
+    (10, 0.5): "145db1c2501dd7371341b5e8f0cc6ca2e2eaaced016e908d97faf3d3c2232cfa",
+    (10, 100): "363fcb542aeeae88c0833a4364e254e614b0bd48eeab7de2e7b2c683ace39e16",
+    (10, 1e8): "a17a421d5ea40649297524e3248907db18029afe4c7faa1a949e266bf057ea58",
 }
 
 
@@ -318,17 +326,58 @@ def _sector_cuts(d):
     return cuts + [named_bipartition(d, "parity"), named_bipartition(d, "identity_cut")]
 
 
+# Prints the digest of each coupling's spectra, one line per g, for the
+# side A lists and couplings read as JSON from stdin.
+_DIGEST_SCRIPT = (
+    "import hashlib, json, sys\n"
+    "import numpy as np\n"
+    "from oscnet import Bipartition, gamma_spectrum, hypercube_graph, potential_matrix\n"
+    "d, sides, couplings = json.load(sys.stdin)\n"
+    "for g in couplings:\n"
+    "    v = potential_matrix(hypercube_graph(d), g)\n"
+    "    rows = [(m.gamma, m.nu, float(m.degeneracy)) for side in sides\n"
+    "            for m in gamma_spectrum(v, Bipartition.from_side_a(1 << d, side)).modes]\n"
+    "    print(hashlib.sha256(np.array(rows).tobytes()).hexdigest())\n"
+)
+
+
+def _one_thread_digests(d, cuts, couplings):
+    """_DIGEST_SCRIPT's digests from a child process with one BLAS thread.
+
+    From 128 rows up OpenBLAS's Cholesky rounds differently on one thread
+    and on more, and the two 512 x 512 sectors of the H(10,2) cut with one
+    translation reach it; output bits are defined at one BLAS thread, and
+    a library cannot change the count once numpy has loaded.
+    """
+    src = os.path.dirname(os.path.dirname(oscnet.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", _DIGEST_SCRIPT],
+        input=json.dumps([d, [list(cut.side_a) for cut in cuts], list(couplings)]),
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
 @pytest.mark.parametrize("d", [4, 6, 8, 10])
 def test_sector_route_keeps_its_bits_whatever_the_stack_size(monkeypatch, d):
     cuts = _sector_cuts(d)
-    for g in (0.01, 0.5, 100, 1e8):
+    couplings = (0.01, 0.5, 100, 1e8)
+    for g in couplings:
         v = potential_matrix(hypercube_graph(d), g)
-        # The default budget, then one sector per stack.
+        # The default budget, then one sector per stack, in this process
+        # and at its BLAS thread count.
+        digests = []
         for budget in (gaussian.STACK_BYTES, 1):
             monkeypatch.setattr(gaussian, "STACK_BYTES", budget)
-            spectra = [gamma_spectrum(v, cut) for cut in cuts]
-            assert _digest(*spectra) == SECTOR_DIGESTS[d, g], (g, budget)
+            digests.append(_digest(*[gamma_spectrum(v, cut) for cut in cuts]))
         monkeypatch.undo()
+        assert digests[0] == digests[1], g
+    pinned = [SECTOR_DIGESTS[d, g] for g in couplings]
+    assert _one_thread_digests(d, cuts, couplings) == pinned
 
 
 def test_parity_sectors_take_one_stack_and_one_mode_per_ratio(monkeypatch):
