@@ -35,6 +35,8 @@ from .gaussian import (
     Mode,
     ModeSpectrum,
     SchmidtSpectrum,
+    coset_cut_oracle,
+    coset_cut_spectrum,
     entropy_from_nu,
     entropy_of_bipartition,
     entropy_oracle_symplectic,
@@ -82,6 +84,8 @@ __all__ = [
     "SingularityError",
     "analytic_entropy",
     "block_table",
+    "coset_cut_oracle",
+    "coset_cut_spectrum",
     "entropy_census",
     "entropy_from_nu",
     "entropy_of_bipartition",

@@ -10,13 +10,14 @@ two independent ways:
   rescaled cross-coupling; each gamma maps to a thermal mode parameter
   nu = 1/sqrt(1 - gamma^2).  On a V that potential_matrix recognised as
   H(d,2), a cut whose side A is mapped onto itself by k >= 1 translations
-  x -> x xor t splits into 2^k translation sectors of 2^(d-k) cosets each
-  (_translation_stabiliser, _sector_couplings; Serre, Linear
+  x -> x xor t is a union of cosets and splits into 2^k translation
+  sectors of 2^(d-k) cosets each (cosets module; Serre, Linear
   Representations of Finite Groups, sec. 2.6).  The distinct sectors are
   written from V's diagonal and coupling into stacks, each certified and
-  whitened in one pass; the H(10,2) parity cut is one stack of ten 2 x 2
-  blocks.  Every other input is whitened whole (_whitened_couplings).  Both
-  give min(|A|, |B|) modes, one Mode object per distinct value.
+  whitened in one pass (_sector_couplings); the H(10,2) parity cut is one
+  stack of ten 2 x 2 blocks.  Every other input is whitened whole
+  (_whitened_couplings).  Both give min(|A|, |B|) modes, one Mode object
+  per distinct value.
 
 * entropy_oracle_symplectic: reduce the ground-state covariance matrices
   (positions V^{-1}/2, momenta V/2) to one side and read off the symplectic
@@ -30,20 +31,25 @@ two independent ways:
   single cut k = 1.  Each form then takes one eigvalsh (_symplectic_nus)
   and one entropy_from_nu per nu (_entropy_from_cov).  On a table-carrying
   V, a cut that the engine splits into sectors is split by the oracle too
-  (_sector_entropy): each distinct sector's F_chi and 4P_chi are character
-  sums over T of the root table and V's distance profile, run through the
-  same kernel; the H(10,2) parity cut becomes ten 1 x 1 forms.
+  (_sector_entropy): each distinct sector's F_chi is a Walsh sum of the
+  eigenvalues of X^{1/2} and its 4P_chi a sum of V's distance-0 and
+  distance-1 entries, run through the same kernel; the H(10,2) parity cut
+  becomes ten 1 x 1 forms.
+
+coset_cut_spectrum and coset_cut_oracle run the two sector routes on a cut
+named by its quotient form (d, M, S), A = {x : Mx in S}, with no V, labels
+or table, so d runs to 62 (cosets module).
 
 Both must agree to near machine precision on any positive definite V; the
 oracle is the assumption-free reference path.  On a coset-union cut they
-share only the symmetry's combinatorics, T (_translation_stabiliser,
-computed once per cut and kept on the Bipartition) and its distinct
-sectors with their counts (_sector_characters).  Each builds
-and reduces its own blocks: the engine whitens V_chi, the oracle takes the
-QR of F_chi's columns, never reads V_chi, a whitening or a certificate, and
-checks each translation itself.  The engine and the oracle's Cholesky route
-share one primitive, the triangular solve _solve_lower, and nothing else.
-Certification (graph._lower_factor) also calls it, to halve by Schur
+share only the symmetry's combinatorics, the cut's quotient form with its
+distinct sectors and their counts (cosets._Quotient, computed once per cut
+and kept on the Bipartition).  Each builds and reduces its own blocks: the
+engine whitens V_chi, the oracle takes the QR of F_chi's columns, never
+reads V_chi, a whitening or a certificate, and checks on side A's labels
+that A is the union of cosets the quotient form names.  The engine and
+the oracle's Cholesky route share one primitive, the triangular solve
+_solve_lower, and nothing else.  Certification (graph._lower_factor) also calls it, to halve by Schur
 complements a V that is neither small nor a hypercube's (H(d,2) is
 certified on its low sub-cube's block), but it is the gate before both
 routes and neither reads its result.  _solve_lower halves a triangle down
@@ -66,28 +72,29 @@ zeros included, so LAPACK returns the bits of the row-major array; a raw
 array symmetric only within SYMMETRY_TOL has its upper triangle factored.
 The engine's dense route and the oracle read V through PotentialMatrix.block,
 the oracle's Cholesky route all of V; the sector routes read none of V's
-blocks, and only the oracle's reads the root table.
+blocks, nor the root table.
 
 On a single cut each (n/2) x (n/2) block of the dense routes lives from its
 write to its last read, and V_AB is solved where it was gathered: the
 engine holds at most three blocks at once.  The oracle gathers 4P_A only
 after the QR of F[:, A], its peak, where numpy holds F[:, A], a copy and
-LAPACK's buffer.  The sector routes hold a few label-sized arrays on the
-H(10,2) parity cut; the engine's stacks of V_chi, like the census's
-gathers, are held to STACK_BYTES.
+LAPACK's buffer.  The sector routes hold arrays of O(m d) values per
+sector, m the number of cosets, and none of 2^d; the engine's stacks of
+V_chi, like the census's gathers, are held to STACK_BYTES.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
     ConsistencyError,
+    DefinitenessError,
     DomainError,
     SingularityError,
 )
@@ -268,9 +275,11 @@ class ModeSpectrum:
         """Sum of degeneracy * S(nu) over all modes, correctly rounded
         (math.fsum): a plain sum over the 2048 modes of the H(12,2) parity
         cut at g = 100 was 6.9e-14 from the exact total, the fsum 1.0e-16."""
-        return math.fsum(
-            m.degeneracy * s for m, s in zip(self.modes, self.entropies(log_base))
-        )
+        return self._total(self.entropies(log_base))
+
+    def _total(self, entropies) -> float:
+        """total_entropy from the list entropies returned."""
+        return math.fsum(m.degeneracy * s for m, s in zip(self.modes, entropies))
 
 
 @dataclass(frozen=True)
@@ -380,121 +389,20 @@ def _whitened_couplings(block, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.svd(coupling, compute_uv=False)
 
 
-@functools.lru_cache
-def _hadamard(k: int) -> np.ndarray:
-    """The Sylvester-Hadamard matrix of order 2^k, entry (-1)^popcount(i & j)
-    at (i, j), read-only."""
-    h = np.ones((1, 1))
-    for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    h.setflags(write=False)
-    return h
-
-
-def _translation_stabiliser(d: int, in_a: np.ndarray) -> list:
-    """The translations T = {t : A xor t = A} of a side A of H(d,2), given
-    by its indicator over the 2^d labels, as a basis of (pivot, t) pairs:
-    each t has its pivot bit set and no other basis vector has it.  Empty
-    when T = {0}.
-
-    1_A(x xor t) = 1_A(x) for every x exactly when W(s) (-1)^{s.t} = W(s)
-    for every s, W the Walsh transform of 1_A.  So T is the F_2-orthogonal
-    complement of the support S of W, 0 excluded.  The transform of
-    H(d,2) is H_h (x) H_l for Sylvester-Hadamard matrices of orders 2^h
-    and 2^l, h + l = d, so with the indicator read as a 2^h x 2^l matrix X,
-    W is H_h X H_l: two matmuls of at most 64 rows, whose sums of at most
-    2^d terms +-1 are exact in float64.  On H(10,2) they took 9 us where
-    ten butterfly passes took 105.  An elimination over the d bits, highest
-    first, brings the span of S to reduced echelon form, and each bit that
-    is no pivot of it is the pivot of one vector of T.
-    """
-    low = d // 2
-    w = _hadamard(d - low) @ in_a.reshape(-1, 1 << low) @ _hadamard(low)
-    rows = np.flatnonzero(w.ravel()[1:]) + 1
-    echelon = {}
-    for bit in reversed(range(d)):
-        if not rows.size:
-            break
-        hit = (rows >> bit) & 1 == 1
-        if not hit.any():
-            continue
-        pivot = int(rows[hit.argmax()])
-        # Rows eliminated to 0 add nothing to the span and are dropped.
-        rows = np.where(hit, rows ^ pivot, rows)
-        rows = rows[rows != 0]
-        for p, row in echelon.items():
-            if row >> bit & 1:
-                echelon[p] = row ^ pivot
-        echelon[bit] = pivot
-    return [
-        (f, (1 << f) | sum(1 << p for p, row in echelon.items() if row >> f & 1))
-        for f in range(d)
-        if f not in echelon
-    ]
-
-
-def _sector_characters(d: int, stabiliser) -> tuple:
-    """The coset representatives of the translations T of
-    _translation_stabiliser on H(d,2), and one character of each distinct
-    sector of T.
-
-    Returns (reps, offsets, characters).  reps holds the m = 2^(d-k) labels
-    that vanish on T's pivots; bit j of a representative's slot c is its
-    j-th highest free bit, a bit that is no pivot.  offsets holds, per basis
-    vector (f, t), the slot of t xor e_f: the pivot f moves r_c to the
-    coset of r_c xor e_f, whose representative is r_c xor e_f xor t, in
-    slot c xor offset.  characters lists (signs, count): signs holds
-    chi(t) = +-1 per basis vector and count the number of characters whose
-    sector equals that of chi.
-
-    V holds 1 + 2gd on its diagonal and -2g between neighbours, so V_chi is
-    fixed by the free bits' moves, the same in every sector, and by the
-    signs of the pivots' moves.  Where n basis vectors share an offset, only
-    the number s of their signs that are -1 matters, and comb(n, s) sign
-    choices give it: each choice of s per offset is one distinct sector,
-    shared by the product of those counts of characters.  Its character
-    sets the first s of those basis vectors to -1.  X^{1/2} is a function of
-    V, so its sectors are equal where V's are.
-    """
-    pivots = [f for f, _ in stabiliser]
-    free = [bit for bit in reversed(range(d)) if bit not in pivots]
-    slots = np.arange(1 << len(free))
-    reps = np.zeros(slots.size, dtype=np.int64)
-    for j, bit in enumerate(free):
-        reps |= ((slots >> j) & 1) << bit
-    offsets = [
-        sum(1 << j for j, bit in enumerate(free) if (t ^ 1 << f) >> bit & 1)
-        for f, t in stabiliser
-    ]
-    shared = {}
-    for i, offset in enumerate(offsets):
-        shared.setdefault(offset, []).append(i)
-    characters = []
-    for flips in itertools.product(*(range(len(g) + 1) for g in shared.values())):
-        signs = [1] * len(offsets)
-        for group, minus in zip(shared.values(), flips):
-            for i in group[:minus]:
-                signs[i] = -1
-        count = math.prod(map(math.comb, map(len, shared.values()), flips))
-        characters.append((signs, count))
-    return reps, offsets, characters
-
-
-def _sector_couplings(v: PotentialMatrix, in_a: np.ndarray, stabiliser) -> np.ndarray:
-    """The values of _whitened_couplings, unsorted, for a cut of H(d,2)
-    whose side A, given by its indicator, is a union of cosets of the
-    translations T of _translation_stabiliser: one block per distinct
-    sector of T (_sector_characters), read from V's diagonal and coupling
-    alone, its values repeated by the sector's count of characters.
+def _sector_couplings(q, diagonal: float, coupling: float) -> tuple:
+    """The values of _whitened_couplings for a coset-union cut of H(d,2) in
+    quotient form q (cosets._Quotient), as (sigma, counts): one row of
+    values per distinct sector of T, unsorted, and that sector's count of
+    characters.  diagonal and coupling are V's 1 + 2gd and 2g.
 
     V[x, y] depends on x xor y alone, so every translation in T commutes
     with V.  For a character chi of T, the vectors sum_t chi(t) e_{r xor t},
     one per coset representative r, span one sector: they are real,
     orthogonal and each lies inside one side, so the sectors split the cut
     into independent ones with the same modes.  The sector's block is
-    V_chi[c, c'] = sum_t chi(t) V[r_c, r_c' xor t], written in O(m d): a
-    free bit moves r_c to the representative r_c xor e_i with weight 1, and
-    the pivot f of a basis vector t moves it to r_c xor e_f xor t with
+    V_chi[e, e'] = sum_t chi(t) V[r_e, r_e' xor t], written in O(m d): a
+    free bit moves r_e to the representative r_e xor e_j with weight 1, and
+    the pivot f of a basis vector t moves it to r_e xor e_f xor t with
     weight chi(t).  Integer weights times one coupling make each block
     exactly symmetric.  The blocks go in stacks of at most STACK_BYTES (a
     larger block alone), each certified by one stacked _lower_factor and
@@ -504,46 +412,61 @@ def _sector_couplings(v: PotentialMatrix, in_a: np.ndarray, stabiliser) -> np.nd
 
     The slot order sets the rounding of each block's whitening, not its
     accuracy: on 240 random sectors at g = 1e4..1e8, ascending, descending
-    and _sector_characters' order all left the largest gamma 1.1 ulp from
-    the exact one on average.
+    and the quotient's order all left the largest gamma 1.1 ulp from the
+    exact one on average.
     """
-    d = in_a.size.bit_length() - 1
-    reps, offsets, characters = _sector_characters(d, stabiliser)
-    m = reps.size
+    m = 1 << len(q.normals)
     slots = np.arange(m)
-    a = np.flatnonzero(in_a[reps])
-    b = np.flatnonzero(~in_a[reps])
     step = max(1, STACK_BYTES // (8 * m * m))
     parts = []
-    for lo in range(0, len(characters), step):
-        chunk = characters[lo : lo + step]
+    for lo in range(0, len(q.characters), step):
+        chunk = q.characters[lo : lo + step]
         hops = np.zeros((len(chunk), m, m), dtype=np.int8)
         # Free bits' moves, the same in every sector, then the pivots'.
-        for j in range(m.bit_length() - 1):
+        for j in range(len(q.normals)):
             hops[:, slots, slots ^ (1 << j)] = 1
-        for offset, signs in zip(offsets, np.array([s for s, _ in chunk]).T):
+        for offset, signs in zip(q.offsets, np.array([s for s, _ in chunk]).T):
             hops[:, slots, slots ^ offset] += signs[:, None]
-        stack = hops * -v._coupling
-        stack[:, slots, slots] += v._diagonal[0]
+        stack = hops * -coupling
+        stack[:, slots, slots] += diagonal
         # Read-only: the certificate subtracts its floor on copies.
         stack.flags.writeable = False
         # Called through graph, so perfbench's tracer times it in this layer.
         graph._lower_factor(stack, m, whole=False)
         flat = stack.reshape(len(chunk), m * m)
-        sigma = _whitened_couplings(
-            lambda rows, cols: np.take(flat, rows[:, None] * m + cols, axis=1), a, b
+        parts.append(
+            _whitened_couplings(
+                lambda rows, cols: np.take(flat, rows[:, None] * m + cols, axis=1),
+                q.a,
+                q.b,
+            )
         )
-        parts.append(np.repeat(sigma, [count for _, count in chunk], axis=0))
-    return np.concatenate(parts, axis=None)
+    return np.concatenate(parts), [count for _, count in q.characters]
 
 
-def _cut_stabiliser(v: PotentialMatrix, cut: Bipartition) -> tuple:
-    """Side A's indicator over v's labels, and the basis of its translations
-    T (_translation_stabiliser) when v carries the H(d,2) table, else [].
-    Both are read from the cut, which computes each once and keeps it."""
+def _spectrum(sigma: np.ndarray, counts, expand: bool = True) -> ModeSpectrum:
+    """The ModeSpectrum of coupling ratios sigma, one row per block with the
+    block's count of copies in counts.  Each distinct ratio becomes one
+    Mode, largest first: repeated once per copy, the Mode object shared, or
+    with expand false listed once with its copies as its degeneracy."""
+    totals = {}
+    for row, count in zip(sigma.tolist(), counts):
+        for s in row:
+            totals[s] = totals.get(s, 0) + count
+    pairs = sorted(totals.items(), reverse=True)
+    if not expand:
+        return ModeSpectrum(tuple(_mode(s, count) for s, count in pairs))
+    runs = (itertools.repeat(_mode(s), count) for s, count in pairs)
+    return ModeSpectrum(tuple(itertools.chain.from_iterable(runs)))
+
+
+def _cut_quotient(v: PotentialMatrix, cut: Bipartition):
+    """The cut's quotient form, which it computes once and keeps, when v
+    carries the H(d,2) table and a translation but 0 maps side A onto
+    itself; else None."""
     if cut.n != v.n:
         raise ValueError("bipartition size does not match matrix")
-    return cut._indicator, [] if v.profile is None else cut._translations
+    return None if v.profile is None else cut._quotient
 
 
 def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
@@ -563,15 +486,12 @@ def gamma_spectrum(v, cut: Bipartition) -> ModeSpectrum:
     whole.
     """
     v = _as_potential(v)
-    in_a, stabiliser = _cut_stabiliser(v, cut)
-    if stabiliser:
-        sigma = _sector_couplings(v, in_a, stabiliser)
-    else:
+    q = _cut_quotient(v, cut)
+    if q is None:
+        in_a = cut._indicator
         sigma = _whitened_couplings(v.block, np.flatnonzero(in_a), np.flatnonzero(~in_a))
-    values, counts = np.unique(sigma, return_counts=True)
-    modes = [_mode(s) for s in values[::-1].tolist()]
-    runs = map(itertools.repeat, modes, counts[::-1].tolist())
-    return ModeSpectrum(tuple(itertools.chain.from_iterable(runs)))
+        return _spectrum(sigma[None], [1])
+    return _spectrum(*_sector_couplings(q, v._diagonal[0], v._coupling))
 
 
 def entropy_of_bipartition(v, cut: Bipartition, log_base=2) -> float:
@@ -662,80 +582,72 @@ def _entropy_from_cov(form: np.ndarray, base: str) -> float:
     return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(form)])
 
 
-def _character_sums(table: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """sum_t chi(t) table[t] for each character chi, shape (len(signs), m).
-
-    Row j of the (2^k, m) table belongs to the element of T that sums the
-    basis vectors of j's set bits, and signs holds chi's value on each
-    basis vector, one row per character.  The sum folds out one basis
-    vector at a time, the highest first, as a Walsh-Hadamard transform over
-    T would, but keeps only the rows that some character needs: characters
-    that agree on the vectors folded so far share a row, so no pass holds
-    more than 2^k m values, whatever the number of characters.
-
-    Each addition's rounding error, found exactly by Knuth's TwoSum, is
-    carried in a second array and added once at the end (Ogita, Rump and
-    Oishi, SIAM J. Sci. Comput. 26, 1955 (2005), Sum2).  The sums cancel:
-    at g = 1e8 every entry of the root table is near 2^-d / sqrt(2), which
-    no character but the trivial one keeps.  Summed plainly, the oracle on
-    the H(8,2) parity cut was 2.8e-12 from the exact entropy; with the
-    carried errors it is as close as with exactly rounded sums (1.8e-14).
-    """
-    total = table[None]
-    error = np.zeros_like(total)
-    rows = np.zeros(len(signs), dtype=np.intp)
-    for i in reversed(range(signs.shape[1])):
-        # Each kept row and the sign of basis vector i: bit 0 set for -1.
-        folds, rows = np.unique(2 * rows + (signs[:, i] < 0), return_inverse=True)
-        parent = folds >> 1
-        sign = np.where(folds & 1, -1.0, 1.0)[:, None, None]
-        half = total.shape[1] // 2
-        low, high = total[parent, :half], sign * total[parent, half:]
-        total = low + high
-        shift = total - low
-        error = error[parent, :half] + sign * error[parent, half:]
-        error += (low - (total - shift)) + (high - shift)
-    return total[rows, 0] + error[rows, 0]
-
-
-def _sector_entropy(v: PotentialMatrix, in_a: np.ndarray, stabiliser, base) -> float:
-    """The oracle's entropy of a cut of H(d,2) whose side A, given by its
-    indicator, is a union of cosets of the translations T: one reduced state
-    per distinct sector of T, weighted by its count of characters.
+def _sector_entropy(q, diagonal: float, coupling: float, roots, base: str) -> float:
+    """The oracle's entropy of a coset-union cut of H(d,2) in quotient form
+    q (cosets._Quotient): one reduced state per distinct sector of T,
+    weighted by its count of characters.  diagonal and coupling are V's
+    1 + 2gd and 2g, roots the Walsh eigenvalues phi(w) = 1/sqrt(2(1 + 4gw))
+    of X^{1/2} (graph._walsh_roots).
 
     The translation x -> x xor t commutes with X^{1/2} and with V, whose
     entries depend on x xor y alone, so in the basis of _sector_couplings
     each splits into one block per character chi of T, and the block of
     X^{1/2} squares to that of X.  The blocks depend on the slot difference
-    alone: F_chi[c, c'] = f_chi(c xor c') with
-    f_chi(e) = sum_t chi(t) F(|r_e xor t|) from the root table, and
-    4P_chi[c, c'] = 2 p_chi(c xor c') with p_chi summed the same way from
-    V's distance profile: 1 + 2gd at distance 0, -2g at distance 1 and the
-    signed zero 2g * -0.0 beyond, as the dense V holds them.  Each sector
-    then takes the dense route's algebra: F_chi's columns on A's cosets
-    through _stacked_triangles and _stacked_forms, and its form through
-    _entropy_from_cov.  Each basis vector of T is checked to map A onto
-    itself.
+    alone: F_chi[e, e'] = f_chi(e xor e') with
+    f_chi(e) = sum_t chi(t) F(|r_e xor t|).  Write chi(t) = (-1)^{y.t}, y
+    the pivots of T where chi is -1.  Poisson summation over T (MacWilliams
+    and Sloane, The Theory of Error-Correcting Codes, ch. 5) gives
+    f_chi(e) = 2^-c sum_u phi(|y xor M^T u|) (-1)^{u.e} over u in F_2^c,
+    for y.r_e = 0 and M r_e = e: m Walsh terms in place of T's 2^k, taken
+    by weight as sum_w n_w phi(w) and rounded once (math.fsum of exact
+    products), in O(m c d) per sector.  No table of X^{1/2} is read: the
+    phi(0) = 1/sqrt(2) that dominates it at strong coupling enters the
+    trivial sector alone, and no cancellation takes it out of the others.
+    4P_chi[e, e'] = 2 p_chi(e xor e') with p_chi(e) the sum over V's
+    distance-0 and distance-1 entries: 1 + 2gd at e = 0 and -2g times
+    chi(t) for each bit i with e_i = r_e xor t.  Each sector then takes the
+    dense route's algebra: F_chi's columns on A's cosets through
+    _stacked_triangles and _stacked_forms, and its form through
+    _entropy_from_cov.  The oracle reads no V_chi, whitening or
+    certificate: it shares with the engine only q's combinatorics.
     """
-    d = v.profile.size - 1
-    labels = np.arange(v.n)
-    for _, t in stabiliser:
-        if not np.array_equal(in_a[labels ^ t], in_a):
-            raise ConsistencyError(
-                "translation by %d does not map side A onto itself" % t
-            )
-    reps, _, characters = _sector_characters(d, stabiliser)
-    span = np.zeros(1, dtype=np.int64)
-    for _, t in stabiliser:
-        span = np.concatenate((span, span ^ t))
-    weights = hamming_weights(d)[span[:, None] ^ reps]
-    signs = np.array([chi for chi, _ in characters])
-    row = np.full(d + 1, v._coupling * -0.0)
-    row[:2] = v._diagonal[0], -v._coupling
-    f = _character_sums(v.profile[weights], signs)
-    p = _character_sums(row[weights], signs)
-    a = np.flatnonzero(in_a[reps])
-    slots = np.arange(reps.size)
+    m = 1 << len(q.normals)
+    slots = np.arange(m)
+    signs = np.array([chi for chi, _ in q.characters], dtype=np.int64)
+    signs = signs.reshape(len(q.characters), len(q.basis))
+    y = (signs < 0) @ np.left_shift(1, np.array(list(q.basis), dtype=np.int64))
+    span = np.zeros(m, dtype=np.int64)
+    for j, normal in enumerate(q.normals):
+        span[1 << j : 2 << j] = span[: 1 << j] ^ normal
+    # The sum is sum_w n_w phi(w) for the integers
+    # n[chi, e, w] = sum_u (-1)^{u.e} [|y xor M^T u| = w], a Walsh-Hadamard
+    # transform over u in c butterfly passes, exact in int64.
+    n = np.bitwise_count(y[:, None] ^ span)[..., None] == np.arange(q.d + 1)
+    n = n.astype(np.int64)
+    for j in range(len(q.normals)):
+        pair = n.reshape(len(n), -1, 2, 1 << j, q.d + 1)
+        zero, one = pair[:, :, :1], pair[:, :, 1:]
+        n = np.concatenate((zero + one, zero - one), axis=2).reshape(n.shape)
+    # |n_w| <= m <= 2^12, so with phi split into 40 high and 13 low bits
+    # (Veltkamp) both products are exact, and fsum rounds their sum once.
+    big = roots * 8193.0
+    high = big - (big - roots)
+    terms = np.concatenate((n * high, n * (roots - high)), axis=-1)
+    f = np.array(list(map(math.fsum, terms.reshape(-1, 2 * q.d + 2).tolist())))
+    f = f.reshape(-1, m) / m
+    hits = np.zeros(signs.shape[:1] + (m,), dtype=np.int64)
+    hits[:, 1 << np.arange(len(q.normals))] = 1
+    for offset, sign in zip(q.offsets, signs.T):
+        hits[:, offset] += sign
+    # Each p_chi(e) correctly rounded, as the sum over T was; an exact
+    # zero is +0.0, as that sum left it.
+    p = hits * -coupling
+    p[:, 0] = [
+        math.fsum([diagonal] + [-coupling if h > 0 else coupling] * abs(h))
+        for h in hits[:, 0].tolist()
+    ]
+    p += 0.0
+    a = q.a
     # take writes a C-ordered stack of F_chi[A, :], so each sector's
     # F_chi[:, A] is column-major.
     r = _stacked_triangles(np.take(f, a[:, None] ^ slots, axis=1).swapaxes(1, 2))
@@ -744,7 +656,7 @@ def _sector_entropy(v: PotentialMatrix, in_a: np.ndarray, stabiliser, base) -> f
     forms = _stacked_forms(r, p4)
     return math.fsum(
         count * _entropy_from_cov(form, base)
-        for form, (_, count) in zip(forms, characters)
+        for form, (_, count) in zip(forms, q.characters)
     )
 
 
@@ -775,10 +687,18 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
         cut = subset
     else:
         cut = Bipartition.from_side_a(v.n, subset)
-    in_a, stabiliser = _cut_stabiliser(v, cut)
-    if stabiliser:
-        return _sector_entropy(v, in_a, stabiliser, base)
-    rows = np.flatnonzero(in_a)
+    q = _cut_quotient(v, cut)
+    if q is not None:
+        # The oracle's own check that side A is the union of cosets q names:
+        # each label x lies in slot Mx, and A must be the labels whose slot
+        # is on side A.
+        in_slot = np.zeros(1 << len(q.normals), dtype=bool)
+        in_slot[q.a] = True
+        if not np.array_equal(in_slot[q.slots(np.arange(v.n))], cut._indicator):
+            raise ConsistencyError("side A is not a union of cosets of its translations")
+        roots = graph._walsh_roots(q.d, v._coupling / 2.0)
+        return _sector_entropy(q, v._diagonal[0], v._coupling, roots, base)
+    rows = np.flatnonzero(cut._indicator)
     r = _stacked_triangles(_position_covariance(v, rows)[None])
     # 4P_A from V_AA, gathered once F[:, A] is dropped: halved, then
     # quadrupled, in place.
@@ -787,3 +707,61 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     p4 *= 4.0
     form = _stacked_forms(r, p4[None])[0]
     return _entropy_from_cov(form, base)
+
+
+def _coupling(d: int, g) -> tuple:
+    """g checked as potential_matrix checks it on H(d,2), and V's diagonal
+    1 + 2gd and coupling 2g as it writes them."""
+    g = graph._check_coupling(g, d)
+    c = 2.0 * g
+    return g, c * d + 1.0, c
+
+
+def coset_cut_spectrum(d: int, normals, subset, g: float) -> ModeSpectrum:
+    """The engine's spectrum of the coset-union cut A = {x : Mx in S} of
+    H(d,2) at coupling g, for d up to 62, with no V or label array built.
+
+    M = normals is a full-rank c x d matrix of 0s and 1s whose rows span the
+    labels orthogonal to the translations that map A onto itself; column a
+    multiplies bit a of a label.  S = subset holds integers in 0..2^c - 1,
+    bit j standing for row j, neither none nor all of them (cosets module
+    docstring).  The parity cut is M = [[1] * d], S = [0].
+
+    Each distinct sector's V_chi is written from 1 + 2gd and -2g, certified
+    and whitened, as gamma_spectrum does on a hypercube V
+    (_sector_couplings).  Each distinct ratio is one Mode whose degeneracy
+    counts its copies, 2^(d-1) modes in all on a hyperplane.  A V_chi that
+    is not positive definite is a DefinitenessError, as potential_matrix's.
+    """
+    from . import cosets
+
+    q = cosets._of_normals(d, normals, subset)
+    g, diagonal, coupling = _coupling(q.d, g)
+    try:
+        sigma, counts = _sector_couplings(q, diagonal, coupling)
+    except DefinitenessError as exc:
+        raise graph._definiteness_hint(exc, g) from None
+    return _spectrum(sigma, counts, expand=False)
+
+
+def coset_cut_oracle(d: int, normals, subset, g: float, log_base=2) -> float:
+    """The oracle's entropy of the coset-union cut A = {x : Mx in S} of
+    H(d,2) at coupling g, with no V or label array built; d, normals and
+    subset as coset_cut_spectrum takes them.
+
+    Each distinct sector's covariance blocks are Walsh sums over the rows'
+    span (_sector_entropy).  V is certified on its Walsh eigenvalues
+    1 + 4gw, w = 0..d, exactly over rationals: the smallest, 1 + 4gd for
+    g < 0, must exceed EIG_FLOOR.
+    """
+    from . import cosets
+
+    base = _norm_log_base(log_base)
+    q = cosets._of_normals(d, normals, subset)
+    g, diagonal, coupling = _coupling(q.d, g)
+    if not 1 + 4 * min(Fraction(g), 0) * q.d > graph.EIG_FLOOR:
+        raise graph._definiteness_hint(
+            DefinitenessError("potential matrix is not positive definite"), g
+        )
+    roots = graph._walsh_roots(q.d, g)
+    return _sector_entropy(q, diagonal, coupling, roots, base)

@@ -162,9 +162,9 @@ def _vertex_labels(side) -> list:
 class Bipartition:
     """A two-sided split of vertices 0..n-1 into non-empty sides A and B.
 
-    Side A's indicator over 0..n-1 and, for n = 2^d, the translations of
-    H(d,2) that map side A onto itself are computed on first read and kept
-    with the cut, so the engine and the oracle of one cut read one copy.
+    Side A's indicator over 0..n-1 and, for n = 2^d, the cut's quotient form
+    as a coset-union cut of H(d,2) are computed on first read and kept with
+    the cut, so the engine and the oracle of one cut read one copy.
     """
 
     side_a: tuple
@@ -227,16 +227,14 @@ class Bipartition:
         return in_a
 
     @functools.cached_property
-    def _translations(self) -> list:
-        """The basis of the translations x -> x xor t of H(d,2) that map
-        side A onto itself (gaussian._translation_stabiliser), for
-        n = 2^d."""
-        # gaussian imports this module, so it is imported on use.
-        from . import gaussian
+    def _quotient(self):
+        """For n = 2^d, the cut as a union of cosets of the translations of
+        H(d,2) that map side A onto itself (cosets._of_cut), with its
+        sectors, or None when only 0 does."""
+        # cosets imports this module, so it is imported on use.
+        from . import cosets
 
-        return gaussian._translation_stabiliser(
-            self.n.bit_length() - 1, self._indicator
-        )
+        return cosets._of_cut(self.n.bit_length() - 1, self._indicator)
 
 
 def _lower_factor(a, n: int, whole: bool = True):
@@ -576,6 +574,17 @@ def _inv_sqrt(a: Fraction) -> Fraction:
 
 
 @functools.lru_cache
+def _walsh_roots(d: int, g: float) -> np.ndarray:
+    """phi(w) = 1/sqrt(2(1 + 4gw)) for w = 0..d, each correctly rounded,
+    read-only and computed once per (d, g): the eigenvalues of X^{1/2} on
+    the Walsh characters of weight w of H(d,2)."""
+    q = Fraction(g)
+    roots = np.array([float(_inv_sqrt(2 * (1 + 4 * q * w))) for w in range(d + 1)])
+    roots.setflags(write=False)
+    return roots
+
+
+@functools.lru_cache
 def _root_profile(d: int, g: float) -> np.ndarray:
     """Symmetric square root F = X^{1/2} of the position covariance
     X = V^{-1}/2 of H(d,2), at Hamming distance 0..d, read-only and
@@ -585,15 +594,14 @@ def _root_profile(d: int, g: float) -> np.ndarray:
     eigenvalue 1 + 4gl, and its projector has entries 2^-d K_l(dist(i,j))
     (Delsarte 1973), so F at distance k is
     2^-d sum_l K_l(k) / sqrt(2(1 + 4gl)).  Each term's 1/sqrt is rounded
-    once, and the terms, which alternate in sign, are summed over exact
-    rationals (a float g is one) and rounded to float once: every entry is
-    then within eps * F(0) of the exact root.
+    once (_walsh_roots), and the terms, which alternate in sign, are summed
+    over exact rationals (a float g is one) and rounded to float once: every
+    entry is then within eps * F(0) of the exact root.
     """
     # stratify imports this module, so its names are imported on use.
     from .stratify import krawtchouk
 
-    q = Fraction(g)
-    roots = [_inv_sqrt(2 * (1 + 4 * q * l)) for l in range(d + 1)]
+    roots = list(map(Fraction, _walsh_roots(d, g).tolist()))
     scale = Fraction(1, 2**d)
     profile = np.array(
         [
@@ -628,30 +636,41 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     rounds to 2g deg_max in float64: V would be the singular 2g L.  On H(d,2)
     the result carries the profile of the covariance root.
     """
+    degrees = graph.degrees()
+    g = _check_coupling(g, int(degrees.max()))
+    c = 2.0 * g
+    d = _hypercube_dim(graph)
+    try:
+        out = PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0, d)
+    except DefinitenessError as exc:
+        raise _definiteness_hint(exc, g) from None
+    if d is not None:
+        object.__setattr__(out, "profile", _root_profile(d, g))
+    return out
+
+
+def _check_coupling(g, deg_max: int) -> float:
+    """g as a float, refused when NaN or infinite, or when g > 0 is so strong
+    that 1 + 2g deg_max rounds to 2g deg_max in float64."""
     g = float(g)
     if not math.isfinite(g):
         raise DomainError("coupling g = %r must be finite" % g)
-    c = 2.0 * g
-    degrees = graph.degrees()
-    deg_max = int(degrees.max())
-    top = c * deg_max
+    top = 2.0 * g * deg_max
     # NaN compares false, so an overflowing 2g is refused here too.
     if g > 0.0 and not 1.0 + top > top:
         raise DomainError(
             "coupling g = %r is too strong for float64: 1 + 2g*%d rounds "
             "to 2g*%d, so V = I + 2gL is singular" % (g, deg_max, deg_max)
         )
-    d = _hypercube_dim(graph)
-    try:
-        out = PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0, d)
-    except DefinitenessError as exc:
-        # For g >= 0, V is positive definite in exact arithmetic; only
-        # rounding at strong coupling can fail the gate.
-        hint = "g too negative?" if g < 0 else "g = %r too strong for float64?" % g
-        raise DefinitenessError("%s (%s)" % (exc, hint)) from None
-    if d is not None:
-        object.__setattr__(out, "profile", _root_profile(d, g))
-    return out
+    return g
+
+
+def _definiteness_hint(exc: DefinitenessError, g: float) -> DefinitenessError:
+    """exc with the likely cause for coupling g: for g >= 0, V is positive
+    definite in exact arithmetic, and only rounding at strong coupling can
+    fail the gate."""
+    hint = "g too negative?" if g < 0 else "g = %r too strong for float64?" % g
+    return DefinitenessError("%s (%s)" % (exc, hint))
 
 
 def hamming_weights(d: int) -> np.ndarray:

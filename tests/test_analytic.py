@@ -26,7 +26,7 @@ from oscnet import (
     spin_x_block,
 )
 from oscnet.analytic import CLOSED_FORMS, MAX_DIMENSION, _q_ratio
-from oscnet.gaussian import _translation_stabiliser
+from oscnet.cosets import _translation_stabiliser
 from oscnet.graph import _hyperplane_cut
 from oscnet.stratify import block_table
 

@@ -14,7 +14,7 @@ import pytest
 
 import oscnet
 from oscnet import analytic_entropy, entropy_census, hypercube_graph, named_bipartition
-from oscnet import census, cli, gaussian, graph
+from oscnet import census, cli, cosets, gaussian, graph
 from oscnet.cli import main
 
 
@@ -57,10 +57,11 @@ def test_entropy_parity_cut_at_n_1024(capsys):
 
 
 def test_an_entropy_op_pays_each_fixed_cost_once(monkeypatch, capsys):
-    # On the H(6,2) parity cut: the translations T are computed once and
-    # read by both routes, side A's labels are checked once, and two main
-    # calls of one process build one parser.  The bytes are those of a
-    # fresh process.
+    # On the H(6,2) parity cut: the translations T and the distinct sectors
+    # are computed once and read by both routes, side A's labels are
+    # checked once, the per-mode entropies are evaluated once for the table
+    # and the engine's total, and two main calls of one process build one
+    # parser.  The bytes are those of a fresh process.
     calls = {}
 
     def counting(owner, name):
@@ -73,7 +74,9 @@ def test_an_entropy_op_pays_each_fixed_cost_once(monkeypatch, capsys):
         monkeypatch.setattr(owner, name, counted)
 
     for owner, name in (
-        (gaussian, "_translation_stabiliser"),
+        (cosets, "_translation_stabiliser"),
+        (cosets, "_sectors"),
+        (gaussian.ModeSpectrum, "entropies"),
         (graph, "_vertex_labels"),
         (cli, "build_parser"),
     ):
@@ -82,7 +85,13 @@ def test_an_entropy_op_pays_each_fixed_cost_once(monkeypatch, capsys):
     argv = ["entropy", "--graph", "hypercube:6", "--subset", PARITY_6, "--format", "json"]
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert calls == {"build_parser": 1, "_vertex_labels": 1, "_translation_stabiliser": 1}
+    assert calls == {
+        "build_parser": 1,
+        "_vertex_labels": 1,
+        "_translation_stabiliser": 1,
+        "_sectors": 1,
+        "entropies": 1,
+    }
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     assert calls["build_parser"] == 1
@@ -525,7 +534,9 @@ def test_analytic_spectrum_and_entropy_output_bytes_are_pinned(capsys):
 # the bits of the engine and the oracle.  The parity cuts' entries were
 # pinned again when the engine split coset-union cuts of H(d,2) into
 # translation sectors, and again when the oracle did and the engine's total
-# was summed by fsum; the text changed only in its difference line.  At
+# was summed by fsum; the text changed only in its difference line.  The
+# H(6,2) entries were pinned again when the oracle's sectors took the
+# Walsh form; the H(10,2) oracle kept its bits.  At
 # n = 1024 BLAS rounds differently on more threads, so the commands run in
 # a child process with one BLAS thread.
 PARITY_10 = ",".join(str(v) for v in range(1024) if bin(v).count("1") % 2 == 0)
@@ -536,9 +547,9 @@ FULL_ENTROPY_DIGESTS = {
     ("hypercube:10", PARITY_10, "0.5", "json"):
         "bc18f878d32adcb98bfaa87055c1fcaaf20f4d8d69841654ce0bf7ef6a787307",
     ("hypercube:6", PARITY_6, "1e8", "text"):
-        "a658b3967b4819f3fbae7954416ed672c0fb1faf76e5460e523b7d63d779ed59",
+        "f1ec440838c8c3d193f1fa5ab4654973dbafd794cf0e89ddb06a4fd9a7cb9d3d",
     ("hypercube:6", PARITY_6, "1e8", "json"):
-        "a79abf7fa8d1adeb156f716add75f9ec532f4813422288c5918daa451a813fa9",
+        "0c1c7143e59388acce6380817368c0fd43230abbcf327401ca91c6a605d02632",
     ("file:chorded.txt", "1,4", "0.5", "text"):
         "015227370e4ec161f92bf1086cc223a4310cd73d459ecf932fad1856653b3fb3",
     ("file:chorded.txt", "1,4", "0.5", "json"):
@@ -716,6 +727,23 @@ def test_verify_refuses_a_large_d_before_the_closed_form(monkeypatch, capsys):
     monkeypatch.setattr(oscnet.analytic, "analytic_entropy", closed_form)
     assert main(["verify", "--scheme", "parity", "--d", "1000"]) == 2
     assert "hypercube dimension" in capsys.readouterr().err
+
+
+def test_verify_past_the_largest_graph(capsys):
+    # d = 13..62 checks the parity and coordinate closed forms against the
+    # oracle's quotient route; no Graph or V is built.  At the default
+    # g = 0.5 the totals' rounding stays within the default absolute
+    # tolerance up to d = 22.
+    for scheme in ("parity", "identity-cut"):
+        for d in ("13", "20"):
+            assert main(["verify", "--scheme", scheme, "--d", d]) == 0
+            assert "VERIFY OK" in capsys.readouterr().out
+    # half-strata is no coset cut: its refusal is unchanged, and d = 63
+    # passes the int64 labels of the quotient route.
+    assert main(["verify", "--scheme", "half-strata", "--d", "13"]) == 2
+    assert "hypercube dimension must be an integer in 1..12" in capsys.readouterr().err
+    assert main(["verify", "--scheme", "parity", "--d", "63"]) == 2
+    assert "hypercube dimension must be an integer in 1..62" in capsys.readouterr().err
 
 
 def test_spectrum_command(monkeypatch, capsys):

@@ -26,11 +26,10 @@ from oscnet import (
     potential_matrix,
     schmidt_spectrum,
 )
-from oscnet import gaussian
+from oscnet import cosets, gaussian
 from oscnet.gaussian import (
     NU_SLACK,
     SOLVE_LEAF,
-    _cut_stabiliser,
     _entropy_from_cov,
     _norm_log_base,
     _position_covariance,
@@ -653,7 +652,7 @@ def test_single_cut_holds_few_blocks_at_once(monkeypatch):
     cut = named_bipartition(10, "parity")
     a = list(cut.side_a)
     a[0] = cut.side_b[0]
-    assert _cut_stabiliser(v, Bipartition.from_side_a(v.n, a))[1] == []
+    assert Bipartition.from_side_a(v.n, a)._quotient is None
     engine = lambda: gamma_spectrum(plain, cut)  # noqa: E731
     oracle = lambda: entropy_oracle_symplectic(v, a)  # noqa: E731
     # On v the parity cut splits into translation sectors, and both routes
@@ -668,7 +667,7 @@ def test_single_cut_holds_few_blocks_at_once(monkeypatch):
     picked = np.random.default_rng(10).choice(lows, size=v.n // 4, replace=False)
     one = np.sort(np.concatenate((picked, picked ^ t)))
     coset_cut = Bipartition.from_side_a(v.n, one.tolist())
-    assert [u for _, u in _cut_stabiliser(v, coset_cut)[1]] == [t]
+    assert list(coset_cut._quotient.basis.values()) == [t]
     coset_oracle = lambda: entropy_oracle_symplectic(v, one)  # noqa: E731
     coset_engine = lambda: gamma_spectrum(v, coset_cut)  # noqa: E731
     # Warm-up calls, so first-use allocations stay out of the peaks.
@@ -686,7 +685,7 @@ def test_single_cut_holds_few_blocks_at_once(monkeypatch):
     # sector as a PotentialMatrix beside int64 hop counts held 4.04; both
     # sectors in one stack hold 3.76.
     assert _traced_peak_in_blocks(coset_engine, v.n) <= 3.0
-    monkeypatch.setattr(gaussian, "_translation_stabiliser", lambda d, in_a: [])
+    monkeypatch.setattr(cosets, "_translation_stabiliser", lambda d, in_a: [])
     assert sector_peak <= _traced_peak_in_blocks(coset_oracle, v.n)
 
 

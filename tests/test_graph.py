@@ -27,7 +27,7 @@ from oscnet import (
     potential_matrix,
     stratified_adjacency,
 )
-from oscnet.gaussian import _translation_stabiliser
+from oscnet.cosets import _translation_stabiliser
 from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR, _lower_factor, _shifted_diagonal
 
 

@@ -23,6 +23,8 @@ PUBLIC_NAMES = [
     "__version__",
     "analytic_entropy",
     "block_table",
+    "coset_cut_oracle",
+    "coset_cut_spectrum",
     "entropy_census",
     "entropy_from_nu",
     "entropy_of_bipartition",

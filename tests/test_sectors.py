@@ -1,11 +1,13 @@
 """The translation-sector routes of the engine and the oracle on
-coset-union cuts of H(d,2)."""
+coset-union cuts of H(d,2), from labels and from the quotient form."""
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +16,13 @@ import oscnet
 from oscnet import (
     Bipartition,
     ConsistencyError,
+    DefinitenessError,
+    DomainError,
+    GraphSizeError,
     PotentialMatrix,
     SingularityError,
+    coset_cut_oracle,
+    coset_cut_spectrum,
     entropy_oracle_symplectic,
     gamma_hyperplane_cut,
     gamma_spectrum,
@@ -23,8 +30,8 @@ from oscnet import (
     named_bipartition,
     potential_matrix,
 )
-from oscnet import gaussian
-from oscnet.gaussian import _sector_characters, _translation_stabiliser
+from oscnet import cosets, gaussian
+from oscnet.cosets import _translation_stabiliser
 from oscnet.graph import _hyperplane_cut
 
 
@@ -150,8 +157,7 @@ def test_sector_oracle_matches_the_cholesky_oracle(monkeypatch, d):
     rng = np.random.default_rng(d)
     for k in sorted({1, d // 2, d - 1}):
         side_a, _ = _coset_union(rng, d, k)
-        found = _translation_stabiliser(d, _indicator(1 << d, side_a))
-        distinct = len(_sector_characters(d, found)[2])
+        distinct = len(Bipartition.from_side_a(1 << d, side_a)._quotient.characters)
         for g in sorted(SECTOR_ORACLE_TOL):
             v = potential_matrix(hypercube_graph(d), g)
             dense = entropy_oracle_symplectic(PotentialMatrix(v.matrix), side_a)
@@ -207,7 +213,7 @@ def test_oracle_refuses_a_translation_that_moves_side_a(monkeypatch):
     # x -> x xor 1 swaps the parity cut's sides; so does any odd t.
     (f, t), rest = basis[-1], basis[:-1]
     for wrong in ([(0, 1)], rest + [(f, t ^ 1)]):
-        monkeypatch.setattr(gaussian, "_translation_stabiliser", lambda d, a: wrong)
+        monkeypatch.setattr(cosets, "_translation_stabiliser", lambda d, a: wrong)
         with pytest.raises(ConsistencyError):
             entropy_oracle_symplectic(v, side_a)
     monkeypatch.undo()
@@ -411,3 +417,138 @@ def test_parity_sectors_take_one_stack_and_one_mode_per_ratio(monkeypatch):
     assert calls["entropy_from_nu"] == len({m.nu for m in spectrum.modes})
     assert spectrum.mode_count() == len(spectrum.modes) == len(entropies) == 512
     assert len({id(m) for m in spectrum.modes}) == calls["_mode"]
+
+
+def _quotient_form(rng, d, cut):
+    """(M, S) of a coset-union cut of H(d,2): M's rows a random invertible
+    mix of a basis of T^perp, S read off side A's labels."""
+    rows = list(cut._quotient.normals)
+    for _ in range(3 * len(rows)):
+        i, j = rng.choice(len(rows), size=2, replace=len(rows) == 1)
+        if i != j:
+            rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    image = [sum((bin(x & r).count("1") & 1) << j for j, r in enumerate(rows)) for x in range(1 << d)]
+    subset = sorted({image[x] for x in cut.side_a})
+    # A is every label whose image lies in S.
+    assert sorted(x for x in range(1 << d) if image[x] in subset) == list(cut.side_a)
+    normals = [[r >> a & 1 for a in range(d)] for r in rows]
+    return normals, subset
+
+
+def _expanded(spectrum):
+    return [(m.gamma, m.nu) for m in spectrum.modes for _ in range(m.degeneracy)]
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 8, 10])
+def test_quotient_routes_match_the_label_routes(d):
+    # From (M, S) both routes derive the sectors that the label routes
+    # derive from side A, in the same order, so their bits agree; the
+    # quotient engine lists each ratio once with its copies as degeneracy.
+    rng = np.random.default_rng(40 + d)
+    for cut in _sector_cuts(d):
+        normals, subset = _quotient_form(rng, d, cut)
+        for g in (0.01, 0.5, 100, 1e8):
+            v = potential_matrix(hypercube_graph(d), g)
+            labels = gamma_spectrum(v, cut)
+            quotient = coset_cut_spectrum(d, normals, subset, g)
+            assert len(quotient.modes) == len({m.gamma for m in quotient.modes})
+            assert _expanded(quotient) == _expanded(labels)
+            oracle = entropy_oracle_symplectic(v, cut)
+            assert coset_cut_oracle(d, normals, subset, g) == oracle
+
+
+# Measured worst differences from the closed forms over every weight at
+# d = 13, 20, 40 and 60, relative: the engine's totals 3.7e-14 at g = 0.5
+# and 5.2e-10 at g = 1e8 (the parity cut of H(13,2), whose top ratio is
+# 1 - 1e-9), its sums of degeneracy * gamma 2.2e-16 and 3.2e-16, the
+# oracle's totals 1.8e-13 and 2.8e-13; the top ratios 3.3e-16 apart.  The
+# oracle's largest differences are on the low weights, whose weak modes
+# lose digits in nu - 1 (ROADMAP item 11).
+QUOTIENT_ENGINE_TOL = {0.5: 1e-13, 1e8: 1e-9}
+QUOTIENT_GAMMA_TOL = 1e-15
+QUOTIENT_ORACLE_TOL = {0.5: 4e-13, 1e8: 6e-13}
+
+
+@pytest.mark.parametrize("g", [0.5, 1e8])
+@pytest.mark.parametrize("d", [13, 20, 40, 60])
+def test_quotient_routes_match_the_closed_forms_past_the_largest_graph(d, g):
+    for w in range(1, d + 1):
+        # The normal of the lowest w bits, S = {0}.
+        normals = [[1] * w + [0] * (d - w)]
+        closed = gamma_hyperplane_cut(d, w, g)
+        spectrum = coset_cut_spectrum(d, normals, [0], g)
+        assert spectrum.mode_count() == closed.mode_count() == 1 << (d - 1)
+        total = closed.total_entropy()
+        assert abs(spectrum.total_entropy() - total) <= QUOTIENT_ENGINE_TOL[g] * total
+        weighted = [math.fsum(m.degeneracy * m.gamma for m in s.modes) for s in (closed, spectrum)]
+        assert abs(weighted[1] - weighted[0]) <= QUOTIENT_GAMMA_TOL * weighted[0], w
+        assert abs(spectrum.modes[0].gamma - closed.modes[0].gamma) <= QUOTIENT_GAMMA_TOL
+        oracle = coset_cut_oracle(d, normals, [0], g)
+        assert abs(oracle - total) <= QUOTIENT_ORACLE_TOL[g] * total, w
+
+
+def test_quotient_routes_hold_no_label_sized_buffer():
+    # H(40,2) has 2^40 labels, so one float per label would take 8 TiB;
+    # both routes of its parity cut hold its 40 distinct 2 x 2 sectors and
+    # arrays of O(d) values per sector.  Measured peaks, warm: 41 kB for
+    # the engine, 327 kB for the oracle, mostly the list of 82 exact terms
+    # per entry that its fsums read.
+    normals = [[1] * 40]
+    for call in (coset_cut_spectrum, coset_cut_oracle):
+        call(40, normals, [0], 0.5)
+        tracemalloc.start()
+        try:
+            call(40, normals, [0], 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, (call, peak)
+
+
+def test_quotient_routes_refuse_what_names_no_cut():
+    parity = [[1] * 4]
+    for call in (coset_cut_spectrum, coset_cut_oracle):
+        # A rank-deficient M, out-of-range S, S empty or all of F_2^c.
+        for normals, subset in (
+            ([[1, 1, 0, 0], [1, 1, 0, 0]], [0]),
+            ([[1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]], [0]),
+            ([[0, 0, 0, 0]], [0]),
+            (parity, [2]),
+            (parity, [-1]),
+            (parity, []),
+            (parity, [0, 1]),
+            (parity, [0, 0]),
+            (parity, [0.0]),
+            (parity, [True]),
+            ([[1, 2, 0, 1]], [0]),
+            ([[1.0, 1.0, 1.0, 1.0]], [0]),
+            ([[1, 1, 1]], [0]),
+            ([1, 1, 1, 1], [0]),
+            (np.zeros((0, 4), dtype=int), [0]),
+        ):
+            with pytest.raises(ValueError):
+                call(4, normals, subset, 0.5)
+        # d outside 1..62, and a coupling potential_matrix refuses.
+        for d in (0, 63, 4.0, True):
+            with pytest.raises(GraphSizeError):
+                call(d, [[1] * 63], [0], 0.5)
+        for g in (math.nan, math.inf, -math.inf, 1e300):
+            with pytest.raises(DomainError):
+                call(4, parity, [0], g)
+        # lambda_min(V) = 1 + 16g: certified at g = -0.06, refused at -0.07,
+        # by the engine on its V_chi and by the oracle on 1 + 4gw.
+        assert call(4, parity, [0], -0.06) is not None
+        with pytest.raises(DefinitenessError, match="g too negative"):
+            call(4, parity, [0], -0.07)
+    # More distinct sectors than MAX_SECTOR_ENTRIES values: 19 sectors of
+    # 4096 cosets, refused before any is built.
+    first = [[int(a == j) for a in range(30)] for j in range(12)]
+    with pytest.raises(GraphSizeError, match="distinct sectors"):
+        coset_cut_spectrum(30, first, [0], 0.5)
+
+
+def test_quotient_routes_refuse_as_the_label_routes_do_at_strong_coupling():
+    # The top parity ratio of H(4,2) rounds to 1 at g = 1e15, as on V.
+    with pytest.raises(SingularityError):
+        coset_cut_spectrum(4, [[1] * 4], [0], 1e15)
