@@ -51,11 +51,12 @@ that A is the union of cosets the quotient form names.  The engine and
 the oracle's Cholesky route share one primitive, the triangular solve
 _solve_lower, and nothing else.  Certification (graph._lower_factor) also calls it, to halve by Schur
 complements a V that is neither small nor a hypercube's (H(d,2) is
-certified on its low sub-cube's block), but it is the gate before both
-routes and neither reads its result.  _solve_lower halves a triangle down
-to leaves of at most SOLVE_LEAF rows, applies each leaf's inverse by matmul
-and refines the result once in working precision, so nearly all its flops
-are matmul's.  Both, like _whitened_couplings, also take stacks.
+certified by the 1 x 1 leaf of its exact smallest eigenvalue), but it is
+the gate before both routes and neither reads its result.  _solve_lower
+halves a triangle down to leaves of at most SOLVE_LEAF rows, applies each
+leaf's inverse by matmul and refines the result once in working precision,
+so nearly all its flops are matmul's.  Both, like _whitened_couplings,
+also take stacks.
 
 A spectrum carries no log base, the unit of an entropy, not of its gammas
 and nus: gamma_spectrum and analytic's gamma_* closed forms take none;

@@ -36,9 +36,9 @@ EIG_FLOOR = 1e-12
 # Matrices of at most this order are certified by one Cholesky call; larger
 # ones are halved (see _lower_factor).  Leaves of 128, 256 and 512 rows
 # certified the n = 1024 V of H(10,2) in 16-17 ms against 24 ms for one
-# call; 256 was the fastest, and at n = 2048 too.  A V of H(d,2) is never
-# halved: it is certified on its low sub-cube of at most this many vertices
-# (PotentialMatrix._from_graph).
+# call; 256 was the fastest, and at n = 2048 too.  Only V of other graphs
+# and raw arrays are halved: a V of H(d,2) is certified by the 1 x 1 leaf of
+# its exact smallest eigenvalue (PotentialMatrix._from_graph).
 CERTIFY_LEAF = 256
 # Side of the square tiles the symmetry check compares; a tile pair fits in
 # a core's L2 cache.
@@ -368,19 +368,15 @@ class PotentialMatrix:
         block, so only its top-level quarters are built, and subtracts the
         floor at its leaves, in place.
 
-        H(d,2) is H(d-k,2) x H(k,2), so with m = 2^(d-k) the V it has here,
-        D I - c A for the float diagonal D and coupling c, is
-        I (x) V[:m, :m] - c A_{H(k)} (x) I over labels read as k high and
-        d-k low bits.  Its eigenvalues are every sum of one of the low
-        sub-cube's block V[:m, :m] and one of -c A_{H(k)}, -c(k - 2s) for
-        s = 0..k (Cvetkovic, Doob and Sachs, Spectra of Graphs, 2.5).  So
-        lambda_min(V) is exactly lambda_min(V[:m, :m]) - |c| k, and V is
-        certified by the one leaf V[:m, :m] - |c| k I, with
-        k = d - log2 CERTIFY_LEAF when positive.  Its diagonal is the float
-        at or below D - |c| k (_shifted_diagonal), so rounding never makes
-        the leaf more definite than V.  For d up to log2 CERTIFY_LEAF, k = 0
-        and this is the one Cholesky of all of V that _lower_factor makes
-        there, bit for bit.
+        On H(d,2) the V it has here is D I - c A for the float diagonal D
+        and coupling c, and the adjacency A of H(d,2) has the eigenvalues
+        d - 2w for w = 0..d (Cvetkovic, Doob and Sachs, Spectra of Graphs,
+        2.5; the paper's 2 J_x).  So V's eigenvalues are exactly
+        D - c(d - 2w), and lambda_min(V) = D - |c| d for either sign of c:
+        V is certified by the 1 x 1 leaf of that value.  It is the float at
+        or below D - |c| d (_shifted_diagonal with k = d), so rounding never
+        makes the leaf more definite than V, and it loses EIG_FLOOR in
+        _lower_factor like any other leaf.
         """
         v = cls.__new__(cls)
         diagonal.setflags(write=False)
@@ -396,14 +392,8 @@ class PotentialMatrix:
             every = np.arange(v.n)
             _lower_factor(lambda r, c: v.block(every[r], every[c]), v.n, whole=False)
             return v
-        k = max(0, cube - (CERTIFY_LEAF.bit_length() - 1))
-        low = np.arange(v.n >> k)
-        leaf = v.block(low, low)
-        if k:
-            leaf[np.diag_indices(low.size)] = _shifted_diagonal(
-                float(diagonal[0]), coupling, k
-            )
-        _lower_factor(leaf, low.size, whole=False)
+        leaf = np.array([[_shifted_diagonal(float(diagonal[0]), coupling, cube)]])
+        _lower_factor(leaf, 1, whole=False)
         return v
 
     # The gate and the block reader are methods rather than module functions

@@ -374,13 +374,14 @@ def test_certify_never_factors_more_than_a_leaf(monkeypatch):
     assert peak <= 0.75 * v.nbytes
 
 
-def test_a_hypercube_is_certified_by_one_leaf_of_its_low_sub_cube(monkeypatch):
+def test_a_hypercube_is_certified_by_one_leaf_of_its_smallest_eigenvalue(monkeypatch):
+    # lambda_min(V) = D - |c| d is known exactly, so every hypercube is
+    # certified by one column-major 1 x 1 leaf, whatever its order.
     factored = _spy_on_cholesky(monkeypatch)
-    for d in (8, 10, 12):
+    for d in range(1, 13):
         factored.clear()
         potential_matrix(hypercube_graph(d), 0.5)
-        m = min(1 << d, CERTIFY_LEAF)
-        assert [(shape, f) for shape, f, _ in factored] == [((m, m), True)]
+        assert [(shape, f) for shape, f, _ in factored] == [((1, 1), True)], d
     # One H(10,2) edge short, the graph is no hypercube: it is certified by
     # halves, four leaves, and gets no root table.
     cube = hypercube_graph(10)
@@ -398,9 +399,9 @@ def test_a_hypercube_is_certified_by_one_leaf_of_its_low_sub_cube(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 3 * (near.n // 2) ** 2 * 8
-    # The sub-cube certificate of H(12,2) holds one 256 x 256 leaf and the
-    # block writer's index vectors: 1.07 MiB traced, where halving all of
-    # its V took 85 MiB (1.40 MiB while the writer scanned every edge).
+    # The certificate of H(12,2) holds no block: 0.59 MiB traced, the
+    # degrees and the hypercube test's edge temporaries, where the 256 x 256
+    # leaf of its low sub-cube took 1.07 MiB and halving all of its V 85 MiB.
     cube = hypercube_graph(12)
     potential_matrix(cube, 0.5)
     tracemalloc.start()
@@ -409,7 +410,7 @@ def test_a_hypercube_is_certified_by_one_leaf_of_its_low_sub_cube(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * 2**20
+    assert peak <= 0.65 * 2**20
 
 
 def _dense_potential(graph, g):
@@ -471,7 +472,7 @@ def test_a_hypercube_block_holds_little_beside_itself():
     assert peak <= 0.7 * 2**20
 
 
-@pytest.mark.parametrize("d", [9, 10, 11])
+@pytest.mark.parametrize("d", range(1, 12))
 def test_a_hypercube_certificate_gives_the_verdict_of_all_of_v(d):
     graph = hypercube_graph(d)
     assert np.array_equal(
@@ -484,7 +485,11 @@ def test_a_hypercube_certificate_gives_the_verdict_of_all_of_v(d):
         for g in (0.0, 1e-8, 0.5, 100.0, 1e8, 1e12, 1e13, 1e14, 4e14, -0.01)
         for sign in (1.0, -1.0)
     ]
-    couplings += [edge * (1 + s * delta) for delta in (1e-9, 1e-12) for s in (1, -1)]
+    couplings += [
+        edge * (1 + s * delta)
+        for delta in (1e-9, 1e-12, 1e-14, 1e-15)
+        for s in (1, -1)
+    ]
     couplings.append(edge)
     verdicts = []
     for g in couplings:
@@ -502,31 +507,39 @@ def test_a_hypercube_certificate_gives_the_verdict_of_all_of_v(d):
         except DefinitenessError:
             certified = False
         assert certified == whole, g
+        # The leaf s, the float at or below the exact lambda_min(V), passes
+        # when fl(s - EIG_FLOOR) > 0, that is when s > EIG_FLOOR: the exact
+        # verdict everywhere but within one ulp above the floor, where s
+        # may round down onto it.
+        c = 2.0 * g
+        exact = Fraction(c * d + 1.0) - abs(Fraction(c)) * d
+        if not EIG_FLOOR < exact <= math.nextafter(EIG_FLOOR, math.inf):
+            assert certified == (exact > EIG_FLOOR), g
         verdicts.append(certified)
     assert set(verdicts) == {True, False}
 
 
 def test_a_hypercube_leaf_diagonal_never_rounds_above_the_exact_shift(monkeypatch):
-    # On H(10,2) at g = 0.1, k = 2 and the float nearest the exact
-    # D - |c| k lies above it, so the leaf's diagonal steps down one ulp.
-    d, g = 10, 0.1
-    k = d - (CERTIFY_LEAF.bit_length() - 1)
+    # On H(9,2) at g = 0.1 the float nearest the exact lambda_min(V),
+    # D - |c| d, lies above it, so the leaf steps down one ulp.
+    d, g = 9, 0.1
     c = 2.0 * g
     diagonal = c * d + 1.0
-    exact = Fraction(diagonal) - abs(Fraction(c)) * k
+    exact = Fraction(diagonal) - abs(Fraction(c)) * d
     assert Fraction(float(exact)) > exact
-    shifted = _shifted_diagonal(diagonal, c, k)
+    shifted = _shifted_diagonal(diagonal, c, d)
     assert shifted == math.nextafter(float(exact), -math.inf)
     assert Fraction(shifted) <= exact
     factored = _spy_on_cholesky(monkeypatch)
     potential_matrix(hypercube_graph(d), g)
-    ((_, _, leaf),) = factored
+    ((shape, _, leaf),) = factored
+    assert shape == (1, 1)
     # The leaf is factored less EIG_FLOOR.
-    assert np.all(leaf == shifted - EIG_FLOOR)
-    assert all(Fraction(x) <= exact for x in leaf)
+    assert leaf.tolist() == [shifted - EIG_FLOOR]
+    assert Fraction(leaf[0]) <= exact
     # A term too large for a float leaves a V that is not definite.
-    assert _shifted_diagonal(-math.inf, -math.inf, k) == -math.inf
-    assert _shifted_diagonal(-1.7e308, -1.7e308, k) == -math.inf
+    assert _shifted_diagonal(-math.inf, -math.inf, d) == -math.inf
+    assert _shifted_diagonal(-1.7e308, -1.7e308, d) == -math.inf
 
 
 def test_certify_holds_no_copy_of_a_read_only_v():
