@@ -541,6 +541,13 @@ def test_analytic_spectrum_and_entropy_output_bytes_are_pinned(capsys):
 # a child process with one BLAS thread.
 PARITY_10 = ",".join(str(v) for v in range(1024) if bin(v).count("1") % 2 == 0)
 PARITY_6 = ",".join(str(v) for v in range(64) if bin(v).count("1") % 2 == 0)
+PARITY_12 = ",".join(str(v) for v in range(4096) if bin(v).count("1") % 2 == 0)
+# The H(8,2) parity side A with vertex 0 swapped for vertex 1: no translation
+# maps it onto itself, so it takes the dense engine and oracle, and its 128
+# modes are all distinct.
+SWAPPED_8 = ",".join(
+    ["1"] + [str(v) for v in range(1, 256) if bin(v).count("1") % 2 == 0]
+)
 FULL_ENTROPY_DIGESTS = {
     ("hypercube:10", PARITY_10, "0.5", "text"):
         "01f0868c9f595c5ee1bf3dcc09add3e2714c1b89443b973c72b778545aff5e63",
@@ -554,6 +561,15 @@ FULL_ENTROPY_DIGESTS = {
         "015227370e4ec161f92bf1086cc223a4310cd73d459ecf932fad1856653b3fb3",
     ("file:chorded.txt", "1,4", "0.5", "json"):
         "6605a4036a884285fbe664ab996f9defcf396e78e5352c9d063b1939a0503c29",
+    # 2048 modes in runs of equal values
+    ("hypercube:12", PARITY_12, "0.5", "text"):
+        "aa74a370b42faa3a3e376e87eeac695500fb3780b77bb9075ec6fdb9987b7f91",
+    ("hypercube:12", PARITY_12, "0.5", "json"):
+        "1c64e920e6a8859bd197282aa3d9b59173b998a60249ff116860c123d53c3e02",
+    ("hypercube:8", SWAPPED_8, "0.5", "text"):
+        "cba4a451d9b3a383c79a1ab34785b441d984e4dec6e8a46606044713f0aee147",
+    ("hypercube:8", SWAPPED_8, "0.5", "json"):
+        "0a0c2744f5e2dec0735b693cde551d186d7d374e917f30ee2ea79a816d9bfc12",
 }
 
 
