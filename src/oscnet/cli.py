@@ -105,24 +105,27 @@ def _emit_modes(args, config, spectrum, entropies, totals):
     """Report a mode table "gamma nu degeneracy entropy" and named totals.
 
     entropies is spectrum.entropies(args.log_base), and totals lists (text
-    label, JSON key, value) triples.
+    label, JSON key, value) triples.  Each run of equal modes is formatted
+    once, and its text line or JSON entry repeated.
     """
-    rows = [
-        (m.gamma, m.nu, m.degeneracy, s) for m, s in zip(spectrum.modes, entropies)
-    ]
+    runs, at = [], 0
+    for mode, copies in spectrum._runs:
+        runs.append((mode, entropies[at], copies))
+        at += copies
 
     def text():
         lines = ["gamma nu degeneracy entropy"]
-        for (g, nu, deg, s), run in itertools.groupby(rows):
-            line = "%s %s %d %s" % (_fmt(g), _fmt(nu), deg, _fmt(s))
-            lines += [line] * sum(1 for _ in run)
+        for m, s, count in runs:
+            line = "%s %s %d %s" % (_fmt(m.gamma), _fmt(m.nu), m.degeneracy, _fmt(s))
+            lines += [line] * count
         return lines + ["%s = %s" % (label, _fmt(value)) for label, _, value in totals]
 
     def doc():
-        modes = [
-            {"gamma": g, "nu": nu, "degeneracy": deg, "entropy": s}
-            for g, nu, deg, s in rows
-        ]
+        modes = []
+        for m, s, count in runs:
+            modes += [
+                {"gamma": m.gamma, "nu": m.nu, "degeneracy": m.degeneracy, "entropy": s}
+            ] * count
         return {"modes": modes, **{key: value for _, key, value in totals}}
 
     _emit(args, config, text, doc)

@@ -28,13 +28,13 @@ two independent ways:
   _stacked_triangles reduces k cuts' factor columns F[:, A] to triangles R
   by one QR, _stacked_forms takes those and the 4P blocks to the forms
   R 4P_A R^T by one matmul; the census feeds it chunks of partitions, the
-  single cut k = 1.  Each form then takes one eigvalsh (_symplectic_nus)
-  and one entropy_from_nu per nu (_entropy_from_cov).  On a table-carrying
+  single cut k = 1.  Each form then takes one eigvalsh and one
+  entropy_from_nu per nu (_entropy_from_cov).  On a table-carrying
   V, a cut that the engine splits into sectors is split by the oracle too
   (_sector_entropy): each distinct sector's F_chi is a Walsh sum of the
   eigenvalues of X^{1/2} and its 4P_chi a sum of V's distance-0 and
-  distance-1 entries, run through the same kernel; the H(10,2) parity cut
-  becomes ten 1 x 1 forms.
+  distance-1 entries, run through the same kernel, with one eigvalsh for
+  the stack of forms; the H(10,2) parity cut becomes ten 1 x 1 forms.
 
 coset_cut_spectrum and coset_cut_oracle run the two sector routes on a cut
 named by its quotient form (d, M, S), A = {x : Mx in S}, with no V, labels
@@ -86,8 +86,10 @@ V_chi, like the census's gathers, are held to STACK_BYTES.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -244,14 +246,35 @@ class ModeSpectrum:
 
     The spectrum has no unit: entropies and total_entropy take the log base.
     The sort is stable, so modes of equal gamma keep the order they came in.
+    entropies and the totals take one Python-level step per run of equal
+    modes, not per mode: gamma_spectrum lists a ratio's copies as one
+    shared Mode object, and hands its runs over with the modes.
     """
 
     modes: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "modes", tuple(sorted(self.modes, key=lambda m: -m.gamma))
-        )
+        # reverse keeps a stable sort's order among equal keys, so this is
+        # the order of the key -gamma.
+        modes = sorted(self.modes, key=operator.attrgetter("gamma"), reverse=True)
+        object.__setattr__(self, "modes", tuple(modes))
+
+    @classmethod
+    def _of_runs(cls, runs: list) -> "ModeSpectrum":
+        """The spectrum of runs, (mode, copies) pairs in descending gamma,
+        listing each mode's copies as one shared object.  modes is built by
+        list repetition, not sorted again, and the runs are kept."""
+        spectrum = cls.__new__(cls)
+        modes = itertools.chain.from_iterable(itertools.repeat(*run) for run in runs)
+        object.__setattr__(spectrum, "modes", tuple(modes))
+        object.__setattr__(spectrum, "_runs", runs)
+        return spectrum
+
+    @functools.cached_property
+    def _runs(self) -> list:
+        """(mode, copies) for each run of equal modes; equal modes have the
+        same entropy.  A run of one shared object is stepped over in C."""
+        return [(m, len(list(run))) for m, run in itertools.groupby(self.modes)]
 
     def mode_count(self) -> int:
         """Total number of modes, degeneracies included."""
@@ -268,9 +291,13 @@ class ModeSpectrum:
         """S(nu) of one copy of each mode, in mode order; each distinct nu
         is evaluated once."""
         base = _norm_log_base(log_base)
-        nus = dict.fromkeys(m.nu for m in self.modes)
-        s = {nu: entropy_from_nu(nu, base) for nu in nus}
-        return [s[m.nu] for m in self.modes]
+        s = {}
+        out = []
+        for m, copies in self._runs:
+            if m.nu not in s:
+                s[m.nu] = entropy_from_nu(m.nu, base)
+            out += [s[m.nu]] * copies
+        return out
 
     def total_entropy(self, log_base=2) -> float:
         """Sum of degeneracy * S(nu) over all modes, correctly rounded
@@ -279,8 +306,15 @@ class ModeSpectrum:
         return self._total(self.entropies(log_base))
 
     def _total(self, entropies) -> float:
-        """total_entropy from the list entropies returned."""
-        return math.fsum(m.degeneracy * s for m, s in zip(self.modes, entropies))
+        """total_entropy from the list entropies returned: the fsum of the
+        term degeneracy * S(nu) of each mode, each run's term computed
+        once."""
+        terms = []
+        at = 0
+        for m, copies in self._runs:
+            terms += [m.degeneracy * entropies[at]] * copies
+            at += copies
+        return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -454,11 +488,12 @@ def _spectrum(sigma: np.ndarray, counts, expand: bool = True) -> ModeSpectrum:
     for row, count in zip(sigma.tolist(), counts):
         for s in row:
             totals[s] = totals.get(s, 0) + count
+    # Descending ratios give descending gammas: _mode maps only ratios
+    # below GAMMA_ZERO, the smallest, to 0.
     pairs = sorted(totals.items(), reverse=True)
     if not expand:
-        return ModeSpectrum(tuple(_mode(s, count) for s, count in pairs))
-    runs = (itertools.repeat(_mode(s), count) for s, count in pairs)
-    return ModeSpectrum(tuple(itertools.chain.from_iterable(runs)))
+        return ModeSpectrum._of_runs([(_mode(s, count), 1) for s, count in pairs])
+    return ModeSpectrum._of_runs([(_mode(s), count) for s, count in pairs])
 
 
 def _cut_quotient(v: PotentialMatrix, cut: Bipartition):
@@ -558,17 +593,17 @@ def _stacked_forms(r: np.ndarray, p4: np.ndarray) -> np.ndarray:
     return r @ p4 @ r.swapaxes(-1, -2)
 
 
-def _symplectic_nus(form: np.ndarray) -> list:
-    """Symplectic eigenvalues nu = sqrt(eig(form)) of one cut's form
-    R 4P_A R^T, as a list of floats.  Values below 1 by more than NU_SLACK
-    raise; smaller dips clamp to 1.
+def _symplectic_nus(w: list) -> list:
+    """Symplectic eigenvalues nu = sqrt(w) of one cut, as a list of floats,
+    from the eigenvalues w of its form R 4P_A R^T as np.linalg.eigvalsh
+    lists them.  Values below 1 by more than NU_SLACK raise; smaller dips
+    clamp to 1.
 
-    eigvalsh returns ascending eigenvalues w, so only w[0] is checked.  The
+    eigvalsh returns ascending eigenvalues, so only w[0] is checked.  The
     clamp and the root run on Python floats: math.sqrt, like np.sqrt, is
     correctly rounded, so each nu has the bits of sqrt(max(w, 1)), and a
     NaN stays NaN as it would through np.maximum.
     """
-    w = np.linalg.eigvalsh(form).tolist()
     low = math.sqrt(max(w[0], 0.0))
     if low < 1.0 - NU_SLACK:
         raise ConsistencyError(
@@ -580,7 +615,13 @@ def _symplectic_nus(form: np.ndarray) -> list:
 
 def _entropy_from_cov(form: np.ndarray, base: str) -> float:
     """Entropy of one cut from its form R 4P_A R^T (see _stacked_forms)."""
-    return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(form)])
+    return _entropy_from_eigvals(np.linalg.eigvalsh(form).tolist(), base)
+
+
+def _entropy_from_eigvals(w: list, base: str) -> float:
+    """Entropy of one cut from the eigenvalues w of its form, listed as
+    np.linalg.eigvalsh returns them."""
+    return sum([entropy_from_nu(nu, base) for nu in _symplectic_nus(w)])
 
 
 def _sector_entropy(q, diagonal: float, coupling: float, roots, base: str) -> float:
@@ -608,9 +649,12 @@ def _sector_entropy(q, diagonal: float, coupling: float, roots, base: str) -> fl
     distance-0 and distance-1 entries: 1 + 2gd at e = 0 and -2g times
     chi(t) for each bit i with e_i = r_e xor t.  Each sector then takes the
     dense route's algebra: F_chi's columns on A's cosets through
-    _stacked_triangles and _stacked_forms, and its form through
-    _entropy_from_cov.  The oracle reads no V_chi, whitening or
-    certificate: it shares with the engine only q's combinatorics.
+    _stacked_triangles and _stacked_forms.  One eigvalsh takes the stack of
+    forms; LAPACK sees each form on its own, so each sector's eigenvalues,
+    and its entropy, have the bits of _entropy_from_cov of its form alone,
+    and each sector is checked and clamped against NU_SLACK on its own.
+    The oracle reads no V_chi, whitening or certificate: it shares with the
+    engine only q's combinatorics.
     """
     m = 1 << len(q.normals)
     slots = np.arange(m)
@@ -654,10 +698,10 @@ def _sector_entropy(q, diagonal: float, coupling: float, roots, base: str) -> fl
     r = _stacked_triangles(np.take(f, a[:, None] ^ slots, axis=1).swapaxes(1, 2))
     p4 = np.take(p, a[:, None] ^ a, axis=1)
     p4 *= 2.0
-    forms = _stacked_forms(r, p4)
+    eigvals = np.linalg.eigvalsh(_stacked_forms(r, p4)).tolist()
     return math.fsum(
-        count * _entropy_from_cov(form, base)
-        for form, (_, count) in zip(forms, q.characters)
+        count * _entropy_from_eigvals(w, base)
+        for w, (_, count) in zip(eigvals, q.characters)
     )
 
 

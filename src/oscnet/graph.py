@@ -66,7 +66,9 @@ class Graph:
     array with i < j in every row, sorted lexicographically and free of
     repeats.  So two instances compare equal, and hash alike, iff they have
     the same vertex count and the same edge set.  Self-loops and endpoints
-    outside 0..n-1 are refused.
+    outside 0..n-1 are refused.  A read-only int64 array that owns its data
+    and is already canonical, as hypercube_graph's and another Graph's
+    edges are, is kept as it is; any other input is copied.
     """
 
     n: int
@@ -91,22 +93,27 @@ class Graph:
                 raise EdgeListError("edge endpoints must be integers")
             if e.min() < 0 or e.max() >= self.n:
                 raise EdgeListError("edge endpoint out of range")
-            loops = e[:, 0] == e[:, 1]
-            if loops.any():
-                raise EdgeListError(
-                    "self-loop on vertex %d" % e[loops.argmax(), 0]
-                )
         e = e.astype(np.int64, copy=False)
         # Each edge becomes the key i n + j with i < j, which orders like the
-        # pair.  On H(10,2), sorting the 1-D keys and dropping equal
-        # neighbours took 26 us, a lexsort of the rows 120 us and np.unique
-        # of the keys 440 us.
-        keys = np.minimum(e[:, 0], e[:, 1]) * self.n + np.maximum(e[:, 0], e[:, 1])
-        keys.sort()
-        keep = np.empty(keys.size, dtype=bool)
-        keep[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-        e = np.column_stack(np.divmod(keys[keep], self.n))
+        # pair.  Keys that already increase strictly are those of the
+        # canonical array itself, which is kept.  Else, on H(10,2), sorting
+        # the 1-D keys and dropping equal neighbours took 26 us, a lexsort
+        # of the rows 120 us and np.unique of the keys 440 us.
+        lo, hi = e[:, 0], e[:, 1]
+        keys = lo * self.n + hi
+        if np.all(lo < hi) and np.all(keys[1:] > keys[:-1]):
+            if e.flags.writeable or not e.flags.owndata:
+                e = e.copy()
+        else:
+            loops = lo == hi
+            if loops.any():
+                raise EdgeListError("self-loop on vertex %d" % lo[loops.argmax()])
+            keys = np.minimum(lo, hi) * self.n + np.maximum(lo, hi)
+            keys.sort()
+            keep = np.empty(keys.size, dtype=bool)
+            keep[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+            e = np.column_stack(np.divmod(keys[keep], self.n))
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
 
@@ -124,7 +131,9 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees as an int64 vector."""
-        return np.bincount(self.edges.ravel(), minlength=self.n).astype(np.int64)
+        return np.bincount(self.edges.ravel(), minlength=self.n).astype(
+            np.int64, copy=False
+        )
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix."""
@@ -491,13 +500,16 @@ def hypercube_graph(d: int) -> Graph:
     """The binary hypercube H(d,2): 2^d vertices, edges between labels at
     Hamming distance 1."""
     d = _check_hypercube_dim(d)
-    n = 1 << d
-    idx = np.arange(n, dtype=np.int64)
-    blocks = []
-    for a in range(d):
-        lo = idx[(idx >> a) & 1 == 0]
-        blocks.append(np.column_stack([lo, lo | (1 << a)]))
-    return Graph(n, np.vstack(blocks))
+    # Written in canonical order, read-only, so Graph keeps it: label x's
+    # upper neighbours x | 2^a, for each bit a that x lacks, ascending.
+    # Labels fit in int16; the int64 array is written once.
+    x = np.arange(1 << d, dtype=np.int16)
+    up = x[:, None] | (1 << np.arange(d, dtype=np.int16))
+    edges = np.empty((d << (d - 1), 2), dtype=np.int64)
+    edges[:, 0] = np.repeat(x, d - np.bitwise_count(x))
+    edges[:, 1] = np.compress((up != x[:, None]).ravel(), up)
+    edges.setflags(write=False)
+    return Graph(1 << d, edges)
 
 
 def graph_from_edge_list(text: str) -> Graph:
@@ -606,13 +618,14 @@ def _root_profile(d: int, g: float) -> np.ndarray:
 def _hypercube_dim(graph: Graph) -> int | None:
     """d if graph is H(d,2) with its bit-string labels, else None."""
     # The canonical edges are distinct, so d 2^(d-1) of them that each join
-    # labels one bit apart are every edge of H(d,2).
+    # labels one bit apart are every edge of H(d,2).  Labels are below
+    # MAX_VERTICES = 2^12, so their xor is taken in int16: no array of m
+    # int64 values is made.
     d = graph.n.bit_length() - 1
     if d >= 1 and graph.n == 1 << d and graph.num_edges == d << (d - 1):
-        bits = graph.edges[:, 0] ^ graph.edges[:, 1]
-        # Reduced as bools: .any() of the int64 array raised the peak RSS of
-        # a fresh process's H(10,2) cut by ~0.1 MB.
-        if np.all(bits & (bits - 1) == 0):
+        ends = graph.edges
+        bits = np.bitwise_xor(ends[:, 0], ends[:, 1], dtype=np.int16)
+        if np.all(np.bitwise_count(bits) == 1):
             return d
     return None
 
@@ -626,10 +639,11 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     rounds to 2g deg_max in float64: V would be the singular 2g L.  On H(d,2)
     the result carries the profile of the covariance root.
     """
-    degrees = graph.degrees()
+    # Every vertex of H(d,2) has degree d, so its degrees are not counted.
+    d = _hypercube_dim(graph)
+    degrees = graph.degrees() if d is None else np.full(graph.n, d)
     g = _check_coupling(g, int(degrees.max()))
     c = 2.0 * g
-    d = _hypercube_dim(graph)
     try:
         out = PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0, d)
     except DefinitenessError as exc:

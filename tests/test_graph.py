@@ -129,14 +129,22 @@ def test_graph_canonicalizes_its_edges():
     # An empty edge array has no endpoint to refuse, whatever its dtype.
     for dtype in (float, bool, np.uint8):
         assert Graph(3, np.zeros((0, 2), dtype=dtype)).edges.dtype == np.int64
-    # The caller's array is read, never reordered or frozen; the graph's own
-    # edges are read-only.
-    raw = hypercube_graph(3).edges[::-1, ::-1].copy()
-    before = raw.copy()
-    cube = Graph(8, raw)
-    assert raw.flags.writeable and np.array_equal(raw, before)
-    with pytest.raises(ValueError):
-        cube.edges[0, 0] = 1
+    # The caller's array is read, never reordered or frozen, even when it is
+    # canonical already; the graph's own edges are read-only.
+    edges = hypercube_graph(3).edges
+    for raw in (edges[::-1, ::-1].copy(), edges.copy()):
+        before = raw.copy()
+        cube = Graph(8, raw)
+        assert raw.flags.writeable and np.array_equal(raw, before)
+        assert not np.shares_memory(raw, cube.edges)
+        with pytest.raises(ValueError):
+            cube.edges[0, 0] = 1
+    # A read-only canonical array that owns its data, such as another
+    # graph's edges, is kept; a read-only view of a writeable array is not.
+    assert Graph(8, cube.edges).edges is cube.edges
+    view = raw[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(Graph(8, view).edges, raw)
 
 
 def test_any_listing_of_the_cube_is_the_cube():
@@ -182,6 +190,51 @@ def test_edge_list_errors_carry_line_numbers():
         assert "line %d" % lineno in str(err.value)
     with pytest.raises(EdgeListError):
         graph_from_edge_list("# only comments\n")
+
+
+def _cube_pairs(d):
+    """The edges of H(d,2) pair by pair: (i, i xor 2^a) with i < j, sorted."""
+    pairs = [(i, i ^ (1 << a)) for i in range(1 << d) for a in range(d)]
+    return sorted((i, j) for i, j in pairs if i < j)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_hypercube_edges_are_its_sorted_canonical_pairs(d):
+    want = np.array(_cube_pairs(d), dtype=np.int64)
+    cube = hypercube_graph(d)
+    assert cube.edges.dtype == np.int64 and np.array_equal(cube.edges, want)
+    # Shuffled, reoriented and partly repeated, the listing is the same graph
+    # with the same canonical array.
+    rng = np.random.default_rng(d)
+    rows = want[np.concatenate([np.arange(len(want)), rng.integers(0, len(want), 7)])]
+    rows = rows[rng.permutation(len(rows))]
+    flip = rng.random(len(rows)) < 0.5
+    rows[flip] = rows[flip, ::-1]
+    listed = Graph(cube.n, rows)
+    assert np.array_equal(listed.edges, want) and listed == cube
+    # Rows that each have i < j are kept as they are only when they are
+    # also sorted and free of repeats.
+    assert np.array_equal(Graph(cube.n, np.sort(rows, axis=1)).edges, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 12])
+def test_potential_matrix_recognises_a_hypercube_read_from_a_file(tmp_path, d):
+    path = tmp_path / "cube.txt"
+    path.write_text("".join("%d %d\n" % (j, i) for i, j in reversed(_cube_pairs(d))))
+    v = potential_matrix(graph_from_uri("file:%s" % path), 0.5)
+    want = potential_matrix(hypercube_graph(d), 0.5)
+    assert v.profile is not None and v.profile.tobytes() == want.profile.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_potential_matrix_refuses_a_hypercube_with_two_labels_swapped(d):
+    # Swapping labels 0 and 1 gives an isomorphic graph, but vertex 1 then
+    # neighbours 2, two bits away: its labels are not H(d,2)'s bit strings.
+    swap = np.arange(1 << d)
+    swap[[0, 1]] = [1, 0]
+    swapped = Graph(1 << d, swap[np.array(_cube_pairs(d))])
+    assert swapped.num_edges == d << (d - 1) and swapped != hypercube_graph(d)
+    assert potential_matrix(swapped, 0.5).profile is None
 
 
 def test_graph_uri(tmp_path):
@@ -399,9 +452,10 @@ def test_a_hypercube_is_certified_by_one_leaf_of_its_smallest_eigenvalue(monkeyp
     finally:
         tracemalloc.stop()
     assert peak <= 3 * (near.n // 2) ** 2 * 8
-    # The certificate of H(12,2) holds no block: 0.59 MiB traced, the
-    # degrees and the hypercube test's edge temporaries, where the 256 x 256
-    # leaf of its low sub-cube took 1.07 MiB and halving all of its V 85 MiB.
+    # The certificate of H(12,2) holds no block: 0.09 MiB traced, the
+    # diagonal and the hypercube test's int16 edge temporaries, where int64
+    # ones and the counted degrees took 0.59 MiB, the 256 x 256 leaf of its
+    # low sub-cube 1.07 MiB and halving all of its V 85 MiB.
     cube = hypercube_graph(12)
     potential_matrix(cube, 0.5)
     tracemalloc.start()
@@ -410,7 +464,7 @@ def test_a_hypercube_is_certified_by_one_leaf_of_its_smallest_eigenvalue(monkeyp
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.65 * 2**20
+    assert peak <= 0.15 * 2**20
 
 
 def _dense_potential(graph, g):

@@ -1,5 +1,7 @@
 """Property tests: engine, oracle and relabeling on random graphs and cuts."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,11 @@ from hypothesis import strategies as st
 from oscnet import (
     Bipartition,
     Graph,
+    Mode,
+    ModeSpectrum,
     PotentialMatrix,
     entropy_census,
+    entropy_from_nu,
     entropy_of_bipartition,
     entropy_oracle_symplectic,
     potential_matrix,
@@ -144,3 +149,28 @@ def test_census_classes_descend_from_max_to_min(graph, g):
     assert sum(c.multiplicity for c in report.classes) == report.total_partitions
     assert report.max_class == 0
     assert report.min_class == len(report.classes) - 1
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.75, 0.5, 0.0, -0.0]), st.integers(1, 3)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.randoms(),
+)
+def test_mode_spectrum_sorts_stably_by_descending_gamma(drawn, rnd):
+    # Modes with tied gammas, each its own object; some share values, so a
+    # run of equal modes spans distinct objects.  0.0 and -0.0 tie.
+    modes = [Mode(gamma, 1.0 + (i % 3), deg) for i, (gamma, deg) in enumerate(drawn)]
+    rnd.shuffle(modes)
+    spectrum = ModeSpectrum(tuple(modes))
+    # Descending gamma, tied modes in their input order: a stable sort on
+    # the key -gamma.
+    order = sorted(range(len(modes)), key=lambda i: -modes[i].gamma)
+    assert [id(m) for m in spectrum.modes] == [id(modes[i]) for i in order]
+    entropies = spectrum.entropies()
+    assert entropies == [entropy_from_nu(m.nu) for m in spectrum.modes]
+    total = math.fsum(m.degeneracy * s for m, s in zip(spectrum.modes, entropies))
+    assert spectrum.total_entropy() == total
