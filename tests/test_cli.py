@@ -588,8 +588,8 @@ def _child_digests(argvs, cwd, blas_threads):
     src = os.path.dirname(os.path.dirname(oscnet.__file__))
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    threads = str(blas_threads)
-    env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[key] = str(blas_threads)
     done = subprocess.run(
         [sys.executable, "-c", script], input=json.dumps(argvs), cwd=cwd,
         env=env, capture_output=True, text=True, timeout=120,
