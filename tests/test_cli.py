@@ -147,6 +147,34 @@ def test_entropy_bad_inputs_exit_2(capsys):
     assert "error:" in err
 
 
+# What entropy makes of each --subset on hypercube:4: the exit code, and the
+# error or the side A it echoes.  Each comma-separated token is read by int,
+# so a sign and digit underscores pass and empty tokens are skipped; a label
+# past int64 is out of range, and the range check comes before the check
+# for repeats.
+SUBSET_OUTCOMES = [
+    ("", 2, "error: both sides of a bipartition must be non-empty\n"),
+    (" ", 2, "error: both sides of a bipartition must be non-empty\n"),
+    ("1,,2,0", 0, "0,1,2"),
+    ("+0,1_0", 0, "0,10"),
+    ("0,1.5", 2, "error: subset must be comma-separated integers, got '0,1.5'\n"),
+    ("0,99999999999999999999999", 2, "error: side A vertex out of range\n"),
+    ("0,-99999999999999999999999", 2, "error: side A vertex out of range\n"),
+    ("16,0,0", 2, "error: side A vertex out of range\n"),
+    ("0,0", 2, "error: bipartition sides contain duplicate vertices\n"),
+]
+
+
+@pytest.mark.parametrize("subset, code, want", SUBSET_OUTCOMES)
+def test_entropy_subset_forms_keep_their_outcomes(capsys, subset, code, want):
+    assert main(["entropy", "--graph", "hypercube:4", "--subset", subset]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert (captured.out, captured.err) == ("", want)
+    else:
+        assert "# subset = %s\n" % want in captured.out and captured.err == ""
+
+
 def test_too_strong_coupling_exits_2_naming_g(capsys):
     # 1 + 2g*deg rounds to 2g*deg: V is singular, and the error says that g
     # is too strong rather than too negative or a bare LAPACK message

@@ -861,6 +861,11 @@ def test_from_side_a_is_the_checked_cut_of_its_side():
         (4, [4], "out of range"),
         (4, [-1, 0], "out of range"),
         (4, [2**70], "out of range"),
+        (4, [-(2**70), 0], "out of range"),
+        (4, [np.uint64(2**64 - 1)], "out of range"),
+        (4, [5, 0, 0], "out of range"),
+        (4, [2**70, 1.5], "integers"),
+        (4, [0, 9, np.True_], "integers"),
         (0, [], "non-empty"),
         (-2, [], "non-empty"),
     ):
