@@ -67,12 +67,20 @@ class Graph:
     repeats.  So two instances compare equal, and hash alike, iff they have
     the same vertex count and the same edge set.  Self-loops and endpoints
     outside 0..n-1 are refused.  A read-only int64 array that owns its data
-    and is already canonical, as hypercube_graph's and another Graph's
-    edges are, is kept as it is; any other input is copied.
+    and is already canonical, as another Graph's edges are, is kept as it
+    is; any other input is copied.
+
+    A graph from hypercube_graph(d) records d and writes its edges, the
+    same canonical array, when .edges is first read: the routes of H(d,2)
+    read its labels, never its edges.  Equality, the hash, num_edges,
+    degrees and adjacency_matrix read .edges, so they see the same array.
     """
 
     n: int
     edges: np.ndarray
+
+    # d on a graph from hypercube_graph; not a field, as Graph takes no d.
+    _cube = None
 
     def __post_init__(self):
         if (n := _integer(self.n)) is None or n < 1:
@@ -116,6 +124,26 @@ class Graph:
             e = np.column_stack(np.divmod(keys[keep], self.n))
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
+
+    def __getattr__(self, name):
+        # Reached only for an attribute not set: .edges of a graph from
+        # hypercube_graph before its first read.  Two threads reading it at
+        # once may each write one; the arrays are equal.
+        if name != "edges" or self._cube is None:
+            raise AttributeError(
+                "%r object has no attribute %r" % (type(self).__name__, name)
+            )
+        edges = _hypercube_edges(self._cube)
+        object.__setattr__(self, "edges", edges)
+        return edges
+
+    def __reduce__(self):
+        # A copy or an unpickled graph is built as the original was: its
+        # edges canonical, read-only and its own, or on H(d,2) not yet
+        # written.
+        if self._cube is not None:
+            return hypercube_graph, (self._cube,)
+        return Graph, (self.n, self.edges)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -201,20 +229,25 @@ class Bipartition:
 
         The side is checked once, and both sides are read off one boolean
         mask over 0..n-1, which the cut keeps as its indicator; the
-        complement is right by construction and is not checked again.
+        complement is right by construction and is not checked again.  The
+        labels are read into one int64 array, which serves the range check
+        and the mask; a label past int64 is out of range.
         """
         if (n := _integer(n)) is None:
             raise ValueError("vertex count must be an integer")
-        side_a = _vertex_labels(side_a)
-        if side_a and (min(side_a) < 0 or max(side_a) >= n):
+        try:
+            labels = np.array(_vertex_labels(side_a), dtype=np.int64)
+        except OverflowError:
+            raise ValueError("side A vertex out of range") from None
+        if labels.size and (labels.min() < 0 or labels.max() >= n):
             raise ValueError("side A vertex out of range")
         in_a = np.zeros(max(n, 0), dtype=bool)
-        in_a[side_a] = True
+        in_a[labels] = True
         a = np.flatnonzero(in_a)
         # The checks of __post_init__, in its order, on the mask.
-        if not side_a or a.size == n:
+        if not labels.size or a.size == n:
             raise ValueError("both sides of a bipartition must be non-empty")
-        if a.size != len(side_a):
+        if a.size != labels.size:
             raise ValueError("bipartition sides contain duplicate vertices")
         cut = cls.__new__(cls)
         object.__setattr__(cut, "side_a", tuple(a.tolist()))
@@ -347,10 +380,10 @@ class PotentialMatrix:
     block gathers from it.  gamma_spectrum and entropy_oracle_symplectic
     copy raw arrays first.
 
-    A V from potential_matrix holds its graph instead: the canonical edges,
-    V's diagonal 1 + 2g deg, the coupling 2g and, on H(d,2), d.  block
-    writes each block from them, and .matrix, all of V, is built on first
-    read, made read-only and kept.
+    A V from potential_matrix holds its graph instead: V's diagonal
+    1 + 2g deg, the coupling 2g, and the canonical edges or, on H(d,2), d
+    alone.  block writes each block from them, and .matrix, all of V, is
+    built on first read, made read-only and kept.
     """
 
     n: int
@@ -369,8 +402,8 @@ class PotentialMatrix:
     @classmethod
     def _from_graph(cls, edges, coupling, diagonal, cube) -> "PotentialMatrix":
         """V of canonical edges, the coupling 2g and the diagonal
-        1 + 2g deg, certified positive definite; cube is d when the edges
-        are those of H(d,2), else None.
+        1 + 2g deg, certified positive definite; cube is d, and edges None,
+        when the graph is H(d,2), else None.
 
         V is symmetric by construction, so no symmetry pass runs.  Any
         graph but a hypercube goes to _lower_factor, which reads V through
@@ -459,7 +492,7 @@ class PotentialMatrix:
         """
         rows, at_row = _positions(self.n, rows)
         cols, at_col = _positions(self.n, cols)
-        if self._edges is None:
+        if self._diagonal is None:
             return self.matrix[rows[:, None], cols]
         c = self._coupling
         out = np.full((rows.size, cols.size), c * -0.0)
@@ -498,10 +531,22 @@ def _check_hypercube_dim(d) -> int:
 
 def hypercube_graph(d: int) -> Graph:
     """The binary hypercube H(d,2): 2^d vertices, edges between labels at
-    Hamming distance 1."""
+    Hamming distance 1.
+
+    The graph records d and writes its d 2^(d-1) edges only when .edges is
+    first read (Graph): potential_matrix, entropy and census on it read the
+    labels alone.
+    """
     d = _check_hypercube_dim(d)
-    # Written in canonical order, read-only, so Graph keeps it: label x's
-    # upper neighbours x | 2^a, for each bit a that x lacks, ascending.
+    cube = Graph.__new__(Graph)
+    object.__setattr__(cube, "n", 1 << d)
+    object.__setattr__(cube, "_cube", d)
+    return cube
+
+
+def _hypercube_edges(d: int) -> np.ndarray:
+    """The canonical edge array of H(d,2), read-only: label x's upper
+    neighbours x | 2^a, for each bit a that x lacks, ascending."""
     # Labels fit in int16; the int64 array is written once.
     x = np.arange(1 << d, dtype=np.int16)
     up = x[:, None] | (1 << np.arange(d, dtype=np.int16))
@@ -509,7 +554,7 @@ def hypercube_graph(d: int) -> Graph:
     edges[:, 0] = np.repeat(x, d - np.bitwise_count(x))
     edges[:, 1] = np.compress((up != x[:, None]).ravel(), up)
     edges.setflags(write=False)
-    return Graph(1 << d, edges)
+    return edges
 
 
 def graph_from_edge_list(text: str) -> Graph:
@@ -616,7 +661,10 @@ def _root_profile(d: int, g: float) -> np.ndarray:
 
 
 def _hypercube_dim(graph: Graph) -> int | None:
-    """d if graph is H(d,2) with its bit-string labels, else None."""
+    """d if graph is H(d,2) with its bit-string labels, else None: as
+    hypercube_graph recorded it, or read off any other graph's edges."""
+    if graph._cube is not None:
+        return graph._cube
     # The canonical edges are distinct, so d 2^(d-1) of them that each join
     # labels one bit apart are every edge of H(d,2).  Labels are below
     # MAX_VERTICES = 2^12, so their xor is taken in int16: no array of m
@@ -639,13 +687,15 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     rounds to 2g deg_max in float64: V would be the singular 2g L.  On H(d,2)
     the result carries the profile of the covariance root.
     """
-    # Every vertex of H(d,2) has degree d, so its degrees are not counted.
+    # Every vertex of H(d,2) has degree d, so its degrees are not counted,
+    # and its blocks are written from labels, so its edges are not read.
     d = _hypercube_dim(graph)
     degrees = graph.degrees() if d is None else np.full(graph.n, d)
     g = _check_coupling(g, int(degrees.max()))
     c = 2.0 * g
+    edges = graph.edges if d is None else None
     try:
-        out = PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0, d)
+        out = PotentialMatrix._from_graph(edges, c, c * degrees + 1.0, d)
     except DefinitenessError as exc:
         raise _definiteness_hint(exc, g) from None
     if d is not None:

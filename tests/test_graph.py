@@ -1,7 +1,9 @@
 """Graph construction, potential matrices, named bipartitions."""
 
+import copy
 import functools
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from oscnet import (
     GraphSizeError,
     PotentialMatrix,
     SchemeError,
+    entropy_census,
     entropy_of_bipartition,
     entropy_oracle_symplectic,
     gamma_spectrum,
@@ -27,6 +30,7 @@ from oscnet import (
     potential_matrix,
     stratified_adjacency,
 )
+from oscnet import graph as graph_module
 from oscnet.cosets import _translation_stabiliser
 from oscnet.graph import CERTIFY_LEAF, EIG_FLOOR, _lower_factor, _shifted_diagonal
 
@@ -235,6 +239,113 @@ def test_potential_matrix_refuses_a_hypercube_with_two_labels_swapped(d):
     swapped = Graph(1 << d, swap[np.array(_cube_pairs(d))])
     assert swapped.num_edges == d << (d - 1) and swapped != hypercube_graph(d)
     assert potential_matrix(swapped, 0.5).profile is None
+
+
+def _graph_facts(graph):
+    """What a graph shows through its public attributes and methods, as
+    bytes where they are arrays; the dense adjacency only up to n = 1024."""
+    e, deg = graph.edges, graph.degrees()
+    facts = [graph.n, hash(graph), graph.num_edges, e.dtype, e.shape, e.tobytes()]
+    facts += [e.flags.writeable, e.flags.owndata, deg.dtype, deg.tobytes()]
+    if graph.n <= 1024:
+        facts.append(graph.adjacency_matrix().tobytes())
+    return facts
+
+
+def _round_trips(graph):
+    return [graph, pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_a_hypercube_graph_is_the_graph_of_its_edges(tmp_path, d):
+    # hypercube_graph(d) writes its edges on first read; the graph, fresh
+    # or after a pickle or deepcopy round trip of a fresh or written one,
+    # is the graph built from its pairs one by one or read from a file.
+    pairs = _cube_pairs(d)
+    eager = Graph(1 << d, np.array(pairs, dtype=np.int64))
+    path = tmp_path / "cube.txt"
+    path.write_text("".join("%d %d\n" % (j, i) for i, j in reversed(pairs)))
+    read = graph_from_uri("file:%s" % path)
+    assert not eager.edges.flags.writeable and eager.edges.flags.owndata
+    want = _graph_facts(eager)
+    written = hypercube_graph(d)
+    written.edges
+    for graph in _round_trips(eager) + _round_trips(read) + _round_trips(written):
+        assert _graph_facts(graph) == want
+    for make in (
+        lambda: hypercube_graph(d),
+        lambda: pickle.loads(pickle.dumps(hypercube_graph(d))),
+        lambda: copy.deepcopy(hypercube_graph(d)),
+    ):
+        assert "edges" not in vars(make())
+        assert make() == eager and eager == make() and make() == read
+        assert hash(make()) == hash(eager)
+        assert make().num_edges == eager.num_edges
+        assert make().degrees().tobytes() == eager.degrees().tobytes()
+        assert _graph_facts(make()) == want
+    # Its V is that of the eager and the file graph, bit for bit, and so is
+    # the verdict near g = -1/(4d), where lambda_min(V) = 1 + 4gd is zero.
+    rng = np.random.default_rng(d)
+    edge = -1.0 / (4 * d)
+    couplings = [0.5, edge * (1 - 1e-9), edge * (1 - 1e-14), edge, edge * (1 + 1e-9)]
+    for g in couplings:
+        rows, cols = (rng.permutation(1 << d)[:200] for _ in range(2))
+        verdicts = []
+        for graph in (hypercube_graph(d), eager, read):
+            try:
+                v = potential_matrix(graph, g)
+            except DefinitenessError as exc:
+                verdicts.append(str(exc))
+                continue
+            facts = [v.n, v.profile.tobytes(), v.block(rows, cols).tobytes()]
+            if d <= 8:
+                facts.append(v.matrix.tobytes())
+            verdicts.append(facts)
+        assert verdicts[0] == verdicts[1] == verdicts[2], g
+    assert isinstance(verdicts[0], str) and isinstance(
+        potential_matrix(hypercube_graph(d), couplings[1]), PotentialMatrix
+    )
+
+
+def _refuse_edges(d):
+    raise AssertionError("the edges of H(%d,2) were written" % d)
+
+
+def test_the_routes_of_a_hypercube_write_no_edges(monkeypatch):
+    monkeypatch.setattr(graph_module, "_hypercube_edges", _refuse_edges)
+    # The H(10,2) parity cut takes the translation sectors, and the H(8,2)
+    # parity side A with vertex 0 swapped for vertex 1 the dense routes.
+    parity = named_bipartition(10, "parity")
+    a = [1] + list(named_bipartition(8, "parity").side_a[1:])
+    swapped = Bipartition.from_side_a(256, a)
+    assert swapped._quotient is None
+    for d, cut in ((10, parity), (8, swapped)):
+        cube = hypercube_graph(d)
+        v = potential_matrix(cube, 0.5)
+        assert v._edges is None and v._cube == d
+        gamma_spectrum(v, cut)
+        entropy_oracle_symplectic(v, cut)
+        assert "edges" not in vars(cube)
+    cube = hypercube_graph(4)
+    assert len(entropy_census(cube, 0.5).classes) > 1
+    assert "edges" not in vars(cube)
+    # Read at last, the edges are written then.
+    monkeypatch.undo()
+    assert cube.edges.shape == (32, 2) and "edges" in vars(cube)
+
+
+def test_a_hypercube_and_its_potential_hold_little_memory():
+    # hypercube_graph(12) and its V: 0.09 MiB traced, V's diagonal and its
+    # temporaries, where writing and scanning the 24,576 edges took
+    # 0.85 MiB.
+    potential_matrix(hypercube_graph(12), 0.5)
+    tracemalloc.start()
+    try:
+        potential_matrix(hypercube_graph(12), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.11 * 2**20
 
 
 def test_graph_uri(tmp_path):
