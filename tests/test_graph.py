@@ -287,8 +287,8 @@ def test_a_hypercube_graph_is_the_graph_of_its_edges(tmp_path, d):
     # the verdict near g = -1/(4d), where lambda_min(V) = 1 + 4gd is zero.
     rng = np.random.default_rng(d)
     edge = -1.0 / (4 * d)
-    couplings = [0.5, edge * (1 - 1e-9), edge * (1 - 1e-14), edge, edge * (1 + 1e-9)]
-    for g in couplings:
+    refused = []
+    for g in (0.5, edge * (1 - 1e-9), edge * (1 - 1e-14), edge, edge * (1 + 1e-9)):
         rows, cols = (rng.permutation(1 << d)[:200] for _ in range(2))
         verdicts = []
         for graph in (hypercube_graph(d), eager, read):
@@ -302,9 +302,8 @@ def test_a_hypercube_graph_is_the_graph_of_its_edges(tmp_path, d):
                 facts.append(v.matrix.tobytes())
             verdicts.append(facts)
         assert verdicts[0] == verdicts[1] == verdicts[2], g
-    assert isinstance(verdicts[0], str) and isinstance(
-        potential_matrix(hypercube_graph(d), couplings[1]), PotentialMatrix
-    )
+        refused.append(isinstance(verdicts[0], str))
+    assert refused == [False, False, True, True, True]
 
 
 def _refuse_edges(d):
@@ -600,14 +599,14 @@ def _label_potential(d, g, rows, cols):
 
 @pytest.mark.parametrize("g", [0.5, -0.01])
 def test_hypercube_blocks_are_written_from_labels(g):
-    # The neighbours of x are x xor 2^a, so no edge is read: with its edge
-    # list emptied, V still writes every block bit for bit, signed zeros
-    # included (2g * -0.0 is -0.0 for g > 0 and +0.0 for g < 0).
+    # The neighbours of x are x xor 2^a, so no edge is read: V holds none,
+    # and still writes every block bit for bit, signed zeros included
+    # (2g * -0.0 is -0.0 for g > 0 and +0.0 for g < 0).
     rng = np.random.default_rng(31)
     for d in range(1, 13):
         n = 1 << d
         v = potential_matrix(hypercube_graph(d), g)
-        object.__setattr__(v, "_edges", np.empty((0, 2), dtype=np.int64))
+        assert v._edges is None and v._cube == d
         for _ in range(3):
             rows, cols = (
                 rng.choice(n, size=int(rng.integers(0, min(n, 300) + 1)), replace=False)
