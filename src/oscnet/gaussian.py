@@ -13,9 +13,9 @@ two independent ways:
   x -> x xor t is a union of cosets and splits into 2^k translation
   sectors of 2^(d-k) cosets each (cosets module; Serre, Linear
   Representations of Finite Groups, sec. 2.6).  The distinct sectors are
-  written from V's diagonal and coupling into stacks, each certified and
-  whitened in one pass (_sector_couplings); the H(10,2) parity cut is one
-  stack of ten 2 x 2 blocks.  Every other input is whitened whole
+  written from V's diagonal and coupling into stacks, each whitened in one
+  pass (_sector_couplings); the H(10,2) parity cut is one stack of ten
+  2 x 2 blocks.  Every other input is whitened whole
   (_whitened_couplings).  Both give min(|A|, |B|) modes, one Mode object
   per distinct value.
 
@@ -49,10 +49,12 @@ engine whitens V_chi, the oracle takes the QR of F_chi's columns, never
 reads V_chi, a whitening or a certificate, and checks on side A's labels
 that A is the union of cosets the quotient form names.  The engine and
 the oracle's Cholesky route share one primitive, the triangular solve
-_solve_lower, and nothing else.  Certification (graph._lower_factor) also calls it, to halve by Schur
-complements a V that is neither small nor a hypercube's (H(d,2) is
-certified by the 1 x 1 leaf of its exact smallest eigenvalue), but it is
-the gate before both routes and neither reads its result.  _solve_lower
+_solve_lower, and nothing else.  Certification (graph._lower_factor) also
+calls it, to halve by Schur complements a V that is neither small nor a
+hypercube's, but it is the gate before both routes and neither reads its
+result.  Every route of H(d,2), the quotient routes too, takes its verdict
+from one 1 x 1 leaf, V's exact smallest eigenvalue
+(graph._cube_potential).  _solve_lower
 halves a triangle down to leaves of at most SOLVE_LEAF rows, applies each
 leaf's inverse by matmul and refines the result once in working precision,
 so nearly all its flops are matmul's.  Both, like _whitened_couplings,
@@ -91,16 +93,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ConsistencyError,
-    DefinitenessError,
-    DomainError,
-    SingularityError,
-)
+from .errors import ConsistencyError, DomainError, SingularityError
 from . import graph
 from .graph import Bipartition, PotentialMatrix, _integer, hamming_weights
 
@@ -440,10 +436,12 @@ def _sector_couplings(q, diagonal: float, coupling: float) -> tuple:
     the pivot f of a basis vector t moves it to r_e xor e_f xor t with
     weight chi(t).  Integer weights times one coupling make each block
     exactly symmetric.  The blocks go in stacks of at most STACK_BYTES (a
-    larger block alone), each certified by one stacked _lower_factor and
-    whitened by one _whitened_couplings; LAPACK and matmul see each block
-    on its own, so its values have the bits of its whitening alone.
-    Neither V's blocks, its certification nor its root table are read.
+    larger block alone), each whitened by one _whitened_couplings; LAPACK
+    and matmul see each block on its own, so its values have the bits of
+    its whitening alone.  No block is certified: written in exact
+    arithmetic, each V_chi is a block of V in another basis, so its
+    eigenvalues are some of V's, which the caller has certified.  Neither
+    V's blocks nor its root table are read.
 
     The slot order sets the rounding of each block's whitening, not its
     accuracy: on 240 random sectors at g = 1e4..1e8, ascending, descending
@@ -464,10 +462,6 @@ def _sector_couplings(q, diagonal: float, coupling: float) -> tuple:
             hops[:, slots, slots ^ offset] += signs[:, None]
         stack = hops * -coupling
         stack[:, slots, slots] += diagonal
-        # Read-only: the certificate subtracts its floor on copies.
-        stack.flags.writeable = False
-        # Called through graph, so perfbench's tracer times it in this layer.
-        graph._lower_factor(stack, m, whole=False)
         flat = stack.reshape(len(chunk), m * m)
         parts.append(
             _whitened_couplings(
@@ -754,14 +748,6 @@ def entropy_oracle_symplectic(v, subset, log_base=2) -> float:
     return _entropy_from_cov(form, base)
 
 
-def _coupling(d: int, g) -> tuple:
-    """g checked as potential_matrix checks it on H(d,2), and V's diagonal
-    1 + 2gd and coupling 2g as it writes them."""
-    g = graph._check_coupling(g, d)
-    c = 2.0 * g
-    return g, c * d + 1.0, c
-
-
 def coset_cut_spectrum(d: int, normals, subset, g: float) -> ModeSpectrum:
     """The engine's spectrum of the coset-union cut A = {x : Mx in S} of
     H(d,2) at coupling g, for d up to 62, with no V or label array built.
@@ -772,21 +758,18 @@ def coset_cut_spectrum(d: int, normals, subset, g: float) -> ModeSpectrum:
     bit j standing for row j, neither none nor all of them (cosets module
     docstring).  The parity cut is M = [[1] * d], S = [0].
 
-    Each distinct sector's V_chi is written from 1 + 2gd and -2g, certified
-    and whitened, as gamma_spectrum does on a hypercube V
-    (_sector_couplings).  Each distinct ratio is one Mode whose degeneracy
-    counts its copies, 2^(d-1) modes in all on a hyperplane.  A V_chi that
-    is not positive definite is a DefinitenessError, as potential_matrix's.
+    V is certified as potential_matrix certifies it, with the same
+    DefinitenessError (graph._cube_potential).  Each distinct sector's
+    V_chi is then written from 1 + 2gd and -2g and whitened, as
+    gamma_spectrum does on a hypercube V (_sector_couplings).  Each
+    distinct ratio is one Mode whose degeneracy counts its copies, 2^(d-1)
+    modes in all on a hyperplane.
     """
     from . import cosets
 
     q = cosets._of_normals(d, normals, subset)
-    g, diagonal, coupling = _coupling(q.d, g)
-    try:
-        sigma, counts = _sector_couplings(q, diagonal, coupling)
-    except DefinitenessError as exc:
-        raise graph._definiteness_hint(exc, g) from None
-    return _spectrum(sigma, counts, expand=False)
+    _, diagonal, coupling = graph._cube_potential(q.d, g)
+    return _spectrum(*_sector_couplings(q, diagonal, coupling), expand=False)
 
 
 def coset_cut_oracle(d: int, normals, subset, g: float, log_base=2) -> float:
@@ -794,19 +777,14 @@ def coset_cut_oracle(d: int, normals, subset, g: float, log_base=2) -> float:
     H(d,2) at coupling g, with no V or label array built; d, normals and
     subset as coset_cut_spectrum takes them.
 
-    Each distinct sector's covariance blocks are Walsh sums over the rows'
-    span (_sector_entropy).  V is certified on its Walsh eigenvalues
-    1 + 4gw, w = 0..d, exactly over rationals: the smallest, 1 + 4gd for
-    g < 0, must exceed EIG_FLOOR.
+    V is certified as potential_matrix certifies it
+    (graph._cube_potential).  Each distinct sector's covariance blocks are
+    Walsh sums over the rows' span (_sector_entropy).
     """
     from . import cosets
 
     base = _norm_log_base(log_base)
     q = cosets._of_normals(d, normals, subset)
-    g, diagonal, coupling = _coupling(q.d, g)
-    if not 1 + 4 * min(Fraction(g), 0) * q.d > graph.EIG_FLOOR:
-        raise graph._definiteness_hint(
-            DefinitenessError("potential matrix is not positive definite"), g
-        )
+    g, diagonal, coupling = graph._cube_potential(q.d, g)
     roots = graph._walsh_roots(q.d, g)
     return _sector_entropy(q, diagonal, coupling, roots, base)

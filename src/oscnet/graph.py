@@ -38,7 +38,7 @@ EIG_FLOOR = 1e-12
 # certified the n = 1024 V of H(10,2) in 16-17 ms against 24 ms for one
 # call; 256 was the fastest, and at n = 2048 too.  Only V of other graphs
 # and raw arrays are halved: a V of H(d,2) is certified by the 1 x 1 leaf of
-# its exact smallest eigenvalue (PotentialMatrix._from_graph).
+# its exact smallest eigenvalue (_cube_potential).
 CERTIFY_LEAF = 256
 # Side of the square tiles the symmetry check compares; a tile pair fits in
 # a core's L2 cache.
@@ -281,31 +281,31 @@ class Bipartition:
 
 def _lower_factor(a, n: int, whole: bool = True):
     """The lower Cholesky factor L of a - EIG_FLOOR I for a symmetric n x n
-    matrix a, or for each of a stack of them, read from its upper triangle;
-    DefinitenessError if one is not positive definite.
+    matrix a, read from its upper triangle; DefinitenessError if it is not
+    positive definite.
 
-    a is an array, or a reader a(rows, cols) that returns a[..., rows, cols]
-    for two slices as a view or a fresh array.  A leaf, of at most
-    CERTIFY_LEAF rows, is the one place EIG_FLOOR is subtracted, from its
-    diagonal: in place if the leaf is writeable, else on a copy.  It is
-    factored by one np.linalg.cholesky of its transpose, a column-major view
-    that LAPACK copies without transposing.  Above, a is halved by the
-    generalized Schur complement: L_11 factors a_11, W = L_11^{-1} a_12 (in
-    place if a_12 owns its data) and S = a_22 - W^T W is factored in turn,
-    for a - EIG_FLOOR I is positive definite exactly when a_11 and S are,
-    less the floor.  With whole false only that verdict is wanted: no n x n
-    L is assembled and the result is None (or a leaf's factor).
+    a is an array, or a reader a(rows, cols) that returns a[rows, cols] for
+    two slices as a view or a fresh array.  A leaf, of at most CERTIFY_LEAF
+    rows, is the one place EIG_FLOOR is subtracted, from its diagonal: in
+    place if the leaf is writeable, else on a copy.  It is factored by one
+    np.linalg.cholesky of its transpose, a column-major view that LAPACK
+    copies without transposing.  Above, a is halved by the generalized
+    Schur complement: L_11 factors a_11, W = L_11^{-1} a_12 (in place if
+    a_12 owns its data) and S = a_22 - W^T W is factored in turn, for
+    a - EIG_FLOOR I is positive definite exactly when a_11 and S are, less
+    the floor.  With whole false only that verdict is wanted: no n x n L is
+    assembled and the result is None (or a leaf's factor).
     """
     # gaussian imports this module, so its solve is imported on use.
     from .gaussian import _solve_lower
 
-    read = a if callable(a) else lambda rows, cols: a[..., rows, cols]
+    read = a if callable(a) else lambda rows, cols: a[rows, cols]
     if n <= CERTIFY_LEAF:
         leaf = read(slice(0, n), slice(0, n))
         leaf = leaf if leaf.flags.writeable else leaf.copy()
-        leaf[..., np.arange(n), np.arange(n)] -= EIG_FLOOR
+        leaf[np.diag_indices(n)] -= EIG_FLOOR
         try:
-            return np.linalg.cholesky(leaf.swapaxes(-1, -2))
+            return np.linalg.cholesky(leaf.T)
         except np.linalg.LinAlgError:
             raise DefinitenessError(
                 "potential matrix is not positive definite"
@@ -317,18 +317,18 @@ def _lower_factor(a, n: int, whole: bool = True):
     w = _solve_lower(l11, w if w.flags.owndata else w.copy())
     out = None
     if whole:
-        out = np.zeros(w.shape[:-2] + (n, n))
-        out[..., :h, :h] = l11
-        out[..., h:, :h] = w.swapaxes(-1, -2)
+        out = np.zeros((n, n))
+        out[:h, :h] = l11
+        out[h:, :h] = w.T
     # Each block is dropped once read: a verdict on an n = 1024 matrix then
     # holds about 5 MB at its peak, where one factor of it took 8 MB.
     del l11
-    s = w.swapaxes(-1, -2) @ w
+    s = w.T @ w
     del w
     np.subtract(read(bottom, bottom), s, out=s)
     l22 = _lower_factor(s, n - h, whole)
     if whole:
-        out[..., h:, h:] = l22
+        out[h:, h:] = l22
     return out
 
 
@@ -402,23 +402,14 @@ class PotentialMatrix:
     @classmethod
     def _from_graph(cls, edges, coupling, diagonal, cube) -> "PotentialMatrix":
         """V of canonical edges, the coupling 2g and the diagonal
-        1 + 2g deg, certified positive definite; cube is d, and edges None,
-        when the graph is H(d,2), else None.
+        1 + 2g deg; cube is d, and edges None, when the graph is H(d,2),
+        else None.
 
-        V is symmetric by construction, so no symmetry pass runs.  Any
-        graph but a hypercube goes to _lower_factor, which reads V through
-        block, so only its top-level quarters are built, and subtracts the
-        floor at its leaves, in place.
-
-        On H(d,2) the V it has here is D I - c A for the float diagonal D
-        and coupling c, and the adjacency A of H(d,2) has the eigenvalues
-        d - 2w for w = 0..d (Cvetkovic, Doob and Sachs, Spectra of Graphs,
-        2.5; the paper's 2 J_x).  So V's eigenvalues are exactly
-        D - c(d - 2w), and lambda_min(V) = D - |c| d for either sign of c:
-        V is certified by the 1 x 1 leaf of that value.  It is the float at
-        or below D - |c| d (_shifted_diagonal with k = d), so rounding never
-        makes the leaf more definite than V, and it loses EIG_FLOOR in
-        _lower_factor like any other leaf.
+        V is symmetric by construction, so no symmetry pass runs.  A V of
+        any graph but a hypercube is certified positive definite here:
+        _lower_factor reads it through block, so only its top-level
+        quarters are built, and subtracts the floor at its leaves, in place.
+        A V of H(d,2) comes certified by _cube_potential.
         """
         v = cls.__new__(cls)
         diagonal.setflags(write=False)
@@ -433,9 +424,6 @@ class PotentialMatrix:
         if cube is None:
             every = np.arange(v.n)
             _lower_factor(lambda r, c: v.block(every[r], every[c]), v.n, whole=False)
-            return v
-        leaf = np.array([[_shifted_diagonal(float(diagonal[0]), coupling, cube)]])
-        _lower_factor(leaf, 1, whole=False)
         return v
 
     # The gate and the block reader are methods rather than module functions
@@ -687,20 +675,47 @@ def potential_matrix(graph: Graph, g: float) -> PotentialMatrix:
     rounds to 2g deg_max in float64: V would be the singular 2g L.  On H(d,2)
     the result carries the profile of the covariance root.
     """
-    # Every vertex of H(d,2) has degree d, so its degrees are not counted,
-    # and its blocks are written from labels, so its edges are not read.
     d = _hypercube_dim(graph)
-    degrees = graph.degrees() if d is None else np.full(graph.n, d)
+    if d is not None:
+        # Every vertex of H(d,2) has degree d, so its degrees are not
+        # counted, and its blocks are written from labels, so its edges are
+        # not read.
+        g, diagonal, c = _cube_potential(d, g)
+        out = PotentialMatrix._from_graph(None, c, np.full(graph.n, diagonal), d)
+        object.__setattr__(out, "profile", _root_profile(d, g))
+        return out
+    degrees = graph.degrees()
     g = _check_coupling(g, int(degrees.max()))
     c = 2.0 * g
-    edges = graph.edges if d is None else None
     try:
-        out = PotentialMatrix._from_graph(edges, c, c * degrees + 1.0, d)
+        return PotentialMatrix._from_graph(graph.edges, c, c * degrees + 1.0, None)
     except DefinitenessError as exc:
         raise _definiteness_hint(exc, g) from None
-    if d is not None:
-        object.__setattr__(out, "profile", _root_profile(d, g))
-    return out
+
+
+def _cube_potential(d: int, g) -> tuple:
+    """(g, D, c) for V = D I - c A of H(d,2) at coupling g: g checked as
+    potential_matrix checks it, and the diagonal D = 1 + 2gd and coupling
+    c = 2g as every route of H(d,2) writes them, once V is certified.
+
+    The adjacency A of H(d,2) has the eigenvalues d - 2w for w = 0..d
+    (Cvetkovic, Doob and Sachs, Spectra of Graphs, 2.5; the paper's 2 J_x).
+    So V's eigenvalues are exactly D - c(d - 2w), and
+    lambda_min(V) = D - |c| d for either sign of c: V is certified by the
+    1 x 1 leaf of that value.  It is the float at or below D - |c| d
+    (_shifted_diagonal with k = d), so rounding never makes the leaf more
+    definite than V, and it loses EIG_FLOOR in _lower_factor like any
+    other leaf.  Every block of V, and every translation sector's V_chi,
+    whose eigenvalues are some of V's, is then positive definite too.
+    """
+    g = _check_coupling(g, d)
+    c = 2.0 * g
+    diagonal = c * d + 1.0
+    try:
+        _lower_factor(np.array([[_shifted_diagonal(diagonal, c, d)]]), 1, whole=False)
+    except DefinitenessError as exc:
+        raise _definiteness_hint(exc, g) from None
+    return g, diagonal, c
 
 
 def _check_coupling(g, deg_max: int) -> float:
@@ -728,13 +743,9 @@ def _definiteness_hint(exc: DefinitenessError, g: float) -> DefinitenessError:
 
 
 def hamming_weights(d: int) -> np.ndarray:
-    """Hamming weight of every d-bit label 0..2^d-1."""
+    """Hamming weight of every d-bit label 0..2^d-1, as int64."""
     d = _check_hypercube_dim(d)
-    idx = np.arange(1 << d, dtype=np.int64)
-    w = np.zeros(1 << d, dtype=np.int64)
-    for a in range(d):
-        w += (idx >> a) & 1
-    return w
+    return np.bitwise_count(np.arange(1 << d)).astype(np.int64)
 
 
 def cut_name(name: str) -> str:

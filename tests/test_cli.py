@@ -147,6 +147,16 @@ def test_entropy_bad_inputs_exit_2(capsys):
     assert "error:" in err
 
 
+def test_entropy_next_to_the_definiteness_boundary_exits_0(capsys):
+    # potential_matrix certifies V of H(4,2) at this g, one float from
+    # -(1 - 1e-12)/16, and the engine and the oracle take that verdict.
+    # Only the exit code is checked: this near-singular V leaves the two
+    # routes ~2e-5 bits apart.
+    argv = ["entropy", "--graph", "hypercube:4", "--g", "-0.0624999999999375"]
+    assert main(argv + ["--subset", "1,2,4,7,9,10,12,15"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # What entropy makes of each --subset on hypercube:4: the exit code, and the
 # error or the side A it echoes.  Each comma-separated token is read by int,
 # so a sign and digit underscores pass and empty tokens are skipped; a label

@@ -388,8 +388,8 @@ def test_sector_route_keeps_its_bits_whatever_the_stack_size(monkeypatch, d):
 
 def test_parity_sectors_take_one_stack_and_one_mode_per_ratio(monkeypatch):
     # The H(10,2) parity cut has ten distinct 2 x 2 sectors, all in one
-    # stack: one Cholesky certifies it, two whiten it and one SVD takes its
-    # values.  Each distinct ratio becomes one Mode, shared by its copies,
+    # stack: V certified them, so two Cholesky calls whiten it and one SVD
+    # takes its values.  Each distinct ratio becomes one Mode, shared by its copies,
     # and each run of equal nu one entropy_from_nu call.
     v = potential_matrix(hypercube_graph(10), 0.5)
     cut = named_bipartition(10, "parity")
@@ -412,7 +412,7 @@ def test_parity_sectors_take_one_stack_and_one_mode_per_ratio(monkeypatch):
     monkeypatch.undo()
     distinct = len(set(spectrum.expanded_gammas().tolist()))
     assert calls["svd"] == 1
-    assert calls["cholesky"] <= 3
+    assert calls["cholesky"] == 2
     assert calls["_mode"] <= distinct <= 10
     assert calls["entropy_from_nu"] == len({m.nu for m in spectrum.modes})
     assert spectrum.mode_count() == len(spectrum.modes) == len(entropies) == 512
@@ -537,7 +537,7 @@ def test_quotient_routes_refuse_what_names_no_cut():
             with pytest.raises(DomainError):
                 call(4, parity, [0], g)
         # lambda_min(V) = 1 + 16g: certified at g = -0.06, refused at -0.07,
-        # by the engine on its V_chi and by the oracle on 1 + 4gw.
+        # by both routes on the exact leaf potential_matrix certifies.
         assert call(4, parity, [0], -0.06) is not None
         with pytest.raises(DefinitenessError, match="g too negative"):
             call(4, parity, [0], -0.07)
@@ -552,3 +552,88 @@ def test_quotient_routes_refuse_as_the_label_routes_do_at_strong_coupling():
     # The top parity ratio of H(4,2) rounds to 1 at g = 1e15, as on V.
     with pytest.raises(SingularityError):
         coset_cut_spectrum(4, [[1] * 4], [0], 1e15)
+
+
+# Couplings next to g = -(1 - 1e-12)/(4d), where lambda_min(V) = 1 + 4gd
+# meets EIG_FLOOR, at which V was certified while a route refused it.
+BOUNDARY_SPLITS = {
+    1: -0.24999999999975,
+    2: -0.124999999999875,
+    4: -0.0624999999999375,
+    5: -0.04999999999995,
+    8: -0.03124999999996875,
+    10: -0.024999999999975,
+}
+
+
+def _boundary_couplings(d):
+    """The float nearest -(1 - 1e-12)/(4d), three floats on each side of
+    it, and BOUNDARY_SPLITS's coupling at d."""
+    edge = -(1 - 1e-12) / (4 * d)
+    couplings = {edge}
+    for toward in (0.0, -1.0):
+        g = edge
+        for _ in range(3):
+            g = math.nextafter(g, toward)
+            couplings.add(g)
+    couplings.add(BOUNDARY_SPLITS.get(d, edge))
+    return sorted(couplings)
+
+
+def _verdict(call):
+    """True if call returns, False if it refuses V with the hint; any other
+    error, a LinAlgError included, is raised."""
+    try:
+        call()
+    except DefinitenessError as exc:
+        assert str(exc).endswith("(g too negative?)"), exc
+        return False
+    return True
+
+
+def test_every_route_takes_one_verdict_at_the_definiteness_boundary():
+    # V of H(d,2) is certified in one place, by the leaf of its exact
+    # lambda_min (graph._cube_potential), and every route takes its verdict
+    # from there: on each cut, given by labels and by (M, S), all five
+    # routes return or all five refuse with the hint.
+    rng = np.random.default_rng(36)
+    seen = set()
+    for d in range(1, 11):
+        n = 1 << d
+        parity = named_bipartition(d, "parity")
+        sides = [parity.side_a, parity.side_b]
+        sides += [_coset_union(rng, d, k)[0] for k in sorted({1, d // 2, d - 1}) if 0 < k < d]
+        cuts = [Bipartition.from_side_a(n, side) for side in sides]
+        # A cut no translation maps onto itself, the one cut of H(1,2), is
+        # named by M = I and S = side A.
+        forms = [
+            _quotient_form(rng, d, cut)
+            if cut._quotient is not None
+            else ([[int(a == j) for a in range(d)] for j in range(d)], list(cut.side_a))
+            for cut in cuts
+        ]
+        for g in _boundary_couplings(d):
+
+            def v():
+                return potential_matrix(hypercube_graph(d), g)
+
+            certified = _verdict(v)
+            if g == BOUNDARY_SPLITS.get(d):
+                assert certified, (d, g)
+            seen.add(certified)
+            for cut, (normals, subset) in zip(cuts, forms):
+                verdicts = [
+                    _verdict(lambda: gamma_spectrum(v(), cut)),
+                    _verdict(lambda: entropy_oracle_symplectic(v(), cut)),
+                    _verdict(lambda: coset_cut_spectrum(d, normals, subset, g)),
+                    _verdict(lambda: coset_cut_oracle(d, normals, subset, g)),
+                ]
+                assert verdicts == [certified] * 4, (d, g, cut.side_a)
+    assert seen == {True, False}
+    # Past the largest graph, the quotient routes alone.
+    g = -0.0124999999999875
+    for normals in ([[1] * 20], [[1] * 10 + [0] * 10], [[1, 0] * 10, [0, 1] * 10]):
+        # S = {0}: side A is one coset of 2^(20 - c) labels.
+        modes = coset_cut_spectrum(20, normals, [0], g).mode_count()
+        assert modes == 1 << (20 - len(normals))
+        assert coset_cut_oracle(20, normals, [0], g) > 0
